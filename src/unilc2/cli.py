@@ -17,6 +17,7 @@ from .rings import (
     AlgebraError,
     C2Poly,
     Mat,
+    ParseError,
     PolyF2,
     PolyInt,
     format_matrix,
@@ -29,6 +30,13 @@ EXIT_OK, EXIT_VERIFY_FAIL, EXIT_USAGE, EXIT_DOMAIN = 0, 1, 2, 3
 
 def _poly_int(text: str) -> PolyInt:
     return parse_poly(text, PolyInt)
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"expected an integer, got {text!r}") from None
 
 
 def _dump(directory: str, name: str, mat: Mat):
@@ -72,6 +80,7 @@ def cmd_arf(args) -> int:
 
 def cmd_boundary(args) -> int:
     q = _poly_int(args.q)
+    expected = formations.make_Q(q)  # rejects a bad q before any output
     form = forms.make_P(q.mod2(), PolyF2.one())
     psi, chi = rim.canonical_P_lifts(q)
     steps = rim.boundary_steps(rim.BoundaryInput(form, psi, chi))
@@ -92,7 +101,7 @@ def cmd_boundary(args) -> int:
     print("mu=" + format_matrix(result.mu))
     print("theta=" + format_matrix(result.theta))
     print("epsilon=-1")
-    same = result == formations.make_Q(q)
+    same = result == expected
     print(f"equals the Q-generator: {'yes' if same else 'no'}")
     return EXIT_OK if same else EXIT_VERIFY_FAIL
 
@@ -106,14 +115,18 @@ def _read_formation(path: str) -> formations.SplitFormation:
                 continue
             key, _, value = line.partition("=")
             fields[key.strip()] = value.strip()
-    ring = {"Z[x]": PolyInt, "F2[x]": PolyF2, "Z[C2][x]": C2Poly}[
-        fields.get("ring", "Z[C2][x]")
-    ]
+    ring_by_name = {"Z[x]": PolyInt, "F2[x]": PolyF2, "Z[C2][x]": C2Poly}
+    ring = ring_by_name.get(fields.get("ring", "Z[C2][x]"))
+    missing = [k for k in ("gamma", "mu", "theta") if k not in fields]
+    if ring is None or missing:
+        raise ParseError(
+            f"formation file needs gamma, mu, theta and a ring in {sorted(ring_by_name)}"
+        )
     return formations.SplitFormation(
         parse_matrix(fields["gamma"], ring),
         parse_matrix(fields["mu"], ring),
         parse_matrix(fields["theta"], ring),
-        int(fields.get("epsilon", "-1")),
+        _int(fields.get("epsilon", "-1")),
     )
 
 
@@ -191,14 +204,14 @@ def _parse_word(text: str) -> witt.GenWord:
         while j < len(s) and (s[j].isdigit()):
             j += 1
         if j > i and j < len(s) and s[j] == "*":
-            coeff = int(s[i:j])
+            coeff = _int(s[i:j])
             i = j + 1
-        kind = s[i]
+        kind = s[i : i + 1]
         if kind not in ("M", "Q"):
-            raise AlgebraError(f"bad word atom near {s[i:]!r}")
-        if s[i + 1] != "(":
-            raise AlgebraError("word atoms look like M(p;g) or Q(q)")
-        close = s.index(")", i)
+            raise ParseError(f"bad word atom near {s[i:]!r} in {text!r}")
+        close = s.find(")", i)
+        if s[i + 1 : i + 2] != "(" or close < 0:
+            raise ParseError(f"word atoms look like M(p;g) or Q(q), not {s[i:]!r}")
         inner = s[i + 2 : close]
         if kind == "M":
             ptext, _, gtext = inner.partition(";")
@@ -233,7 +246,7 @@ def _parse_script(path: str) -> tuple:
             for bit in bits[1:]:
                 key, _, value = bit.partition("=")
                 if key == "n":
-                    params["n"] = int(value)
+                    params["n"] = _int(value)
                 elif key == "dir":
                     params["dir"] = value
                 elif key == "sign":
@@ -242,7 +255,7 @@ def _parse_script(path: str) -> tuple:
                     params[key] = _poly_int(value)
             steps.append(witt.Step(rule, params))
     if start is None or end is None:
-        raise AlgebraError("script needs start: and end: lines")
+        raise ParseError("script needs start: and end: lines")
     return witt.DerivationScript(tuple(steps)), start, end
 
 
@@ -285,8 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(fn=cmd_verify)
 
     a = sub.add_parser("arf", help="Arf class of a form matrix over F2[x]")
-    a.add_argument("--file", help="file holding the psi matrix")
-    a.add_argument("--psi", help="inline psi matrix, e.g. [x,1;0,1]")
+    src = a.add_mutually_exclusive_group(required=True)
+    src.add_argument("--file", help="file holding the psi matrix")
+    src.add_argument("--psi", help="inline psi matrix, e.g. [x,1;0,1]")
     a.set_defaults(fn=cmd_arf)
 
     b = sub.add_parser("boundary", help="boundary formation of the rank-2 family")

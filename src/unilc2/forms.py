@@ -20,7 +20,6 @@ from .rings import (
     RingTagError,
     ShapeError,
     f2_divmod,
-    f2_xgcd,
     format_poly,
 )
 
@@ -228,50 +227,14 @@ def standard_symplectic(n: int) -> Mat:
     return Mat(out, PolyF2)
 
 
-def _complete_unimodular(v):
-    """Completion of a unimodular vector over F2[x] to a unimodular matrix
-    whose first column is v.  Row-reduces v to e_1 by elementary operations
-    and returns the product of their inverses."""
-    m = len(v)
-    w = list(v)
-    ops = []  # ("add", target, source, factor) | ("swap", i, j)
-    while True:
-        nz = [i for i in range(m) if w[i]]
-        if not nz:
-            raise SingularFormError("zero vector cannot be completed")
-        if len(nz) == 1:
-            if not w[nz[0]].is_unit():
-                raise SingularFormError("vector gcd is not a unit")
-            break
-        nz.sort(key=lambda i: (w[i].degree(), i))
-        piv, other = nz[0], nz[1]
-        q, r = f2_divmod(w[other], w[piv])
-        w[other] = r
-        ops.append(("add", other, piv, q))
-    if nz[0] != 0:
-        ops.append(("swap", 0, nz[0]))
-        w[0], w[nz[0]] = w[nz[0]], w[0]
-    # completion = (E_1^{-1} ... E_k^{-1}); every op is an involution mod 2
-    rows = [
-        [PolyF2.one() if i == j else PolyF2.zero() for j in range(m)]
-        for i in range(m)
-    ]
-    for op in reversed(ops):
-        if op[0] == "swap":
-            _, i, j = op
-            rows[i], rows[j] = rows[j], rows[i]
-        else:
-            _, tgt, src, q = op
-            rows[tgt] = [a + q * b for a, b in zip(rows[tgt], rows[src])]
-    return Mat(rows, PolyF2)
-
-
 def symplectic_reduce(form: QuadraticForm) -> SymplecticBasis:
     """Symplectic Gram-Schmidt over the principal ideal domain F2[x].
 
-    Requires an even nonsingular (+1)-form over F2[x].  Pivots are chosen at
-    the lowest remaining index and gcd combinations are accumulated with
-    lowest-index preference, so the output is deterministic.
+    Requires an even nonsingular (+1)-form over F2[x].  Every step is a
+    congruence, applied to the pairing and recorded in the basis change.
+    For each pair the pivot row runs Euclid's algorithm: the lowest-degree,
+    lowest-index entry divides the others until one entry is left, which
+    must be a unit.  The output is deterministic.
     """
     if form.ring is not PolyF2:
         raise RingTagError("symplectic reduction works over F2[x]")
@@ -280,8 +243,6 @@ def symplectic_reduce(form: QuadraticForm) -> SymplecticBasis:
     if not form.is_even():
         raise PrecondError("pairing must be alternating (zero diagonal)")
     lam = form.symmetrization()
-    if not lam.det().is_unit():
-        raise SingularFormError("pairing is not unimodular")
     n = form.rank
     g = [list(r) for r in lam.entries]
     u = [list(r) for r in Mat.identity(n, PolyF2).entries]
@@ -290,75 +251,43 @@ def symplectic_reduce(form: QuadraticForm) -> SymplecticBasis:
         # column op on u and the matching congruence update on g
         if not f:
             return
-        for i in range(n):
-            u[i][tgt] = u[i][tgt] + f * u[i][src]
-        for i in range(n):
-            g[i][tgt] = g[i][tgt] + f * g[i][src]
+        for rows in (u, g):
+            for r in rows:
+                if r[src]:
+                    r[tgt] = r[tgt] + f * r[src]
+        gt, gs = g[tgt], g[src]
         for j in range(n):
-            g[tgt][j] = g[tgt][j] + f * g[src][j]
+            if gs[j]:
+                gt[j] = gt[j] + f * gs[j]
 
-    def mul_block(base, w: Mat):
-        # columns base.. get replaced by their w-combinations
-        m = w.rows
-        for i in range(n):
-            old = [u[i][base + k] for k in range(m)]
-            for k in range(m):
-                acc = PolyF2.zero()
-                for l in range(m):
-                    if w[l, k] and old[l]:
-                        acc = acc + old[l] * w[l, k]
-                u[i][base + k] = acc
-        sub = [[g[base + i][base + j] for j in range(m)] for i in range(m)]
-        wm = w
-        subm = wm.conj_t() * Mat(sub, PolyF2) * wm
-        # off-block rows/cols
-        for i in range(n):
-            if base <= i < base + m:
-                continue
-            oldrow = [g[i][base + k] for k in range(m)]
-            for k in range(m):
-                acc = PolyF2.zero()
-                for l in range(m):
-                    if wm[l, k] and oldrow[l]:
-                        acc = acc + oldrow[l] * wm[l, k]
-                g[i][base + k] = acc
-                g[base + k][i] = acc
-        for i in range(m):
-            for j in range(m):
-                g[base + i][base + j] = subm[i, j]
+    def swap(i, j):
+        for r in u:
+            r[i], r[j] = r[j], r[i]
+        g[i], g[j] = g[j], g[i]
+        for r in g:
+            r[i], r[j] = r[j], r[i]
 
     for t in range(0, n, 2):
-        # pivot e at index t; find f with <e,f> = 1 by running xgcd over the row
-        row = [g[t][j] for j in range(t + 1, n)]
-        m = len(row)
-        gcd = None
-        combo = []
-        for j in range(m):
-            if gcd is None:
-                gcd = row[j]
-                combo = [PolyF2.one()] + [PolyF2.zero()] * (m - 1)
-            else:
-                if gcd.is_unit():
-                    break
-                gg, s, tt = f2_xgcd(gcd, row[j])
-                combo = [s * c for c in combo]
-                combo[j] = tt
-                gcd = gg
-        if gcd is None or not gcd.is_unit():
-            raise SingularFormError("pairing is not unimodular on a sub-block")
-        w_tail = _complete_unimodular(combo)
-        one, zero = PolyF2.one(), PolyF2.zero()
-        w = [[zero] * (m + 1) for _ in range(m + 1)]
-        w[0][0] = one
-        for i in range(m):
-            for j in range(m):
-                w[i + 1][j + 1] = w_tail[i, j]
-        mul_block(t, Mat(w, PolyF2))
-        # decouple the rest of the block from the new pair (t, t+1)
+        # Euclid on row t: afterwards <e_t, e_piv> is the row's gcd and
+        # every other pairing of e_t vanishes
+        while True:
+            nz = [j for j in range(t + 1, n) if g[t][j]]
+            if not nz:
+                raise SingularFormError("pairing is not unimodular")
+            piv = min(nz, key=lambda j: (g[t][j].degree(), j))
+            if len(nz) == 1:
+                break
+            for j in nz:
+                if j != piv:
+                    add_col(j, piv, f2_divmod(g[t][j], g[t][piv])[0])
+        if not g[t][piv].is_unit():
+            raise SingularFormError("pairing is not unimodular")
+        if piv != t + 1:
+            swap(t + 1, piv)
+        # decouple the rest from the new pair (t, t+1); <e_t, e_j> is
+        # already 0 for j > t+1, so only <e_{t+1}, e_j> needs clearing
         for j in range(t + 2, n):
-            cf, ce = g[t][j], g[t + 1][j]
-            add_col(j, t, ce)
-            add_col(j, t + 1, cf)
+            add_col(j, t, g[t + 1][j])
     um = Mat(u, PolyF2)
     if um.conj_t() * lam * um != standard_symplectic(n):
         raise SingularFormError("internal error: reduction did not standardise")

@@ -53,6 +53,10 @@ class PrecondError(AlgebraError):
     """An operation's precondition is violated."""
 
 
+class ParseError(AlgebraError):
+    """Text does not follow the polynomial, matrix or word grammar."""
+
+
 def _strip(coeffs):
     coeffs = list(coeffs)
     while coeffs and not coeffs[-1]:
@@ -318,6 +322,15 @@ class PolyF2:
             i += 1
         return PolyF2(out)
 
+    def exact_div(self, d: "PolyF2") -> "PolyF2":
+        """Exact quotient self / d in F2[x]; NonDivisibleError if not exact."""
+        if not d:
+            raise NonDivisibleError("division by zero polynomial")
+        q, r = f2_divmod(self, d)
+        if r:
+            raise NonDivisibleError("composite not defined over the ring")
+        return q
+
     def __str__(self):
         return format_poly(self)
 
@@ -343,19 +356,6 @@ def f2_divmod(a: PolyF2, b: PolyF2):
         q |= 1 << shift
         r ^= b.bits << shift
     return PolyF2(q), PolyF2(r)
-
-
-def f2_xgcd(a: PolyF2, b: PolyF2):
-    """Extended gcd: returns (g, s, t) with s*a + t*b = g, g monic."""
-    r0, r1 = a, b
-    s0, s1 = PolyF2(1), PolyF2(0)
-    t0, t1 = PolyF2(0), PolyF2(1)
-    while r1:
-        q, r = f2_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 + q * s1
-        t0, t1 = t1, t0 + q * t1
-    return r0, s0, t0
 
 
 # ---------------------------------------------------------------------------
@@ -855,38 +855,28 @@ class Mat:
         )
 
     def det(self):
-        """Determinant by first-row expansion with column-subset memo."""
+        """Determinant.
+
+        Up to 2x2 by the expansion formula.  Above that, Z[x] and F2[x] use
+        fraction-free Bareiss elimination.  Z[C2][x] has zero divisors, so
+        its determinant is assembled by pullback_inverse from the
+        determinants of the two T-evaluations: both are ring maps of the
+        pullback square, so they commute with det.
+        """
         if not self.is_square():
             raise ShapeError("determinant of a non-square matrix")
-        n = self.rows
+        n, ent = self.rows, self.entries
         if n == 0:
             return self.ring.one()
-        ent = self.entries
-        memo = {}
-
-        def rec(row, colmask):
-            if row == n:
-                return self.ring.one()
-            key = colmask
-            got = memo.get(key)
-            if got is not None:
-                return got
-            acc = self.ring.zero()
-            sign = 1
-            m = colmask
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
-                e = ent[row][j]
-                if e:
-                    sub = rec(row + 1, colmask & ~(1 << j))
-                    term = e * sub
-                    acc = acc + (term if sign > 0 else -term)
-                sign = -sign
-            memo[key] = acc
-            return acc
-
-        return rec(0, (1 << n) - 1)
+        if n == 1:
+            return ent[0][0]
+        if n == 2:
+            return ent[0][0] * ent[1][1] - ent[0][1] * ent[1][0]
+        if self.ring is C2Poly:
+            return pullback_inverse(
+                *(_bareiss([[apply_i(s, e) for e in r] for r in ent], PolyInt) for s in (-1, 1))
+            )
+        return _bareiss([list(r) for r in ent], self.ring)
 
     def adjugate(self) -> "Mat":
         """adj(A) with A * adj(A) = det(A) * Id."""
@@ -915,6 +905,37 @@ class Mat:
 
     def __repr__(self):
         return f"Mat[{self.ring.TAG}]{format_matrix(self)}"
+
+
+def _bareiss(a, ring):
+    """Determinant of the square list-of-lists a over an integral domain
+    (Z[x] or F2[x]) by Bareiss elimination; a is overwritten.
+
+    After step k every entry below and right of the pivot is a (k+2)-minor
+    of the input, so each division by the previous pivot is exact.
+    E. H. Bareiss, Math. Comp. 22 (1968).
+    """
+    n = len(a)
+    negate, prev = False, None
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return ring.zero()
+            a[k], a[swap] = a[swap], a[k]
+            negate = not negate
+        rk = a[k]
+        piv = rk[k]
+        for ri in a[k + 1:]:
+            f = ri[k]
+            for j in range(k + 1, n):
+                v = ri[j] * piv
+                if f and rk[j]:
+                    v = v - f * rk[j]
+                ri[j] = v.exact_div(prev) if prev is not None else v
+        prev = piv
+    d = a[n - 1][n - 1]
+    return -d if negate else d
 
 
 def solve_right(a: Mat, b: Mat) -> Mat:
@@ -948,7 +969,7 @@ def parse_poly(text: str, ring):
     """Parse the term grammar into a polynomial of the given ring class."""
     s = text.replace(" ", "").replace("\t", "")
     if not s:
-        raise ValueError("empty polynomial text")
+        raise ParseError("empty polynomial text")
     if s in ("0", "+0", "-0"):
         return ring.zero()
     terms = [t for t in _TERM_SPLIT.split(s) if t]
@@ -961,24 +982,24 @@ def parse_poly(text: str, ring):
             sign = -1
             term = term[1:]
         if not term:
-            raise ValueError(f"dangling sign in {text!r}")
+            raise ParseError(f"dangling sign in {text!r}")
         coeff, has_t, exp = 1, False, 0
         for factor in term.split("*"):
             if not factor:
-                raise ValueError(f"empty factor in {text!r}")
+                raise ParseError(f"empty factor in {text!r}")
             if factor == "T":
                 if has_t:
-                    raise ValueError(f"repeated T in term {term!r}")
+                    raise ParseError(f"repeated T in term {term!r}")
                 has_t = True
             elif factor[0] == "x":
                 if factor == "x":
                     exp += 1
                 elif factor[1] == "^":
-                    exp += int(factor[2:])
+                    exp += _natural(factor[2:], text)
                 else:
-                    raise ValueError(f"bad factor {factor!r}")
+                    raise ParseError(f"bad factor {factor!r}")
             else:
-                coeff *= int(factor)
+                coeff *= _natural(factor, text)
         coeff *= sign
         if has_t and ring is not C2Poly:
             raise RingTagError(f"T is not an element of {ring.TAG}")
@@ -993,6 +1014,12 @@ def parse_poly(text: str, ring):
             part = PolyF2.x_power(exp, coeff & 1)
         acc = acc + part
     return acc
+
+
+def _natural(digits: str, text: str) -> int:
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(f"expected a number, got {digits!r} in {text!r}")
+    return int(digits)
 
 
 def _fmt_term(c: int, k: int, t: bool) -> str:
@@ -1040,7 +1067,7 @@ def format_poly(p) -> str:
 def parse_matrix(text: str, ring) -> Mat:
     s = text.strip()
     if not (s.startswith("[") and s.endswith("]")):
-        raise ValueError("matrix text must be wrapped in [...]")
+        raise ParseError("matrix text must be wrapped in [...]")
     body = s[1:-1].strip()
     if not body:
         return Mat.zeros(0, 0, ring)

@@ -41,6 +41,23 @@ def test_boundary_steps(capsys):
     assert "equals the Q-generator: yes" in out
 
 
+@pytest.mark.parametrize("psi", ["[2x]", "[x^]"])
+def test_arf_malformed_polynomial_is_a_domain_error(capsys, psi):
+    code = main(["arf", "--psi", psi])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_boundary_rejects_q_before_printing(capsys):
+    code = main(["boundary", "--q", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "constant coefficient" in captured.err
+
+
 def test_machine_relation(capsys):
     code, out = run(capsys, "machine", "--relation", "1", "--p", "x", "--p2", "x", "--g", "1")
     assert code == 0
@@ -73,6 +90,30 @@ def test_formation_make_and_check(capsys, tmp_path):
     assert "graph: no" in out
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "ring=Q\ngamma=[0]\nmu=[1]\ntheta=[0]\n",
+        "ring=Z[x]\ngamma=[0]\n",
+        "gamma=[0]\nmu=[1]\ntheta=[0]\nepsilon=odd\n",
+    ],
+)
+def test_formation_check_malformed_file_is_a_domain_error(capsys, tmp_path, text):
+    path = tmp_path / "bad.formation"
+    path.write_text(text)
+    code = main(["formation", "check", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_arf_needs_a_matrix_source():
+    with pytest.raises(SystemExit) as err:
+        main(["arf"])
+    assert err.value.code == 2
+
+
 def test_replay_script(capsys, tmp_path):
     path = tmp_path / "chain.script"
     path.write_text(
@@ -94,6 +135,16 @@ def test_replay_invalid_step(capsys, tmp_path):
     code, out = run(capsys, "replay", str(path))
     assert code == 3
     assert "step 0" in out
+
+
+def test_replay_malformed_word_is_a_domain_error(capsys, tmp_path):
+    path = tmp_path / "truncated.script"
+    path.write_text("start: 4*M\nend: 0\n")
+    code = main(["replay", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_replay_open_chain(capsys, tmp_path):

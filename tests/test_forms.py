@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import f2
 
@@ -201,6 +203,71 @@ def test_reduce_transports_to_standard():
 
 def test_reduce_rejects_singular():
     form = QuadraticForm(parse_matrix("[0,x;0,0]", PolyF2), 1)
+    with pytest.raises(SingularFormError):
+        symplectic_reduce(form)
+
+
+def block_class_bits(blocks):
+    """Oracle by bit arithmetic: the Arf class of a sum of make_P(q, g)
+    blocks is the class of the XOR of the carry-less products q*g, with
+    every exponent 2^a * e (e odd) folded onto e."""
+    total = 0
+    for q, g in blocks:
+        for i in range(q.bit_length()):
+            if q >> i & 1:
+                total ^= g << i
+    folded = total & 1
+    for k in range(1, total.bit_length()):
+        if total >> k & 1:
+            folded ^= 1 << (k // (k & -k))
+    return folded
+
+
+@st.composite
+def transported_block_sums(draw):
+    """(blocks, form): a sum of 1-6 make_P blocks (rank 2-12) moved by a
+    unimodular matrix built from elementary column operations and a
+    permutation."""
+    blocks = draw(st.lists(st.tuples(st.integers(0, 31), st.integers(0, 31)), min_size=1, max_size=6))
+    form = make_P(PolyF2(blocks[0][0]), PolyF2(blocks[0][1]))
+    for q, g in blocks[1:]:
+        form = direct_sum(form, make_P(PolyF2(q), PolyF2(g)))
+    n = form.rank
+    cols = [list(c) for c in zip(*Mat.identity(n, PolyF2).entries)]
+    ops = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 7))
+    for i, j, fbits in draw(st.lists(ops, max_size=3 * n)):
+        if i != j:
+            cols[j] = [a + PolyF2(fbits) * b for a, b in zip(cols[j], cols[i])]
+    cols = [cols[k] for k in draw(st.permutations(range(n)))]
+    u = Mat(list(zip(*cols)), PolyF2)
+    return blocks, form.transport(u)
+
+
+@settings(max_examples=150, deadline=None)
+@given(transported_block_sums())
+def test_reduce_property_on_transported_block_sums(case):
+    blocks, moved = case
+    assert arf(moved).to_poly().bits == block_class_bits(blocks)
+    basis = symplectic_reduce(moved)
+    assert basis.u.det().is_unit()
+    got = basis.u.conj_t() * moved.symmetrization() * basis.u
+    assert got == standard_symplectic(moved.rank)
+
+
+@pytest.mark.parametrize(
+    "psi",
+    [
+        # an alternating determinant is a square (of the Pfaffian): these have
+        # Pfaffian x and 1+x, and a first row with unit gcd
+        "[0,x,1,0;0,0,x,0;0,0,0,1;0,0,0,0]",
+        "[0,x,1,0;0,0,x,1;0,0,0,1;0,0,0,0]",
+        # odd rank: the last pivot row is empty
+        "[0,1,0;0,0,1;0,0,0]",
+    ],
+)
+def test_reduce_rejects_non_unimodular_alternating_pairings(psi):
+    form = QuadraticForm(parse_matrix(psi, PolyF2), 1)
+    assert form.is_even() and not form.is_nonsingular()
     with pytest.raises(SingularFormError):
         symplectic_reduce(form)
 

@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import f2, zx
 
@@ -19,7 +22,6 @@ from unilc2.rings import (
     apply_j,
     apply_k,
     f2_divmod,
-    f2_xgcd,
     format_matrix,
     format_poly,
     parse_matrix,
@@ -230,24 +232,50 @@ def test_det_fixtures():
     assert parse_matrix("[0,1;1,0]", PolyInt).det() == zx("-1")
 
 
-def test_det_against_permutation_expansion():
-    import itertools
+def permutation_det(m):
+    """Oracle: the Leibniz sum over all permutations."""
+    n = m.rows
+    acc = m.ring.zero()
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = m.ring.one()
+        for i in range(n):
+            term = term * m[i, perm[i]]
+        acc = acc + (-term if inversions % 2 else term)
+    return acc
 
-    rng = random.Random(29)
-    for n in (2, 3, 4):
-        m = Mat([[rand_polyint(rng, 2, 2) for _ in range(n)] for _ in range(n)], PolyInt)
-        acc = PolyInt(())
-        for perm in itertools.permutations(range(n)):
-            sign = 1
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if perm[i] > perm[j]:
-                        sign = -sign
-            term = PolyInt((sign,))
-            for i in range(n):
-                term = term * m[i, perm[i]]
-            acc = acc + term
-        assert m.det() == acc
+
+def ring_elements(ring):
+    ints = st.lists(st.integers(-3, 3), max_size=3).map(PolyInt)
+    if ring is PolyInt:
+        return ints
+    if ring is PolyF2:
+        return st.integers(0, 15).map(PolyF2)
+    return st.tuples(ints, ints).map(lambda ab: C2Poly.from_parts(*ab))
+
+
+@st.composite
+def square_matrices(draw):
+    """Z[x] and F2[x] up to 6x6, Z[C2][x] up to 5x5 (above 2x2 its det goes
+    through the pullback legs).  Leading zeros in the first column force
+    row swaps or a zero column; a repeated row makes the matrix singular."""
+    ring = draw(st.sampled_from([PolyInt, PolyF2, C2Poly]))
+    n = draw(st.integers(1, 5 if ring is C2Poly else 6))
+    rows = [[draw(ring_elements(ring)) for _ in range(n)] for _ in range(n)]
+    for r in rows[: draw(st.integers(0, n))]:
+        r[0] = ring.zero()
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        rows[i] = list(rows[j])
+    return Mat(rows, ring)
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+def test_det_against_permutation_expansion(m):
+    d = m.det()
+    assert d == permutation_det(m)
+    assert m * m.adjugate() == Mat.scalar(m.rows, d, m.ring)
 
 
 def test_adjugate_identity():
@@ -291,8 +319,10 @@ def test_f2_divmod_and_xgcd():
         a, b = PolyF2(rng.getrandbits(9)), PolyF2(rng.getrandbits(6) | 1)
         q, r = f2_divmod(a, b)
         assert q * b + r == a
-        g, s, t = f2_xgcd(a, b)
-        assert s * a + t * b == g
+        assert (a * b).exact_div(b) == a
+        if r:
+            with pytest.raises(NonDivisibleError):
+                a.exact_div(b)
 
 
 # -- grammar
