@@ -56,7 +56,7 @@ def compute_chi_prime(form: QuadraticForm) -> Mat:
     phi = form.symmetrization()
     if not phi.det().is_unit():
         raise PrecondError("singular symmetrization")
-    inv = phi.adjugate()  # det = 1 over F2[x]
+    inv = _inverse_f2(phi)
     return inv * form.psi * inv
 
 
@@ -117,22 +117,16 @@ class BoundarySteps:
     result: SplitFormation
 
 
-def _unimodular_lift(phi_bar: Mat) -> Mat:
-    """A lift of an invertible F2[x] matrix that is unimodular over Z[x].
+def _euclid_ops(m: Mat) -> list:
+    """Row operations over the Euclidean domain F2[x] that reduce the square
+    matrix m to Id, in order of application: ("add", i, j, f) for
+    row_i += f * row_j and ("swap", i, j).  PrecondError if m is not
+    invertible."""
+    n = m.rows
+    work = [list(r) for r in m.entries]
+    ops = []
 
-    The coefficient-wise lift is used when its determinant is already +-1;
-    otherwise phi_bar is factored into elementary row operations over the
-    Euclidean domain F2[x] and each factor lifted, so the product lifts
-    phi_bar with determinant +-1.
-    """
-    cand = default_lift(phi_bar)
-    if cand.det().is_unit():
-        return cand
-    n = phi_bar.rows
-    work = [list(r) for r in phi_bar.entries]
-    ops = []  # row ops reducing phi_bar to Id: ("add",i,j,f) | ("swap",i,j)
-
-    def rows_add(i, j, f):  # row_i += f * row_j
+    def rows_add(i, j, f):
         work[i] = [a + f * b for a, b in zip(work[i], work[j])]
         ops.append(("add", i, j, f))
 
@@ -154,15 +148,46 @@ def _unimodular_lift(phi_bar: Mat) -> Mat:
             if len(nz) == 1:
                 raise PrecondError("matrix is not invertible over F2[x]")
             other = nz[1]
-            qq, rr = f2_divmod(work[other][col], work[piv][col])
-            rows_add(other, piv, qq)
+            rows_add(other, piv, f2_divmod(work[other][col], work[piv][col])[0])
         for i in range(n):
             if i != col and work[i][col]:
                 rows_add(i, col, work[i][col])
-    # work is now Id; phi_bar = inverse of the recorded op product, so apply
-    # the inverse ops to Id in reverse order, with integer entries
+    return ops
+
+
+def _inverse_f2(m: Mat) -> Mat:
+    """Inverse of an invertible F2[x] matrix by Gauss-Jordan elimination:
+    the operations that reduce m to Id, applied to Id."""
+    n = m.rows
+    one, zero = PolyF2.one(), PolyF2.zero()
+    inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    for op in _euclid_ops(m):
+        if op[0] == "swap":
+            _, i, j = op
+            inv[i], inv[j] = inv[j], inv[i]
+        else:
+            _, i, j, f = op
+            inv[i] = [a + f * b for a, b in zip(inv[i], inv[j])]
+    return Mat._raw(tuple(map(tuple, inv)), PolyF2)
+
+
+def _unimodular_lift(phi_bar: Mat) -> Mat:
+    """A lift of an invertible F2[x] matrix that is unimodular over Z[x].
+
+    The coefficient-wise lift is used when its determinant is already +-1;
+    otherwise phi_bar is factored into elementary row operations over the
+    Euclidean domain F2[x] and each factor lifted, so the product lifts
+    phi_bar with determinant +-1.
+    """
+    cand = default_lift(phi_bar)
+    if cand.det().is_unit():
+        return cand
+    n = phi_bar.rows
+    # the ops reduce phi_bar to Id, so phi_bar is the inverse of their
+    # product: apply the inverse ops to Id in reverse order, with integer
+    # entries
     ident = [[PolyInt((1,)) if i == j else PolyInt(()) for j in range(n)] for i in range(n)]
-    for op in reversed(ops):
+    for op in reversed(_euclid_ops(phi_bar)):
         if op[0] == "swap":
             _, i, j = op
             ident[i], ident[j] = ident[j], ident[i]
@@ -217,7 +242,7 @@ def boundary_steps(inp: BoundaryInput) -> BoundarySteps:
     )
     # re-coordinate the second lagrangian by a unimodular lift of the
     # inverse symmetrization, so that every pair glues over the identity
-    phi_tilde = _unimodular_lift(phi_bar.adjugate())
+    phi_tilde = _unimodular_lift(_inverse_f2(phi_bar))
     step2 = GluedPair(
         gamma=(gamma_b * phi_tilde, zero),
         mu=(phi * phi_tilde, ident),

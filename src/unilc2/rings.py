@@ -23,10 +23,20 @@ matrices written ``[a,b;c,d]``.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
+
+# A PolyInt product with an operand of at most this many coefficients runs
+# the schoolbook loop; longer pairs go through Kronecker substitution, which
+# wins from length 8 on (measured crossover).
+SCHOOLBOOK_MAX_LEN = 7
+
+# Input size caps of the text grammar, checked before anything is built.
+MAX_EXPONENT = 1024  # largest x-exponent parse_poly accepts
+MAX_DIM = 64  # most rows, and most columns, parse_matrix accepts
 
 
 class AlgebraError(Exception):
@@ -62,6 +72,43 @@ def _strip(coeffs):
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return tuple(coeffs)
+
+
+# Kronecker substitution (von zur Gathen & Gerhard, Modern Computer Algebra,
+# section 8.4): a polynomial whose coefficients fit in signed k-bit slots is
+# the integer it takes at x = 2^k, so a product of polynomials is one
+# product of integers.  The slot width comes from a bound on the result's
+# coefficients: a sum of `inner` products of length-la and length-lb
+# polynomials has coefficients of size at most
+# inner * min(la, lb) * max|a| * max|b|.
+
+
+def _slot_bits(inner, la, lb, ma, mb) -> int:
+    return (inner * min(la, lb) * ma * mb).bit_length() + 1
+
+
+def _pack(coeffs, k: int) -> int:
+    """The value at x = 2^k of the coefficient tuple (Horner with shifts)."""
+    z = 0
+    for c in reversed(coeffs):
+        z = (z << k) + c
+    return z
+
+
+def _unpack(z: int, k: int, m: int) -> list:
+    """The m signed k-bit slots of z, lowest first.  A slot of at least
+    2^(k-1) stands for a negative coefficient and borrows one from the next
+    slot."""
+    mask, half, full = (1 << k) - 1, 1 << (k - 1), 1 << k
+    out = []
+    for _ in range(m):
+        c = z & mask
+        z >>= k
+        if c >= half:
+            c -= full
+            z += 1
+        out.append(c)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +185,9 @@ class PolyInt:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return PolyInt(())
+        if len(a) > SCHOOLBOOK_MAX_LEN and len(b) > SCHOOLBOOK_MAX_LEN:
+            k = _slot_bits(1, len(a), len(b), max(map(abs, a)), max(map(abs, b)))
+            return PolyInt(_unpack(_pack(a, k) * _pack(b, k), k, len(a) + len(b) - 1))
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -408,9 +458,6 @@ def _as_c2elt(v) -> C2Elt:
     raise RingTagError(f"cannot coerce {v!r} into Z[C2]")
 
 
-T_GEN = C2Elt(0, 1)
-
-
 class C2Poly:
     """Polynomial over Z[C2], stored as the pair (a, b) with value a + b*T."""
 
@@ -564,7 +611,6 @@ def _as_c2poly(v) -> C2Poly:
 ONE_MINUS_T = C2Poly.from_parts(PolyInt((1,)), PolyInt((-1,)))
 
 RING_CLASSES = (PolyInt, PolyF2, C2Poly)
-RING_BY_TAG = {cls.TAG: cls for cls in RING_CLASSES}
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +624,8 @@ def apply_i(sign: int, p: C2Poly) -> PolyInt:
     return p.a + p.b if sign == 1 else p.a - p.b
 
 
-def apply_j(p: PolyInt, sign: int = 1) -> PolyF2:
-    """Reduce coefficients mod 2 (both square legs agree, sign is cosmetic)."""
+def apply_j(p: PolyInt) -> PolyF2:
+    """Reduce coefficients mod 2 (the same map on both square legs)."""
     return p.mod2()
 
 
@@ -599,9 +645,9 @@ def pullback_inverse(u: PolyInt, v: PolyInt) -> C2Poly:
     diff = v - u
     if any(c % 2 for c in diff.coeffs):
         raise NotInImageError(f"({u}, {v}) do not agree mod 2")
-    two = PolyInt((2,))
-    a = (u + v).exact_div(two)
-    b = (v - u).exact_div(two)
+    # both u + v and v - u are even, so halving is exact
+    a = PolyInt(tuple(c // 2 for c in (u + v).coeffs))
+    b = PolyInt(tuple(c // 2 for c in diff.coeffs))
     return C2Poly.from_parts(a, b)
 
 
@@ -615,10 +661,6 @@ def ring_mul(x, y):
     if type(x) is not type(y):
         raise RingTagError(f"mixed rings: {type(x).__name__} * {type(y).__name__}")
     return x * y
-
-
-def ring_neg(x):
-    return -x
 
 
 def is_unit(x) -> bool:
@@ -790,6 +832,8 @@ class Mat:
             raise ShapeError(
                 f"product shape mismatch: {self.rows}x{self.cols} * {other.rows}x{other.cols}"
             )
+        if self.ring is PolyInt:
+            return Mat._raw(_kronecker_matmul(self.entries, other.entries), PolyInt)
         bt = list(zip(*other.entries))
         zero = self.ring.zero()
         out = []
@@ -907,6 +951,31 @@ class Mat:
         return f"Mat[{self.ring.TAG}]{format_matrix(self)}"
 
 
+def _kronecker_matmul(a, b):
+    """Row tuples of the product of Z[x] matrices given by their row tuples.
+
+    Every entry of both factors is packed once, at one slot width for the
+    whole product; each dot product is accumulated as one Python int and
+    unpacked once.
+    """
+    polys = [p.coeffs for r in a for p in r], [p.coeffs for r in b for p in r]
+    la, lb = (max(map(len, ps), default=0) for ps in polys)
+    ma, mb = (max((abs(c) for cs in ps for c in cs), default=0) for ps in polys)
+    k = _slot_bits(len(b), la, lb, ma, mb)
+    m = la + lb - 1
+    pb = list(zip(*[[_pack(p.coeffs, k) for p in r] for r in b]))
+    zero = PolyInt(())
+    out = []
+    for r in a:
+        pr = [_pack(p.coeffs, k) for p in r]
+        row = []
+        for col in pb:
+            z = sum(map(operator.mul, pr, col))
+            row.append(PolyInt(_unpack(z, k, m)) if z else zero)
+        out.append(tuple(row))
+    return tuple(out)
+
+
 def _bareiss(a, ring):
     """Determinant of the square list-of-lists a over an integral domain
     (Z[x] or F2[x]) by Bareiss elimination; a is overwritten.
@@ -1001,6 +1070,8 @@ def parse_poly(text: str, ring):
             else:
                 coeff *= _natural(factor, text)
         coeff *= sign
+        if exp > MAX_EXPONENT:
+            raise ParseError(f"exponent {exp} is above the cap {MAX_EXPONENT}")
         if has_t and ring is not C2Poly:
             raise RingTagError(f"T is not an element of {ring.TAG}")
         if ring is C2Poly:
@@ -1019,7 +1090,10 @@ def parse_poly(text: str, ring):
 def _natural(digits: str, text: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise ParseError(f"expected a number, got {digits!r} in {text!r}")
-    return int(digits)
+    try:
+        return int(digits)
+    except ValueError:  # longer than the interpreter's int-conversion limit
+        raise ParseError(f"a {len(digits)}-digit number is too long") from None
 
 
 def _fmt_term(c: int, k: int, t: bool) -> str:
@@ -1071,9 +1145,10 @@ def parse_matrix(text: str, ring) -> Mat:
     body = s[1:-1].strip()
     if not body:
         return Mat.zeros(0, 0, ring)
-    rows = [
-        [parse_poly(e, ring) for e in row.split(",")] for row in body.split(";")
-    ]
+    row_texts = body.split(";")
+    if len(row_texts) > MAX_DIM or any(r.count(",") >= MAX_DIM for r in row_texts):
+        raise ParseError(f"a matrix has at most {MAX_DIM} rows and {MAX_DIM} columns")
+    rows = [[parse_poly(e, ring) for e in row.split(",")] for row in row_texts]
     return Mat(rows, ring)
 
 

@@ -3,6 +3,7 @@ import os
 import pytest
 
 from unilc2.cli import main
+from unilc2.rings import MAX_DIM, MAX_EXPONENT
 
 
 def run(capsys, *argv):
@@ -101,6 +102,42 @@ def test_formation_make_and_check(capsys, tmp_path):
 def test_formation_check_malformed_file_is_a_domain_error(capsys, tmp_path, text):
     path = tmp_path / "bad.formation"
     path.write_text(text)
+    code = main(["formation", "check", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_exponent_at_the_cap_is_accepted(capsys):
+    code, _ = run(capsys, "arf", "--psi", f"[x^{MAX_EXPONENT},1;0,1]")
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "psi",
+    [
+        f"[x^{MAX_EXPONENT + 1},1;0,1]",
+        f"[x^{MAX_EXPONENT}*x,1;0,1]",  # the exponent of the whole term counts
+        "[" + ";".join(["0"] * (MAX_DIM + 1)) + "]",  # one row too many
+        "[" + ",".join(["0"] * (MAX_DIM + 1)) + "]",  # one column too many
+        "[" + "9" * 5000 + "]",  # longer than int() converts
+    ],
+)
+def test_arf_oversized_input_is_a_domain_error(capsys, psi):
+    code = main(["arf", "--psi", psi])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "gamma", [f"[x^{MAX_EXPONENT + 1}]", "[" + ",".join(["0"] * (MAX_DIM + 1)) + "]"]
+)
+def test_formation_check_oversized_file_is_a_domain_error(capsys, tmp_path, gamma):
+    path = tmp_path / "big.formation"
+    path.write_text(f"ring=Z[x]\ngamma={gamma}\nmu=[1]\ntheta=[0]\n")
     code = main(["formation", "check", str(path)])
     captured = capsys.readouterr()
     assert code == 3

@@ -1,9 +1,11 @@
+import random
+
 import pytest
 
 from conftest import f2, zx
 
 from unilc2.formations import is_contractible, is_graph, make_Q
-from unilc2.forms import hyperbolic, make_P
+from unilc2.forms import QuadraticForm, direct_sum, hyperbolic, make_P
 from unilc2.rim import (
     AssemblyError,
     BoundaryInput,
@@ -16,9 +18,10 @@ from unilc2.rim import (
     expected_fixture_steps,
     verify_boundary_fixture,
     _assemble,
+    _inverse_f2,
     _unimodular_lift,
 )
-from unilc2.rings import Mat, PolyF2, PolyInt, parse_matrix
+from unilc2.rings import Mat, PolyF2, PolyInt, PrecondError, parse_matrix
 
 
 def test_chi_prime_of_the_family():
@@ -162,3 +165,69 @@ def test_generic_boundary_input():
     out = boundary(BoundaryInput.with_default_lifts(form))
     assert out.hessian_holds()
     assert out.gamma.mod2().is_zero()
+
+
+# -- the elimination inverse over F2[x]
+
+
+def dense_unimodular(rng, n):
+    """P * L * U: unit triangular factors with entries of degree <= 2 and a
+    permutation, so elimination needs row swaps and Euclid steps."""
+    one, zero = PolyF2.one(), PolyF2.zero()
+    lo = Mat([[one if i == j else PolyF2(rng.getrandbits(3)) if i > j else zero
+               for j in range(n)] for i in range(n)], PolyF2)
+    up = Mat([[one if i == j else PolyF2(rng.getrandbits(3)) if i < j else zero
+               for j in range(n)] for i in range(n)], PolyF2)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    p = Mat([[one if perm[i] == j else zero for j in range(n)] for i in range(n)], PolyF2)
+    return p * lo * up
+
+
+def test_inverse_f2_against_adjugate():
+    rng = random.Random(43)
+    for n in range(1, 9):
+        for _ in range(4):
+            m = dense_unimodular(rng, n)
+            assert m.det() == PolyF2.one()
+            inv = _inverse_f2(m)
+            assert inv == m.adjugate()
+            assert m * inv == Mat.identity(n, PolyF2)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[0]",
+        "[1,x;1,x]",  # singular: repeated row
+        "[x]",  # det x, not a unit
+        "[1+x,x;x,x]",  # det x^2, not a unit
+        "[1,0,0;0,x,1;0,1,x]",  # det 1 + x^2, not a unit
+    ],
+)
+def test_inverse_f2_rejects_non_invertible(text):
+    with pytest.raises(PrecondError):
+        _inverse_f2(parse_matrix(text, PolyF2))
+
+
+def dense_boundary_form(rng, rank):
+    """A make_P block sum moved by a dense unimodular matrix, with a random
+    alternating slack A + A^T added to psi (it leaves the symmetrization
+    unchanged)."""
+    blocks = [make_P(PolyF2(rng.getrandbits(3)), PolyF2(rng.getrandbits(3)))
+              for _ in range(rank // 2)]
+    form = blocks[0]
+    for b in blocks[1:]:
+        form = direct_sum(form, b)
+    psi = form.transport(dense_unimodular(rng, rank)).psi
+    a = Mat([[PolyF2(rng.getrandbits(2)) for _ in range(rank)] for _ in range(rank)], PolyF2)
+    return QuadraticForm(psi + a + a.conj_t(), 1)
+
+
+def test_chi_prime_against_adjugate_on_dense_forms():
+    rng = random.Random(47)
+    for rank in (2, 4, 6, 8):
+        for _ in range(3):
+            form = dense_boundary_form(rng, rank)
+            adj = form.symmetrization().adjugate()
+            assert compute_chi_prime(form) == adj * form.psi * adj

@@ -18,6 +18,7 @@ from unilc2.rings import (
     PolyF2,
     PolyInt,
     RingTagError,
+    SCHOOLBOOK_MAX_LEN,
     apply_i,
     apply_j,
     apply_k,
@@ -160,15 +161,22 @@ def test_pullback_parity_obstruction():
         pullback_inverse(zx("0"), zx("1"))
 
 
-def test_pullback_is_ring_iso():
-    rng = random.Random(17)
-    for _ in range(80):
-        a, b = rand_c2(rng), rand_c2(rng)
-        ua, va = pullback_pair(a)
-        ub, vb = pullback_pair(b)
-        assert pullback_pair(a + b) == (ua + ub, va + vb)
-        assert pullback_pair(a * b) == (ua * ub, va * vb)
-        assert pullback_inverse(*pullback_pair(a)) == a
+# lengths up to 12, so ua * ub also takes the Kronecker path
+wide_polyints = st.lists(st.integers(-(2**100), 2**100), max_size=12).map(PolyInt)
+wide_c2polys = st.tuples(wide_polyints, wide_polyints).map(lambda ab: C2Poly.from_parts(*ab))
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_c2polys, wide_c2polys, st.integers(0, 11))
+def test_pullback_is_ring_iso(a, b, k):
+    ua, va = pullback_pair(a)
+    ub, vb = pullback_pair(b)
+    assert pullback_pair(a + b) == (ua + ub, va + vb)
+    assert pullback_pair(a * b) == (ua * ub, va * vb)
+    assert pullback_inverse(ua, va) == a
+    assert pullback_inverse(ua * ub, va * vb) == a * b
+    with pytest.raises(NotInImageError):
+        pullback_inverse(ua, va + PolyInt.x_power(k))
 
 
 # -- units
@@ -206,6 +214,98 @@ def test_inverse_mod2_neumann():
 
 
 # -- matrices
+
+
+def schoolbook(a, b):
+    """Oracle: the coefficient list of a * b by the double sum."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return PolyInt(out)
+
+
+huge_polyints = st.lists(st.integers(-(2**200), 2**200), max_size=40).map(PolyInt)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(huge_polyints, st.integers(-(2**200), 2**200).map(PolyInt.from_int)),
+    huge_polyints,
+)
+def test_polyint_product_against_schoolbook(a, b):
+    """Lengths 0-40 on both sides of SCHOOLBOOK_MAX_LEN, constant operands."""
+    want = schoolbook(a.coeffs, b.coeffs)
+    assert a * b == want
+    assert b * a == want
+
+
+def test_polyint_product_at_the_crossover():
+    """Equal coefficients make a middle coefficient of the product reach the
+    slot-width bound exactly; alternating signs make it cancel."""
+    for la in (SCHOOLBOOK_MAX_LEN, SCHOOLBOOK_MAX_LEN + 1):
+        for lb in (SCHOOLBOOK_MAX_LEN, SCHOOLBOOK_MAX_LEN + 1, 40):
+            for top in (1, -1, 3, 2**200 - 1, -(2**200)):
+                a = PolyInt([top] * la)
+                for b in (PolyInt([top] * lb), PolyInt([(-1) ** j * top for j in range(lb)])):
+                    assert a * b == schoolbook(a.coeffs, b.coeffs)
+
+
+@st.composite
+def zx_matrix_pairs(draw):
+    """Z[x] factors of shape r x n and n x c (1 <= r, n, c <= 6) with entries
+    of length up to 10 and coefficients up to 2^64; some are zero matrices
+    or have a zero row or column."""
+    r, n, c = (draw(st.integers(1, 6)) for _ in range(3))
+    entry = st.lists(st.integers(-(2**64), 2**64), max_size=10).map(PolyInt)
+    a = [[draw(entry) for _ in range(n)] for _ in range(r)]
+    b = [[draw(entry) for _ in range(c)] for _ in range(n)]
+    zero = PolyInt(())
+    kind = draw(st.sampled_from(["dense", "zero-a", "zero-b", "zero-row", "zero-col"]))
+    if kind == "zero-a":
+        a = [[zero] * n for _ in range(r)]
+    elif kind == "zero-b":
+        b = [[zero] * c for _ in range(n)]
+    elif kind == "zero-row":
+        a[draw(st.integers(0, r - 1))] = [zero] * n
+    elif kind == "zero-col":
+        j = draw(st.integers(0, c - 1))
+        for row in b:
+            row[j] = zero
+    return Mat(a, PolyInt), Mat(b, PolyInt)
+
+
+def entrywise_product(a, b):
+    """Oracle: each entry as a sum of schoolbook products."""
+    return [
+        [
+            sum((schoolbook(a[i, l].coeffs, b[l, j].coeffs) for l in range(a.cols)), PolyInt(()))
+            for j in range(b.cols)
+        ]
+        for i in range(a.rows)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(zx_matrix_pairs())
+def test_zx_matrix_product_against_entrywise_oracle(pair):
+    a, b = pair
+    prod = a * b
+    assert (prod.rows, prod.cols) == (a.rows, b.cols)
+    assert [list(r) for r in prod.entries] == entrywise_product(a, b)
+
+
+def test_zx_row_times_column_and_back():
+    """1 x n times n x 1 and back; with equal entries a coefficient of the
+    1 x 1 product reaches the slot-width bound exactly."""
+    rng = random.Random(41)
+    for n in (1, 3, 6):
+        row = Mat([[rand_polyint(rng, 9, 2**80) for _ in range(n)]], PolyInt)
+        col = Mat([[rand_polyint(rng, 9, 2**80)] for _ in range(n)], PolyInt)
+        for top in (1, 3, -(2**80)):
+            full = PolyInt([top] * 10)
+            for a, b in ((row, col), (col, row), (Mat([[full] * n], PolyInt), Mat([[full]] * n, PolyInt))):
+                assert [list(r) for r in (a * b).entries] == entrywise_product(a, b)
 
 
 def test_conj_transpose_laws():
