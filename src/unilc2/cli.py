@@ -165,17 +165,12 @@ def cmd_machine(args) -> int:
     for stage in result.stages:
         print(f"stage {stage}: ok")
     if args.dump:
-        c = complexes.formation_to_complex(f)
-        psi_hat = complexes.build_psi_hat(c, ncd)
-        bundle = complexes.build_null_cobordism(c, ncd)
-        _dump(args.dump, "psi1-hat", psi_hat.psi1)
-        _dump(args.dump, "d-D", bundle.d_d)
-        union = complexes.build_union(c, psi_hat, bundle)
-        _dump(args.dump, "union-d2", union.d_f2)
-        _dump(args.dump, "union-d1", union.d_f1)
-        obs = complexes.instant_obstruction(union)
-        _dump(args.dump, "obstruction", obs.big.psi)
-        _dump(args.dump, "obstruction-reduced", obs.reduced.psi)
+        _dump(args.dump, "psi1-hat", result.psi_hat.psi1)
+        _dump(args.dump, "d-D", result.null_cobordism.d_d)
+        _dump(args.dump, "union-d2", result.union.d_f2)
+        _dump(args.dump, "union-d1", result.union.d_f1)
+        _dump(args.dump, "obstruction", result.obstruction.big.psi)
+        _dump(args.dump, "obstruction-reduced", result.obstruction.reduced.psi)
     print(f"arf: {result.arf}")
     print(f"expected: {expected}")
     return EXIT_OK if result.arf == expected else EXIT_VERIFY_FAIL

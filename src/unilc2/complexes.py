@@ -8,8 +8,10 @@ returns its Arf class:
     -> null-cobordism -> union complex -> instant obstruction -> Arf
 
 Complexes here always have modules C_1 = C_0 and differential 2*Id; the
-identities that involve pi^{-1} are computed by exact adjugate division
-over Z[x] and every stage re-checks the matrix identity it relies on.
+identities that involve pi^{-1} are computed by exact fraction-free
+elimination over Z[x] and every stage re-checks the matrix identity it
+relies on.  The stages that work over Z[x] accept the T -> -1 evaluation of
+the complex in place of the complex, so a run evaluates it once.
 """
 
 from __future__ import annotations
@@ -118,15 +120,22 @@ def _normalize_mu_signs(f: SplitFormation):
             raise PrecondError("mu must be diagonal with entries +-2")
     if all(s == 1 for s in signs):
         return f
-    one = ring.one()
-    rows = [
-        [one if (i == j and signs[i] == 1) else (-one if i == j else ring.zero())
-         for j in range(n)]
-        for i in range(n)
-    ]
-    beta = Mat(rows, ring)
+
+    def flip(m, row_signs):
+        # m[i, j] * row_signs[i] * signs[j], the product with beta = diag(signs)
+        return Mat._raw(
+            tuple(
+                tuple(e if r == s else -e for e, s in zip(row, signs))
+                for row, r in zip(m.entries, row_signs)
+            ),
+            ring,
+        )
+
     return SplitFormation(
-        f.gamma * beta, f.mu * beta, beta.conj_t() * f.theta * beta, f.epsilon
+        flip(f.gamma, [1] * f.gamma.rows),
+        flip(f.mu, [1] * f.mu.rows),
+        flip(f.theta, signs),
+        f.epsilon,
     )
 
 
@@ -181,7 +190,8 @@ class NullCobordismData:
 
 
 def _pi_inv_d(c: QuadComplex1, n: NullCobordismData) -> Mat:
-    """The composite pi^{-1} d^* over Z[x], by exact adjugate division."""
+    """The composite pi^{-1} d^* over Z[x], by exact fraction-free
+    elimination (solve_right)."""
     if n.p_rank != c.rank:
         raise ShapeError("pi size differs from the complex rank")
     d_star = c.d.conj_t().i_minus() if c.ring is C2Poly else c.d.conj_t()
@@ -395,8 +405,15 @@ def instant_obstruction(u: UnionComplex) -> Obstruction:
 
 @dataclass(frozen=True)
 class MachineResult:
+    """The Arf class, the stage names, and each stage's output."""
+
     arf: ArfClass
     stages: tuple = ()
+    complex: QuadComplex1 | None = None
+    psi_hat: QuadComplex1 | None = None
+    null_cobordism: NullCobordism | None = None
+    union: UnionComplex | None = None
+    obstruction: Obstruction | None = None
 
 
 def run_machine(f: SplitFormation, n: NullCobordismData) -> MachineResult:
@@ -410,24 +427,25 @@ def run_machine(f: SplitFormation, n: NullCobordismData) -> MachineResult:
     if not c.cycle_holds():
         raise StageError("complex", "cycle condition fails", c.psi1)
     stages.append("complex")
-    a = _pi_inv_d(c, n)
-    if not check_desymmetrization(c, n, _a=a):
+    ci = c.i_minus()
+    a = _pi_inv_d(ci, n)
+    if not check_desymmetrization(ci, n, _a=a):
         raise StageError(
             "desymmetrization",
             "the de-symmetrization identity fails entry-wise",
             n.chi,
         )
     stages.append("desymmetrization")
-    psi_hat = build_psi_hat(c, n, _a=a)
+    psi_hat = build_psi_hat(ci, n, _a=a)
     stages.append("psi-hat")
-    bundle = build_null_cobordism(c, n, _a=a)
+    bundle = build_null_cobordism(ci, n, _a=a)
     stages.append("null-cobordism")
     union = build_union(c, psi_hat, bundle)
     stages.append("union")
     obs = instant_obstruction(union)
     stages.append("obstruction")
     stages.append("arf")
-    return MachineResult(arf=obs.reduced_arf, stages=tuple(stages))
+    return MachineResult(obs.reduced_arf, tuple(stages), c, psi_hat, bundle, union, obs)
 
 
 # ---------------------------------------------------------------------------

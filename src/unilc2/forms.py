@@ -205,10 +205,12 @@ class SymplecticBasis:
     """Unimodular change of basis exhibiting hyperbolic pairs.
 
     Column 2i is e_i and column 2i+1 is f_i; the transported pairing is the
-    block-antidiagonal standard symplectic matrix.
+    block-antidiagonal standard symplectic matrix.  mu[j] is the quadratic
+    value of column j, i.e. the diagonal of the transported psi.
     """
 
     u: Mat
+    mu: tuple
 
     @property
     def pairs(self):
@@ -235,22 +237,30 @@ def symplectic_reduce(form: QuadraticForm) -> SymplecticBasis:
     For each pair the pivot row runs Euclid's algorithm: the lowest-degree,
     lowest-index entry divides the others until one entry is left, which
     must be a unit.  The output is deterministic.
+
+    The quadratic values q[j] = mu(u_j) ride along with the congruences:
+    in characteristic 2, mu(a + f*b) = mu(a) + f^2 mu(b) + f lambda(a, b).
     """
     if form.ring is not PolyF2:
         raise RingTagError("symplectic reduction works over F2[x]")
     if form.epsilon != 1:
         raise PrecondError("symplectic reduction expects a (+1)-form")
-    if not form.is_even():
-        raise PrecondError("pairing must be alternating (zero diagonal)")
     lam = form.symmetrization()
     n = form.rank
+    if any(lam[i, i] for i in range(n)):
+        raise PrecondError("pairing must be alternating (zero diagonal)")
     g = [list(r) for r in lam.entries]
     u = [list(r) for r in Mat.identity(n, PolyF2).entries]
+    q = [form.psi[j, j] for j in range(n)]
 
     def add_col(tgt, src, f):
-        # column op on u and the matching congruence update on g
+        # column op on u and the matching congruence update on g and q
         if not f:
             return
+        if q[src]:
+            q[tgt] = q[tgt] + f * f * q[src]
+        if g[tgt][src]:
+            q[tgt] = q[tgt] + f * g[tgt][src]
         for rows in (u, g):
             for r in rows:
                 if r[src]:
@@ -261,6 +271,7 @@ def symplectic_reduce(form: QuadraticForm) -> SymplecticBasis:
                 gt[j] = gt[j] + f * gs[j]
 
     def swap(i, j):
+        q[i], q[j] = q[j], q[i]
         for r in u:
             r[i], r[j] = r[j], r[i]
         g[i], g[j] = g[j], g[i]
@@ -291,16 +302,15 @@ def symplectic_reduce(form: QuadraticForm) -> SymplecticBasis:
     um = Mat(u, PolyF2)
     if um.conj_t() * lam * um != standard_symplectic(n):
         raise SingularFormError("internal error: reduction did not standardise")
-    return SymplecticBasis(um)
+    return SymplecticBasis(um, tuple(q))
 
 
 def arf(form: QuadraticForm) -> ArfClass:
     """Arf invariant of an even nonsingular (+1)-form over F2[x]."""
     basis = symplectic_reduce(form)
-    t = form.transport(basis.u)
     total = PolyF2.zero()
     for i, j in basis.pairs:
-        total = total + t.psi[i, i] * t.psi[j, j]
+        total = total + basis.mu[i] * basis.mu[j]
     return arf_normalize(total)
 
 

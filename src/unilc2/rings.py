@@ -868,18 +868,30 @@ class Mat:
     def map_entries(self, fn, ring) -> "Mat":
         return Mat([[fn(e) for e in r] for r in self.entries], ring)
 
+    # The ring maps below return canonical entries, so they skip coercion.
+
     def mod2(self) -> "Mat":
         if self.ring is PolyInt:
-            return self.map_entries(lambda e: e.mod2(), PolyF2)
-        if self.ring is C2Poly:
-            return self.map_entries(apply_k, PolyF2)
-        return self
+            fn = PolyInt.mod2
+        elif self.ring is C2Poly:
+            fn = apply_k
+        else:
+            return self
+        return Mat._raw(tuple(tuple(map(fn, r)) for r in self.entries), PolyF2)
 
     def i_minus(self) -> "Mat":
-        return self.map_entries(lambda e: apply_i(-1, e), PolyInt)
+        return self._eval_t(-1)
 
     def i_plus(self) -> "Mat":
-        return self.map_entries(lambda e: apply_i(1, e), PolyInt)
+        return self._eval_t(1)
+
+    def _eval_t(self, sign: int) -> "Mat":
+        """Entry-wise T -> sign*1 of a Z[C2][x] matrix."""
+        if self.ring is not C2Poly:
+            raise RingTagError(f"T-evaluation needs a Z[C2][x] matrix, not {self.ring.TAG}")
+        return Mat._raw(
+            tuple(tuple(apply_i(sign, e) for e in r) for r in self.entries), PolyInt
+        )
 
     def to_c2(self) -> "Mat":
         if self.ring is C2Poly:
@@ -976,6 +988,26 @@ def _kronecker_matmul(a, b):
     return tuple(out)
 
 
+def _pivot_row(a, k):
+    """Index of a row at or below k with a nonzero entry in column k,
+    preferring k itself; None if there is none."""
+    if a[k][k]:
+        return k
+    return next((i for i in range(k + 1, len(a)) if a[i][k]), None)
+
+
+def _bareiss_row(ri, rk, k, prev):
+    """One Bareiss update of row ri against pivot row rk at column k:
+    ri[j] <- (rk[k]*ri[j] - ri[k]*rk[j]) / prev for j > k.  Column k of ri
+    is left as it was; no later step reads it."""
+    piv, f = rk[k], ri[k]
+    for j in range(k + 1, len(rk)):
+        v = ri[j] * piv
+        if f and rk[j]:
+            v = v - f * rk[j]
+        ri[j] = v.exact_div(prev) if prev is not None else v
+
+
 def _bareiss(a, ring):
     """Determinant of the square list-of-lists a over an integral domain
     (Z[x] or F2[x]) by Bareiss elimination; a is overwritten.
@@ -987,32 +1019,29 @@ def _bareiss(a, ring):
     n = len(a)
     negate, prev = False, None
     for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return ring.zero()
-            a[k], a[swap] = a[swap], a[k]
+        p = _pivot_row(a, k)
+        if p is None:
+            return ring.zero()
+        if p != k:
+            a[k], a[p] = a[p], a[k]
             negate = not negate
         rk = a[k]
-        piv = rk[k]
         for ri in a[k + 1:]:
-            f = ri[k]
-            for j in range(k + 1, n):
-                v = ri[j] * piv
-                if f and rk[j]:
-                    v = v - f * rk[j]
-                ri[j] = v.exact_div(prev) if prev is not None else v
-        prev = piv
+            _bareiss_row(ri, rk, k, prev)
+        prev = rk[k]
     d = a[n - 1][n - 1]
     return -d if negate else d
 
 
 def solve_right(a: Mat, b: Mat) -> Mat:
-    """Solve A * X = B exactly over Z[x] via adj(A) * B / det(A).
+    """Solve A * X = B exactly over Z[x] by fraction-free Gauss-Jordan
+    elimination on [A | B].
 
-    A must be square with nonzero determinant; every entry of adj(A)*B must
-    be exactly divisible by det(A), otherwise the composite is not defined
-    over the ring and NonDivisibleError is raised.
+    Every row other than the pivot row takes the Bareiss update, so after
+    the last step the left block is d * Id (d = +-det A) and the right block
+    is d * A^{-1} B.  A with no pivot in some column is singular
+    (PrecondError); a right block not exactly divisible by d means the
+    composite is not defined over the ring (NonDivisibleError).
     """
     if a.ring is not PolyInt or b.ring is not PolyInt:
         raise RingTagError("solve_right works over Z[x]")
@@ -1020,11 +1049,20 @@ def solve_right(a: Mat, b: Mat) -> Mat:
         raise ShapeError("solve_right needs a square left-hand side")
     if a.rows != b.rows:
         raise ShapeError("solve_right shape mismatch")
-    d = a.det()
-    if not d:
-        raise PrecondError("singular matrix in solve_right")
-    num = a.adjugate() * b
-    return num.map_entries(lambda e: e.exact_div(d), PolyInt)
+    n = a.rows
+    m = [list(ra + rb) for ra, rb in zip(a.entries, b.entries)]
+    prev = None
+    for k in range(n):
+        p = _pivot_row(m, k)
+        if p is None:
+            raise PrecondError("singular matrix in solve_right")
+        m[k], m[p] = m[p], m[k]
+        rk = m[k]
+        for i, ri in enumerate(m):
+            if i != k:
+                _bareiss_row(ri, rk, k, prev)
+        prev = rk[k]
+    return Mat._raw(tuple(tuple(e.exact_div(prev) for e in r[n:]) for r in m), PolyInt)
 
 
 # ---------------------------------------------------------------------------

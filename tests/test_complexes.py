@@ -1,12 +1,16 @@
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import int_polys, zx
+from conftest import int_polys, pg_sweep, zx
 
 from unilc2.complexes import (
     NullCobordismData,
     StageError,
+    _normalize_mu_signs,
     alpha_pullback_check,
     build_null_cobordism,
     build_psi_hat,
@@ -19,9 +23,9 @@ from unilc2.complexes import (
     run_machine,
     run_relation,
 )
-from unilc2.formations import direct_sum, is_graph, make_M, negate
+from unilc2.formations import SplitFormation, direct_sum, is_graph, make_M, negate
 from unilc2.forms import ArfClass, arf, arf_normalize
-from unilc2.rings import Mat, PolyInt, parse_matrix
+from unilc2.rings import C2Poly, Mat, PolyInt, format_matrix, parse_matrix
 
 
 # -- dictionary
@@ -63,6 +67,26 @@ def test_cycle_condition_sweep():
             if (p * g).constant:
                 continue
             assert formation_to_complex(make_M(p, g)).cycle_holds()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(pg_sweep(1)), st.booleans()), min_size=1, max_size=4))
+def test_normalize_mu_signs_against_diag_product(summands):
+    """The sign flips equal the base change by beta = diag(+-1):
+    gamma*beta, mu*beta, beta^* theta beta."""
+    f = None
+    for (p, g), neg in summands:
+        m = negate(make_M(p, g)) if neg else make_M(p, g)
+        f = m if f is None else direct_sum(f, m)
+    two = C2Poly.from_int(2)
+    one, zero = C2Poly.one(), C2Poly.zero()
+    n = f.g_rank
+    beta = Mat([[zero if i != j else one if f.mu[i, i] == two else -one
+                 for j in range(n)] for i in range(n)], C2Poly)
+    want = SplitFormation(f.gamma * beta, f.mu * beta, beta.conj_t() * f.theta * beta, -1)
+    got = _normalize_mu_signs(f)
+    assert got == want
+    assert got.mu == Mat.scalar(n, two, C2Poly)
 
 
 def test_dictionary_rejects_other_mu_shapes():
@@ -200,6 +224,53 @@ def test_machine_zero_relations():
     assert run_relation(2, zx("x"), zx("1"))[0].arf == ArfClass.zero()
     assert run_relation(3, zx("x+x^2"), zx("x"))[0].arf == ArfClass.zero()
     assert run_relation(4, zx("x"), zx("x"))[0].arf == ArfClass.zero()
+
+
+def test_stages_accept_the_evaluated_complex():
+    f, ncd, _ = fixture(1, zx("x"), zx("1+x"), zx("2*x"))
+    c = formation_to_complex(f)
+    ci = c.i_minus()
+    assert check_desymmetrization(ci, ncd)
+    hat = build_psi_hat(c, ncd)
+    assert build_psi_hat(ci, ncd).psi1 == hat.psi1
+    assert build_null_cobordism(ci, ncd) == build_null_cobordism(c, ncd)
+    res = run_machine(f, ncd)
+    assert res.complex.psi1 == c.psi1
+    assert res.psi_hat.psi1 == hat.psi1
+
+
+# SHA-256 of the formatted psi1-hat, d_D, big and reduced obstruction forms
+# of relations 1-4 on the degree-1 grid below, as computed by the stage-by-
+# stage pipeline before run_machine evaluated the complex once and arf read
+# the tracked quadratic values.
+MACHINE_DIGEST = "c9b8e8ae77156602b1c98eba621cf64abfebabaf856826a92ecd161abde03dba"
+
+
+def test_machine_golden_digest():
+    ps = int_polys(1)
+    cases = [
+        (1, p1, g, p2)
+        for i, p1 in enumerate(ps)
+        for p2 in ps[i:]
+        for g in ps
+        if not ((p1 * g).constant or (p2 * g).constant or ((p1 + p2) * g).constant)
+    ]
+    cases += [
+        (k, p, g, None)
+        for k in (2, 3, 4)
+        for p in ps
+        for g in ps
+        if k == 3 or not (p * g).constant
+    ]
+    assert len(cases) == 342
+    h = hashlib.sha256()
+    for k, p, g, p2 in cases:
+        res, expected = run_relation(k, p, g, p2)
+        assert res.arf == expected
+        obs = res.obstruction
+        for m in (res.psi_hat.psi1, res.null_cobordism.d_d, obs.big.psi, obs.reduced.psi):
+            h.update(format_matrix(m).encode() + b"\n")
+    assert h.hexdigest() == MACHINE_DIGEST
 
 
 def test_machine_stage_list():

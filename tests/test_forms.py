@@ -252,6 +252,8 @@ def test_reduce_property_on_transported_block_sums(case):
     assert basis.u.det().is_unit()
     got = basis.u.conj_t() * moved.symmetrization() * basis.u
     assert got == standard_symplectic(moved.rank)
+    transported = moved.transport(basis.u).psi
+    assert basis.mu == tuple(transported[i, i] for i in range(moved.rank))
 
 
 @pytest.mark.parametrize(

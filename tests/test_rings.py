@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import f2, zx
+from conftest import f2, int_polys, zx
 
+from unilc2.complexes import relation_fixture
 from unilc2.rings import (
     C2Elt,
     C2Poly,
@@ -17,6 +18,7 @@ from unilc2.rings import (
     ONE_MINUS_T,
     PolyF2,
     PolyInt,
+    PrecondError,
     RingTagError,
     SCHOOLBOOK_MAX_LEN,
     apply_i,
@@ -401,6 +403,73 @@ def test_solve_right_on_symmetry_witness():
     assert sol == parse_matrix("[0,0,0,2;0,0,2,0;1,0,0,-1;0,1,-1,0]", PolyInt)
 
 
+def adjugate_solve(a, b):
+    """Oracle: adj(A) * B divided entry-wise by det(A)."""
+    d = a.det()
+    if not d:
+        raise PrecondError("singular matrix")
+    return Mat([[e.exact_div(d) for e in r] for r in (a.adjugate() * b).entries], PolyInt)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (PrecondError, NonDivisibleError) as exc:
+        return type(exc)
+
+
+DEG1 = int_polys(1)
+# relation parameters (k, p, g, p2) whose generator formations are defined
+RELATION_PARAMS = [
+    (k, p, g, p2)
+    for k in (1, 2, 3, 4)
+    for p in DEG1
+    for g in DEG1
+    for p2 in DEG1
+    if k == 3
+    or (
+        not (p * g).constant
+        and (k != 1 or not ((p2 * g).constant or ((p + p2) * g).constant))
+    )
+]
+
+
+@st.composite
+def solve_cases(draw):
+    """(A, B) over Z[x]: A up to 6x6 with leading zeros in its first column
+    (row swaps) and, sometimes, a repeated row (singular); B = A*X (always
+    solvable when A is not singular), a random B (mostly not over Z[x]) or
+    2*Id.  Or A is a relation witness pi and B = d^* = 2*Id."""
+    if draw(st.booleans()):
+        pi = relation_fixture(*draw(st.sampled_from(RELATION_PARAMS)))[1].pi
+        return pi, Mat.scalar(pi.rows, zx("2"), PolyInt)
+    n = draw(st.integers(1, 6))
+    entry = ring_elements(PolyInt)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    for r in rows[: draw(st.integers(0, n))]:
+        r[0] = PolyInt.zero()
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        rows[i] = list(rows[j])
+    a = Mat(rows, PolyInt)
+    kind = draw(st.sampled_from(["product", "random", "scalar"]))
+    if kind == "scalar":
+        return a, Mat.scalar(n, zx("2"), PolyInt)
+    m = draw(st.integers(1, 3))
+    b = Mat([[draw(entry) for _ in range(m)] for _ in range(n)], PolyInt)
+    return a, (a * b if kind == "product" else b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(solve_cases())
+def test_solve_right_against_adjugate_oracle(case):
+    a, b = case
+    got = _outcome(solve_right, a, b)
+    assert got == _outcome(adjugate_solve, a, b)
+    if isinstance(got, Mat):
+        assert a * got == b
+
+
 def test_exact_division():
     a = zx("2+4*x^2")
     assert a.exact_div(zx("2")) == zx("1+2*x^2")
@@ -452,6 +521,25 @@ def test_matrix_text_roundtrip():
 def test_t_rejected_outside_group_ring():
     with pytest.raises(RingTagError):
         parse_poly("1-T", PolyInt)
+
+
+@pytest.mark.parametrize("ring", [PolyInt, PolyF2])
+def test_t_evaluation_needs_a_group_ring_matrix(ring):
+    m = Mat.identity(2, ring)
+    with pytest.raises(RingTagError):
+        m.i_minus()
+    with pytest.raises(RingTagError):
+        m.i_plus()
+
+
+def test_matrix_ring_maps_are_entrywise():
+    rng = random.Random(41)
+    m = Mat([[rand_c2(rng) for _ in range(3)] for _ in range(2)], C2Poly)
+    for sign, got in ((-1, m.i_minus()), (1, m.i_plus())):
+        assert got == Mat([[apply_i(sign, e) for e in r] for r in m.entries], PolyInt)
+    assert m.mod2() == Mat([[apply_k(e) for e in r] for r in m.entries], PolyF2)
+    zm = m.i_minus()
+    assert zm.mod2() == Mat([[apply_j(e) for e in r] for r in zm.entries], PolyF2)
 
 
 def test_subs_power():
