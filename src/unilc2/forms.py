@@ -222,11 +222,11 @@ def standard_symplectic(n: int) -> Mat:
     if n % 2:
         raise ShapeError("symplectic pairings have even rank")
     one, zero = PolyF2.one(), PolyF2.zero()
-    out = [[zero] * n for _ in range(n)]
-    for i in range(0, n, 2):
-        out[i][i + 1] = one
-        out[i + 1][i] = one
-    return Mat(out, PolyF2)
+    # i ^ 1 is the other index of the pair (i - i % 2, i - i % 2 + 1)
+    return Mat._raw(
+        tuple(tuple(one if j == i ^ 1 else zero for j in range(n)) for i in range(n)),
+        PolyF2,
+    )
 
 
 def symplectic_reduce(form: QuadraticForm) -> SymplecticBasis:
@@ -299,7 +299,7 @@ def symplectic_reduce(form: QuadraticForm) -> SymplecticBasis:
         # already 0 for j > t+1, so only <e_{t+1}, e_j> needs clearing
         for j in range(t + 2, n):
             add_col(j, t, g[t + 1][j])
-    um = Mat(u, PolyF2)
+    um = Mat._raw(tuple(map(tuple, u)), PolyF2)
     if um.conj_t() * lam * um != standard_symplectic(n):
         raise SingularFormError("internal error: reduction did not standardise")
     return SymplecticBasis(um, tuple(q))

@@ -68,10 +68,11 @@ class ParseError(AlgebraError):
 
 
 def _strip(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return tuple(coeffs)
+    coeffs = tuple(coeffs)
+    n = len(coeffs)
+    while n and not coeffs[n - 1]:
+        n -= 1
+    return coeffs[:n]
 
 
 # Kronecker substitution (von zur Gathen & Gerhard, Modern Computer Algebra,
@@ -128,6 +129,14 @@ class PolyInt:
         raise AttributeError("PolyInt is immutable")
 
     @classmethod
+    def _raw(cls, coeffs: tuple) -> "PolyInt":
+        """Internal fast path: a coefficient tuple that is already canonical
+        (empty, or with a nonzero last entry)."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "coeffs", coeffs)
+        return self
+
+    @classmethod
     def from_int(cls, n: int) -> "PolyInt":
         return cls((n,))
 
@@ -172,13 +181,19 @@ class PolyInt:
     __radd__ = __add__
 
     def __neg__(self):
-        return PolyInt(tuple(-c for c in self.coeffs))
+        return PolyInt._raw(tuple([-c for c in self.coeffs]))
 
     def __sub__(self, other):
-        return self + (-_as_polyint(other))
+        a, b = self.coeffs, _as_polyint(other).coeffs
+        out = list(a)
+        if len(a) < len(b):
+            out += [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] -= c
+        return PolyInt(out)
 
     def __rsub__(self, other):
-        return _as_polyint(other) + (-self)
+        return _as_polyint(other) - self
 
     def __mul__(self, other):
         other = _as_polyint(other)
@@ -193,7 +208,8 @@ class PolyInt:
             if ai:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
-        return PolyInt(out)
+        # the top coefficient is a product of two nonzero leading coefficients
+        return PolyInt._raw(tuple(out))
 
     __rmul__ = __mul__
 
@@ -256,7 +272,8 @@ class PolyInt:
                 break
         if rem:
             raise NonDivisibleError("composite not defined over the ring")
-        return PolyInt(q)
+        # the first step set the top quotient coefficient to a nonzero lc // dl
+        return PolyInt._raw(tuple(q))
 
     def __str__(self):
         return format_poly(self)
@@ -535,10 +552,11 @@ class C2Poly:
         return C2Poly.from_parts(-self.a, -self.b)
 
     def __sub__(self, other):
-        return self + (-_as_c2poly(other))
+        other = _as_c2poly(other)
+        return C2Poly.from_parts(self.a - other.a, self.b - other.b)
 
     def __rsub__(self, other):
-        return _as_c2poly(other) + (-self)
+        return _as_c2poly(other) - self
 
     def __mul__(self, other):
         # (a + bT)(c + dT) = (ac + bd) + (ad + bc)T
@@ -610,7 +628,19 @@ def _as_c2poly(v) -> C2Poly:
 
 ONE_MINUS_T = C2Poly.from_parts(PolyInt((1,)), PolyInt((-1,)))
 
-RING_CLASSES = (PolyInt, PolyF2, C2Poly)
+_COERCIONS = {PolyInt: _as_polyint, PolyF2: _as_polyf2, C2Poly: _as_c2poly}
+
+
+def _coercion(ring):
+    """The map that coerces a value into the ring class."""
+    if ring not in _COERCIONS:
+        raise RingTagError(f"unknown ring {ring}")
+    return _COERCIONS[ring]
+
+
+def _check_block_rings(blocks, ring):
+    if any(b.ring is not ring for b in blocks):
+        raise RingTagError("mixed-ring blocks")
 
 
 # ---------------------------------------------------------------------------
@@ -698,9 +728,7 @@ class Mat:
             if not rows or not rows[0]:
                 raise ShapeError("empty matrix needs an explicit ring")
             ring = type(rows[0][0])
-        if ring not in RING_CLASSES:
-            raise RingTagError(f"unknown ring {ring}")
-        coerce = {PolyInt: _as_polyint, PolyF2: _as_polyf2, C2Poly: _as_c2poly}[ring]
+        coerce = _coercion(ring)
         rows = tuple(tuple(coerce(e) for e in r) for r in rows)
         for r in rows:
             for e in r:
@@ -728,54 +756,50 @@ class Mat:
 
     @classmethod
     def identity(cls, n: int, ring) -> "Mat":
-        one, zero = ring.one(), ring.zero()
-        return cls(
-            [[one if i == j else zero for j in range(n)] for i in range(n)], ring
-        )
+        return cls.scalar(n, ring.one(), ring)
 
     @classmethod
     def zeros(cls, r: int, c: int, ring) -> "Mat":
-        zero = ring.zero()
-        return cls([[zero] * c for _ in range(r)], ring)
+        return cls._raw(((ring.zero(),) * c,) * r, ring)
 
     @classmethod
     def scalar(cls, n: int, value, ring) -> "Mat":
-        zero = ring.zero()
-        return cls(
-            [[value if i == j else zero for j in range(n)] for i in range(n)], ring
+        value, zero = _coercion(ring)(value), ring.zero()
+        return cls._raw(
+            tuple(tuple(value if i == j else zero for j in range(n)) for i in range(n)),
+            ring,
         )
 
     @classmethod
     def from_blocks(cls, blocks) -> "Mat":
-        """Assemble from a 2-d grid of matrices with matching edge sizes."""
+        """Assemble from a 2-d grid of matrices over one ring with matching
+        edge sizes."""
         ring = blocks[0][0].ring
+        widths = [b.cols for b in blocks[0]]
         out = []
         for brow in blocks:
+            _check_block_rings(brow, ring)
+            if [b.cols for b in brow] != widths:
+                raise ShapeError("block column widths differ")
             h = brow[0].rows
             if any(b.rows != h for b in brow):
                 raise ShapeError("block row heights differ")
-            for i in range(h):
-                row = []
-                for b in brow:
-                    row.extend(b.entries[i])
-                out.append(row)
-        return cls(out, ring)
+            out.extend(sum(r, ()) for r in zip(*(b.entries for b in brow)))
+        return cls._raw(tuple(out), ring)
 
     @classmethod
     def block_diag(cls, blocks) -> "Mat":
         ring = blocks[0].ring
-        n = sum(b.rows for b in blocks)
+        _check_block_rings(blocks, ring)
         m = sum(b.cols for b in blocks)
         zero = ring.zero()
-        out = [[zero] * m for _ in range(n)]
-        i = j = 0
+        out = []
+        j = 0
         for b in blocks:
-            for r in range(b.rows):
-                for c in range(b.cols):
-                    out[i + r][j + c] = b.entries[r][c]
-            i += b.rows
+            left, right = (zero,) * j, (zero,) * (m - j - b.cols)
+            out.extend(left + r + right for r in b.entries)
             j += b.cols
-        return cls(out, ring)
+        return cls._raw(tuple(out), ring)
 
     # -- basics
 
@@ -802,20 +826,20 @@ class Mat:
         if self.ring is not other.ring:
             raise RingTagError(f"mixed rings: {self.ring.TAG} vs {other.ring.TAG}")
 
-    def __add__(self, other):
+    def _entrywise(self, other, op):
         self._check_ring(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("addition shape mismatch")
+            raise ShapeError(f"entry-wise {op.__name__}: shape mismatch")
         return Mat._raw(
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            ),
+            tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
             self.ring,
         )
 
+    def __add__(self, other):
+        return self._entrywise(other, operator.add)
+
     def __sub__(self, other):
-        return self + (-other)
+        return self._entrywise(other, operator.sub)
 
     def __neg__(self):
         return Mat._raw(
@@ -834,6 +858,8 @@ class Mat:
             )
         if self.ring is PolyInt:
             return Mat._raw(_kronecker_matmul(self.entries, other.entries), PolyInt)
+        if self.ring is PolyF2:
+            return Mat._raw(_f2_matmul(self.entries, other.entries, other.cols), PolyF2)
         bt = list(zip(*other.entries))
         zero = self.ring.zero()
         out = []
@@ -901,12 +927,12 @@ class Mat:
         raise RingTagError("no canonical embedding of F2[x] into Z[C2][x]")
 
     def submatrix(self, drop_row: int, drop_col: int) -> "Mat":
-        return Mat(
-            [
-                [e for j, e in enumerate(r) if j != drop_col]
+        return Mat._raw(
+            tuple(
+                r[:drop_col] + r[drop_col + 1:]
                 for i, r in enumerate(self.entries)
                 if i != drop_row
-            ],
+            ),
             self.ring,
         )
 
@@ -938,15 +964,20 @@ class Mat:
         """adj(A) with A * adj(A) = det(A) * Id."""
         if not self.is_square():
             raise ShapeError("adjugate of a non-square matrix")
-        n = self.rows
+        n, ent = self.rows, self.entries
         if n == 0:
             return self
+        if n == 1:
+            return Mat._raw(((self.ring.one(),),), self.ring)
+        if n == 2:
+            (a, b), (c, d) = ent
+            return Mat._raw(((d, -b), (-c, a)), self.ring)
         out = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
                 minor = self.submatrix(i, j).det()
                 out[j][i] = minor if (i + j) % 2 == 0 else -minor
-        return Mat(out, self.ring)
+        return Mat._raw(tuple(map(tuple, out)), self.ring)
 
     def inverse_unimodular(self) -> "Mat":
         """Inverse of a matrix whose determinant is a ring unit."""
@@ -984,6 +1015,47 @@ def _kronecker_matmul(a, b):
         for col in pb:
             z = sum(map(operator.mul, pr, col))
             row.append(PolyInt(_unpack(z, k, m)) if z else zero)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _f2_matmul(a, b, cols):
+    """Row tuples of the product of F2[x] matrices given by their row tuples
+    (b has `cols` columns).
+
+    Each row of b is packed into one int, slot j holding entry j's bits.  A
+    product of an entry of a and one of b has at most la + lb - 1 bits (la,
+    lb the longest entries), so at that slot width a shifted row never
+    spills into the next slot, and XOR has no carries: row i of the product
+    is the XOR of b's packed rows, each shifted by the set bits of a[i][k].
+    Each output entry is unpacked once.
+    """
+    la = max((p.bits for r in a for p in r), default=0).bit_length()
+    lb = max((p.bits for r in b for p in r), default=0).bit_length()
+    w = max(la + lb - 1, 1)
+    packed = []
+    for r in b:
+        z = 0
+        for p in reversed(r):
+            z = (z << w) | p.bits
+        packed.append(z)
+    mask = (1 << w) - 1
+    zero = PolyF2(0)
+    out = []
+    for r in a:
+        acc = 0
+        for p, z in zip(r, packed):
+            bits = p.bits
+            while bits:
+                if bits & 1:
+                    acc ^= z
+                bits >>= 1
+                z <<= 1
+        row = []
+        for _ in range(cols):
+            v = acc & mask
+            row.append(PolyF2(v) if v else zero)
+            acc >>= w
         out.append(tuple(row))
     return tuple(out)
 

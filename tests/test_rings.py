@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -21,6 +23,7 @@ from unilc2.rings import (
     PrecondError,
     RingTagError,
     SCHOOLBOOK_MAX_LEN,
+    ShapeError,
     apply_i,
     apply_j,
     apply_k,
@@ -181,6 +184,72 @@ def test_pullback_is_ring_iso(a, b, k):
         pullback_inverse(ua, va + PolyInt.x_power(k))
 
 
+# -- subtraction and canonical results
+
+
+def any_polys(ring):
+    """Elements of the ring with unequal lengths, large and negative
+    coefficients, and zero."""
+    if ring is PolyF2:
+        return st.integers(0, 2**70).map(PolyF2)
+    ints = st.lists(st.integers(-(2**70), 2**70), max_size=9).map(PolyInt)
+    if ring is PolyInt:
+        return ints
+    return st.tuples(ints, ints).map(lambda ab: C2Poly.from_parts(*ab))
+
+
+@st.composite
+def poly_pairs(draw):
+    """(a, b) in one ring; b is independent of a, equal to it (a - b = 0),
+    or a plus a short polynomial, so the top coefficients of a - b cancel."""
+    ring = draw(st.sampled_from([PolyInt, PolyF2, C2Poly]))
+    a, c = draw(any_polys(ring)), draw(any_polys(ring))
+    kind = draw(st.sampled_from(["independent", "equal", "close"]))
+    if kind == "equal":
+        return a, a
+    if kind == "close":
+        return a, a + draw(st.integers(-3, 3))
+    return a, c
+
+
+def is_canonical(p):
+    """No trailing zero coefficient (a PolyF2 bitmask is always canonical)."""
+    if isinstance(p, PolyF2):
+        return True
+    parts = (p.a, p.b) if isinstance(p, C2Poly) else (p,)
+    return all(not q.coeffs or q.coeffs[-1] for q in parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(poly_pairs(), st.integers(-5, 5))
+def test_subtraction_is_adding_the_negation(pair, n):
+    a, b = pair
+    diff = a - b
+    assert diff == a + (-b)
+    assert n - a == a.from_int(n) + (-a)
+    assert a - n == a + a.from_int(-n)
+    for p in (diff, a + b, -a, n - a):
+        assert is_canonical(p)
+    if a == b:
+        assert not diff
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-(2**70), 2**70), max_size=SCHOOLBOOK_MAX_LEN).map(PolyInt),
+    st.lists(st.integers(-(2**70), 2**70), max_size=SCHOOLBOOK_MAX_LEN).map(PolyInt),
+)
+def test_negation_product_and_quotient_stay_canonical(a, b):
+    """Negation, the schoolbook product and the exact_div quotient build
+    their result without stripping; none may end in a zero coefficient."""
+    for p in (-a, a * b, b * a, -(a * b)):
+        assert is_canonical(p)
+    assert a * b == schoolbook(a.coeffs, b.coeffs)
+    if b:
+        q = (a * b).exact_div(b)
+        assert q == a and is_canonical(q)
+
+
 # -- units
 
 
@@ -310,6 +379,134 @@ def test_zx_row_times_column_and_back():
                 assert [list(r) for r in (a * b).entries] == entrywise_product(a, b)
 
 
+def clmul(x, y):
+    """Carry-less product of two bitmasks, one shift per set bit of x."""
+    out = 0
+    for i in range(x.bit_length()):
+        if x >> i & 1:
+            out ^= y << i
+    return out
+
+
+def f2_entrywise_product(a, b):
+    """Oracle: each F2[x] entry as the XOR of carry-less products."""
+
+    def entry(i, j):
+        terms = (clmul(a[i, l].bits, b[l, j].bits) for l in range(a.cols))
+        return PolyF2(functools.reduce(operator.xor, terms, 0))
+
+    return [[entry(i, j) for j in range(b.cols)] for i in range(a.rows)]
+
+
+@st.composite
+def f2_matrix_pairs(draw):
+    """F2[x] factors of shape r x n and n x c (1 <= r, n, c <= 6) with
+    entries of up to 64 bits; some are zero matrices or have a zero row or
+    column.  In the "top" kind every product entry has exactly one term of
+    full bit length la + lb - 1, so it fills the top bit of its slot."""
+    r, n, c = (draw(st.integers(1, 6)) for _ in range(3))
+    entry = st.integers(0, 2**64 - 1).map(PolyF2)
+    a = [[draw(entry) for _ in range(n)] for _ in range(r)]
+    b = [[draw(entry) for _ in range(c)] for _ in range(n)]
+    zero = PolyF2(0)
+    kind = draw(st.sampled_from(["dense", "zero-a", "zero-b", "zero-row", "zero-col", "top"]))
+    if kind == "zero-a":
+        a = [[zero] * n for _ in range(r)]
+    elif kind == "zero-b":
+        b = [[zero] * c for _ in range(n)]
+    elif kind == "zero-row":
+        a[draw(st.integers(0, r - 1))] = [zero] * n
+    elif kind == "zero-col":
+        j = draw(st.integers(0, c - 1))
+        for row in b:
+            row[j] = zero
+    elif kind == "top":
+        la, lb = draw(st.integers(1, 64)), draw(st.integers(1, 64))
+
+        def low(bits):  # a bitmask of fewer than `bits` bits
+            return draw(st.integers(0, 2 ** (bits - 1) - 1))
+
+        a = [[PolyF2(low(la) | (k == 0) << (la - 1)) for k in range(n)] for _ in range(r)]
+        b = [[PolyF2(low(lb) | (k == 0) << (lb - 1)) for _ in range(c)] for k in range(n)]
+    return Mat(a, PolyF2), Mat(b, PolyF2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(f2_matrix_pairs())
+def test_f2_matrix_product_against_entrywise_oracle(pair):
+    a, b = pair
+    prod = a * b
+    assert (prod.rows, prod.cols) == (a.rows, b.cols)
+    assert [list(r) for r in prod.entries] == f2_entrywise_product(a, b)
+
+
+def test_f2_row_times_column_and_back():
+    """1 x n times n x 1 and back; all-ones entries of equal full bit length
+    make every product fill the top bit of its slot."""
+    rng = random.Random(43)
+    for n in (1, 3, 6):
+        row = Mat([[PolyF2(rng.getrandbits(64)) for _ in range(n)]], PolyF2)
+        col = Mat([[PolyF2(rng.getrandbits(64))] for _ in range(n)], PolyF2)
+        for bits in (1, 2**64 - 1, 2**40 | 1):
+            full = PolyF2(bits)
+            for a, b in ((row, col), (col, row), (Mat([[full] * n], PolyF2), Mat([[full]] * n, PolyF2))):
+                assert [list(r) for r in (a * b).entries] == f2_entrywise_product(a, b)
+
+
+@st.composite
+def small_matrices(draw):
+    """Up to 3x3 over any of the three rings, entries from any_polys."""
+    ring = draw(st.sampled_from([PolyInt, PolyF2, C2Poly]))
+    r, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return Mat([[draw(any_polys(ring)) for _ in range(c)] for _ in range(r)], ring)
+
+
+@st.composite
+def mat_pairs(draw):
+    """Two matrices of one shape over one ring; the second is independent
+    of the first or equal to it (the difference cancels to zero)."""
+    a = draw(small_matrices())
+    if draw(st.booleans()):
+        return a, a
+    return a, Mat([[draw(any_polys(a.ring)) for _ in range(a.cols)] for _ in range(a.rows)], a.ring)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mat_pairs())
+def test_matrix_subtraction_is_adding_the_negation(pair):
+    a, b = pair
+    assert a - b == a + (-b)
+    assert (a - b).is_zero() == (a == b)
+    other = next(r for r in (PolyInt, PolyF2, C2Poly) if r is not a.ring)
+    with pytest.raises(RingTagError):
+        a - Mat.zeros(a.rows, a.cols, other)
+    with pytest.raises(ShapeError):
+        a - Mat.zeros(a.rows + 1, a.cols, a.ring)
+
+
+@pytest.mark.parametrize("build", [
+    lambda a, b: Mat.from_blocks([[a, b]]),
+    lambda a, b: Mat.from_blocks([[a], [b]]),
+    lambda a, b: Mat.block_diag([a, b]),
+], ids=["from_blocks-row", "from_blocks-column", "block_diag"])
+def test_blocks_of_mixed_rings_rejected_in_either_order(build):
+    for r1, r2 in itertools.permutations([PolyInt, PolyF2, C2Poly], 2):
+        with pytest.raises(RingTagError):
+            build(Mat.identity(2, r1), Mat.identity(2, r2))
+
+
+def test_block_edges_must_match():
+    i2, i3 = Mat.identity(2, PolyInt), Mat.identity(3, PolyInt)
+    with pytest.raises(ShapeError):  # block-column widths 2 and 3
+        Mat.from_blocks([[i2], [Mat.zeros(2, 3, PolyInt)]])
+    with pytest.raises(ShapeError):  # same total width, other split
+        Mat.from_blocks([[i2, Mat.zeros(2, 3, PolyInt)], [Mat.zeros(2, 3, PolyInt), i2]])
+    with pytest.raises(ShapeError):  # block-row heights 2 and 3
+        Mat.from_blocks([[i2, Mat.zeros(3, 2, PolyInt)]])
+    grid = Mat.from_blocks([[i2, Mat.zeros(2, 3, PolyInt)], [Mat.zeros(3, 2, PolyInt), i3]])
+    assert grid == Mat.identity(5, PolyInt) == Mat.block_diag([i2, i3])
+
+
 def test_conj_transpose_laws():
     rng = random.Random(23)
     m = Mat([[rand_c2(rng, 2) for _ in range(3)] for _ in range(2)], C2Poly)
@@ -386,6 +583,18 @@ def test_adjugate_identity():
         m = Mat([[rand_polyint(rng, 1, 2) for _ in range(n)] for _ in range(n)], PolyInt)
         d = m.det()
         assert m * m.adjugate() == Mat.scalar(n, d, PolyInt)
+    makers = {PolyInt: lambda: rand_polyint(rng, 2, 3), PolyF2: lambda: PolyF2(rng.getrandbits(4)),
+              C2Poly: lambda: rand_c2(rng, 2)}
+    for ring, make in makers.items():
+        for _ in range(20):
+            for n in (1, 2):
+                m = Mat([[make() for _ in range(n)] for _ in range(n)], ring)
+                d = m.det()
+                assert m * m.adjugate() == Mat.scalar(n, d, ring)
+                assert m.adjugate() * m == Mat.scalar(n, d, ring)
+            (a, b), (c, e) = m.entries
+            assert m.adjugate() == Mat([[e, -b], [-c, a]], ring)
+        assert Mat([[make()]], ring).adjugate() == Mat.identity(1, ring)
 
 
 def test_solve_right():
@@ -504,6 +713,21 @@ def test_f2_divmod_and_xgcd():
 def test_poly_text_roundtrip(text):
     p = parse_poly(text, C2Poly)
     assert parse_poly(format_poly(p), C2Poly) == p
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([PolyInt, PolyF2, C2Poly]).flatmap(lambda r: st.tuples(st.just(r), any_polys(r))))
+def test_poly_text_roundtrip_property(case):
+    """Negative and large coefficients, T terms and zero, over all three
+    rings."""
+    ring, p = case
+    assert parse_poly(format_poly(p), ring) == p
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_matrices())
+def test_matrix_text_roundtrip_property(m):
+    assert parse_matrix(format_matrix(m), m.ring) == m
 
 
 def test_poly_format_canonical():
