@@ -56,7 +56,7 @@ def cmd_verify(args) -> int:
         machine_deg_triples=args.machine_deg_triples,
         machine_deg_pairs=args.machine_deg_pairs,
     )
-    report = run_registry(cfg, pattern=args.filter, threads=args.threads)
+    report = run_registry(cfg, pattern=args.filter)
     for line in report.human_lines():
         print(line)
     if args.summary:
@@ -288,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--coeff-set", type=int, nargs="+", default=[0, 1, 2])
     v.add_argument("--machine-deg-triples", type=int, default=1)
     v.add_argument("--machine-deg-pairs", type=int, default=2)
-    v.add_argument("--threads", type=int, default=1)
     v.add_argument("--summary", default="verify_summary.txt")
     v.set_defaults(fn=cmd_verify)
 

@@ -81,10 +81,10 @@ class QuadComplex1:
         return self.d.ring
 
     def cycle_holds(self) -> bool:
-        """psi1 + psi1^* = -(d psi0 + psi0t d^*)."""
+        """psi1 + psi1^* = -(d psi0 + psi0t d^*), checked as the vanishing
+        of the sum of both sides."""
         lhs = self.psi1 + self.psi1.conj_t()
-        rhs = -(self.d * self.psi0 + self.psi0t * self.d.conj_t())
-        return lhs == rhs
+        return (lhs + self.d * self.psi0 + self.psi0t * self.d.conj_t()).is_zero()
 
     def i_minus(self) -> "QuadComplex1":
         return QuadComplex1(
@@ -94,17 +94,20 @@ class QuadComplex1:
             self.psi1.i_minus(),
         )
 
+    def i_plus(self) -> "QuadComplex1":
+        return QuadComplex1(
+            self.d.i_plus(),
+            self.psi0.i_plus(),
+            self.psi0t.i_plus(),
+            self.psi1.i_plus(),
+        )
 
-def _normalize_mu_signs(f: SplitFormation):
-    """Reparameterize G by beta = diag(+-1) so that mu becomes +2*Id.
 
-    Sums involving negated summands carry mu = diag(+-2); the base change
-    beta flips the matching columns of gamma and conjugates theta, which is
-    the representative the null-cobordism witnesses are written against.
-    """
+def _mu_signs(f: SplitFormation) -> list:
+    """The signs s_i of mu = diag(2 s_1, ..., 2 s_n); PrecondError for any
+    other mu."""
     n = f.g_rank
-    ring = f.ring
-    two = C2Poly.from_int(2) if ring is C2Poly else PolyInt((2,))
+    two = C2Poly.from_int(2) if f.ring is C2Poly else PolyInt((2,))
     signs = []
     for i in range(n):
         row_ok = all(not f.mu[i, j] for j in range(n) if j != i)
@@ -118,43 +121,41 @@ def _normalize_mu_signs(f: SplitFormation):
             signs.append(-1)
         else:
             raise PrecondError("mu must be diagonal with entries +-2")
-    if all(s == 1 for s in signs):
-        return f
+    return signs
 
-    def flip(m, row_signs):
-        # m[i, j] * row_signs[i] * signs[j], the product with beta = diag(signs)
-        return Mat._raw(
-            tuple(
-                tuple(e if r == s else -e for e, s in zip(row, signs))
-                for row, r in zip(m.entries, row_signs)
-            ),
-            ring,
-        )
 
-    return SplitFormation(
-        flip(f.gamma, [1] * f.gamma.rows),
-        flip(f.mu, [1] * f.mu.rows),
-        flip(f.theta, signs),
-        f.epsilon,
+def _signed(m: Mat, row_signs, col_signs) -> Mat:
+    """The matrix with entries row_signs[i] * m[i, j] * col_signs[j]."""
+    return Mat._raw(
+        tuple(
+            tuple(e if r == s else -e for e, s in zip(row, col_signs))
+            for row, r in zip(m.entries, row_signs)
+        ),
+        m.ring,
     )
 
 
 def formation_to_complex(f: SplitFormation) -> QuadComplex1:
     """Associated complex of a split (-1)-formation with mu = diag(+-2).
 
-    Dictionary (after sign normalization): d = mu^* = 2*Id, psi0 = 0,
-    psi0t = gamma^*, psi1 = -theta.
+    Sums involving negated summands carry mu = diag(+-2); the base change
+    beta = diag(+-1) of G makes mu beta = 2*Id, flips the matching columns
+    of gamma and conjugates theta, which is the representative the
+    null-cobordism witnesses are written against.  Dictionary (after that
+    base change): d = (mu beta)^* = 2*Id, psi0 = 0, psi0t = (gamma beta)^*,
+    psi1 = -beta theta beta, whose sign is folded into the row signs.
     """
     if f.epsilon != -1:
         raise PrecondError("the dictionary is for (-1)-formations")
     if f.f_rank != f.g_rank:
         raise PrecondError("square formations only (F and G of equal rank)")
-    g = _normalize_mu_signs(f)
+    signs = _mu_signs(f)
+    ones = [1] * f.f_rank
     return QuadComplex1(
-        g.mu.conj_t(),
-        Mat.zeros(g.g_rank, g.g_rank, g.ring),
-        g.gamma.conj_t(),
-        -g.theta,
+        _signed(f.mu, ones, signs).conj_t(),
+        Mat.zeros(f.g_rank, f.g_rank, f.ring),
+        _signed(f.gamma, ones, signs).conj_t(),
+        _signed(f.theta, [-s for s in signs], signs),
     )
 
 
@@ -232,7 +233,7 @@ def build_psi_hat(
     ci = c.i_minus() if c.ring is C2Poly else c
     psi1_hat = a.conj_t() * n.chi * a - ci.psi0t * ci.d.conj_t()
     diff = psi1_hat - ci.psi1
-    if diff.conj_t() != -diff:
+    if not (diff.conj_t() + diff).is_zero():
         raise StageError(
             "psi-hat", "corrected cycle does not differ by a skew matrix", diff
         )
@@ -265,12 +266,13 @@ def build_null_cobordism(
     f1 = n.pi.conj_t()
     if f0 * ci.d != d_d * f1:
         raise StageError("null-cobordism", "f is not a chain map", f1)
+    dpsi0 = -n.chi.conj_t()
     return NullCobordism(
         d_d=d_d,
         f0=f0,
         f1=f1,
-        dpsi0=-n.chi.conj_t(),
-        dpsi1=-(n.chi * d_d.conj_t()),
+        dpsi0=dpsi0,
+        dpsi1=dpsi0.conj_t() * d_d.conj_t(),  # -chi d_D^*
         dpsi1t=ci.psi0t * n.pi,
         dpsi2=Mat.zeros(c.rank, c.rank, PolyInt),
     )
@@ -306,10 +308,8 @@ def build_union(
     """
     if c.ring is not C2Poly:
         raise RingTagError("the union glues a Z[C2][x] input")
-    fm = complex_to_formation(c)
-    plus = SplitFormation(
-        fm.gamma.i_plus(), fm.mu.i_plus(), fm.theta.i_plus(), -1
-    )
+    # the dictionary commutes with T -> +1, so evaluate first
+    plus = complex_to_formation(c.i_plus())
     if not is_graph(plus):
         raise StageError(
             "union", "T -> +1 evaluation is not a graph formation", plus.gamma
@@ -323,8 +323,8 @@ def build_union(
     psi0m = psi_hat.psi0.mod2()
     psi0tm = psi_hat.psi0t.mod2()
     psi1m = psi_hat.psi1.mod2()
-    chi_t = (-bundle.dpsi0).mod2()   # = chi^* mod 2
-    chi_a = (-bundle.dpsi1).mod2()   # = chi (pi^{-1}d^*) mod 2
+    chi_t = bundle.dpsi0.mod2()      # = chi^* mod 2, as -X = X mod 2
+    chi_a = bundle.dpsi1.mod2()      # = chi (pi^{-1}d^*) mod 2
     psi0t_pi = bundle.dpsi1t.mod2()
     d_f2 = Mat.from_blocks([[f1m], [d_cm], [ident]])
     d_f1 = Mat.from_blocks([[d_dm, ident, zero_n]])

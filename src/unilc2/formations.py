@@ -70,7 +70,7 @@ class SplitFormation:
     def hessian_holds(self) -> bool:
         """theta - epsilon*theta^* = gamma^* mu, as an exact matrix equality."""
         ts = self.theta.conj_t()
-        lhs = self.theta - (ts if self.epsilon == 1 else -ts)
+        lhs = self.theta - ts if self.epsilon == 1 else self.theta + ts
         return lhs == self.gamma.conj_t() * self.mu
 
     def map_entries(self, fn, ring) -> "SplitFormation":
@@ -98,7 +98,7 @@ class SplitFormation:
 
 
 def _require_pg_in_xzx(p: PolyInt, g: PolyInt):
-    if (p * g).constant != 0:
+    if p.constant * g.constant != 0:  # the constant coefficient of p*g
         raise PrecondError("p*g must have zero constant coefficient")
 
 
@@ -109,7 +109,7 @@ def make_M(p: PolyInt, g: PolyInt) -> SplitFormation:
     pc = C2Poly.from_polyint(p)
     one = C2Poly.one()
     gg = ONE_MINUS_T * C2Poly.from_polyint(g)
-    gamma = Mat([[pc, one], [one, gg]], C2Poly)
+    gamma = Mat._raw(((pc, one), (one, gg)), C2Poly)
     mu = Mat.scalar(2, C2Poly.from_int(2), C2Poly)
     return SplitFormation(gamma, mu, gamma, -1)
 
@@ -216,7 +216,7 @@ def _is_even_difference(x: Mat, sign: int) -> bool:
     """Whether x = eta - sign * eta^* is solvable: for sign = -1 this means
     x is skew-symmetric; for sign = +1, symmetric with even diagonal."""
     if sign == -1:
-        return x.conj_t() == -x
+        return (x.conj_t() + x).is_zero()
     if x.conj_t() != x:
         return False
     for i in range(x.rows):
@@ -225,7 +225,7 @@ def _is_even_difference(x: Mat, sign: int) -> bool:
             if any(c % 2 for c in e.coeffs):
                 return False
         elif x.ring is C2Poly:
-            if any(c % 2 for c in e.a.coeffs) or any(c % 2 for c in e.b.coeffs):
+            if not e.is_even():
                 return False
         else:
             if e:
@@ -255,7 +255,7 @@ def verify_formation_iso(
     if not (alpha.is_unimodular() and beta.is_unimodular()):
         raise PrecondError("alpha and beta must be unimodular")
     nus = nu.conj_t()
-    skew_nu = nu - (nus if e == 1 else -nus)
+    skew_nu = nu - nus if e == 1 else nu + nus
     if dst.gamma * beta != alpha * src.gamma + skew_nu * src.mu:
         return False
     alpha_inv_star = alpha.conj_t().inverse_unimodular()

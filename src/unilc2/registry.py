@@ -14,13 +14,11 @@ from __future__ import annotations
 import fnmatch
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import complexes, formations, forms, rim, witt
 from .forms import arf, arf_normalize, make_P
 from .rings import (
-    C2Elt,
     C2Poly,
     Mat,
     NotInImageError,
@@ -74,15 +72,18 @@ def _rand_c2poly(rng, max_deg, bound=3) -> C2Poly:
 # rings
 
 
+def _c2_const(m: int, n: int) -> C2Poly:
+    return C2Poly.from_parts(PolyInt((m,)), PolyInt((n,)))
+
+
 def check_c2_mult_table(cfg):
-    t = C2Elt(0, 1)
-    one = C2Elt(1, 0)
+    one, t = C2Poly.one(), C2Poly.t()
     table = [
         (one * one, one),
         (one * t, t),
         (t * one, t),
         (t * t, one),
-        (C2Elt(2, 3) * C2Elt(5, -1), C2Elt(2 * 5 + 3 * -1, 2 * -1 + 3 * 5)),
+        (_c2_const(2, 3) * _c2_const(5, -1), _c2_const(2 * 5 + 3 * -1, 2 * -1 + 3 * 5)),
     ]
     bad = [f"{a} != {b}" for a, b in table if a != b]
     return not bad, "; ".join(bad) or "multiplication table of the order-2 group holds"
@@ -715,11 +716,7 @@ class VerificationReport:
         yield f"overall={'pass' if self.ok else 'fail'}"
 
 
-def run_registry(
-    cfg: SweepConfig | None = None,
-    pattern: str | None = None,
-    threads: int = 1,
-) -> VerificationReport:
+def run_registry(cfg: SweepConfig | None = None, pattern: str | None = None) -> VerificationReport:
     cfg = cfg or SweepConfig()
     selected = [
         c for c in REGISTRY if pattern is None or fnmatch.fnmatch(c.id, pattern)
@@ -733,10 +730,4 @@ def run_registry(
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         return (check.id, check.statement, ok, detail, time.perf_counter() - t0)
 
-    report = VerificationReport()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            report.results = list(pool.map(run, selected))
-    else:
-        report.results = [run(c) for c in selected]
-    return report
+    return VerificationReport([run(c) for c in selected])

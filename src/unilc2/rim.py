@@ -30,6 +30,7 @@ from .forms import QuadraticForm, make_P
 from .formations import SplitFormation, make_Q
 from .rings import (
     AlgebraError,
+    C2Poly,
     Mat,
     PolyF2,
     PolyInt,
@@ -217,10 +218,8 @@ def _assemble(pair, gluing_check=True) -> Mat:
                 raise AssemblyError(
                     f"pair ({u}, {v}) does not glue: {exc}"
                 ) from exc
-        rows.append(row)
-    from .rings import C2Poly
-
-    return Mat(rows, C2Poly)
+        rows.append(tuple(row))
+    return Mat._raw(tuple(rows), C2Poly)
 
 
 def boundary_steps(inp: BoundaryInput) -> BoundarySteps:

@@ -5,6 +5,7 @@ The three rings are polynomial rings with involution:
     Z[x]      -- integer polynomials, class PolyInt
     F2[x]     -- binary polynomials, class PolyF2 (stored as a bitmask)
     Z[C2][x]  -- polynomials with coefficients m + n*T, T^2 = 1, class C2Poly
+                 (stored by its two pullback legs, T -> -1 and T -> +1)
 
 The involution is the identity on all three (T is its own inverse and x is
 fixed), so conjugate-transpose of a matrix is plain transpose; the hooks are
@@ -13,7 +14,8 @@ kept explicit so every formula reads like the matrix identity it checks.
 Ring homomorphisms of the pullback square are provided as functions:
 apply_i(sign, .) substitutes T -> sign*1, apply_j reduces mod 2, and
 pullback_pair / pullback_inverse realise the isomorphism of Z[C2][x] with
-the fibre product of two copies of Z[x] over F2[x].
+the fibre product of two copies of Z[x] over F2[x].  A C2Poly stores that
+pair, so the T-evaluations read a field.
 
 Polynomials are immutable and canonical (no trailing zero coefficients), so
 equality is structural.  The text grammar used by the CLI lives here too:
@@ -23,6 +25,7 @@ matrices written ``[a,b;c,d]``.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import re
 from dataclasses import dataclass
@@ -34,8 +37,13 @@ NEG_INF = float("-inf")  # degree of the zero polynomial
 # wins from length 8 on (measured crossover).
 SCHOOLBOOK_MAX_LEN = 7
 
-# Input size caps of the text grammar, checked before anything is built.
-MAX_EXPONENT = 1024  # largest x-exponent parse_poly accepts
+# A Z[x] matrix product of inner dimension at most this runs entry-wise;
+# wider ones go through Kronecker substitution (measured crossover: at 2
+# entry-wise is 1.8x faster, at 4 they tie, at 6 Kronecker is 3x faster).
+ENTRYWISE_MAX_INNER = 2
+
+# Input size caps, checked before anything is built.
+MAX_EXPONENT = 1024  # largest x-exponent parse_poly accepts or subs_power makes
 MAX_DIM = 64  # most rows, and most columns, parse_matrix accepts
 
 
@@ -200,14 +208,8 @@ class PolyInt:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return PolyInt(())
-        if len(a) > SCHOOLBOOK_MAX_LEN and len(b) > SCHOOLBOOK_MAX_LEN:
-            k = _slot_bits(1, len(a), len(b), max(map(abs, a)), max(map(abs, b)))
-            return PolyInt(_unpack(_pack(a, k) * _pack(b, k), k, len(a) + len(b) - 1))
         out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
+        _add_product(out, a, b)
         # the top coefficient is a product of two nonzero leading coefficients
         return PolyInt._raw(tuple(out))
 
@@ -239,9 +241,7 @@ class PolyInt:
 
     def subs_power(self, n: int) -> "PolyInt":
         """Substitute x -> x^n."""
-        if n <= 0:
-            raise PrecondError("power substitution needs n > 0")
-        out = [0] * (n * len(self.coeffs))
+        out = [0] * (_check_subs_power(n, max(self.degree(), 0)) + 1)
         for i, c in enumerate(self.coeffs):
             out[n * i] = c
         return PolyInt(out)
@@ -280,6 +280,30 @@ class PolyInt:
 
     def __repr__(self):
         return f"PolyInt({format_poly(self)})"
+
+
+def _add_product(out: list, a: tuple, b: tuple):
+    """out += a * b for nonempty coefficient tuples (out has room): the
+    schoolbook loop, or Kronecker substitution when both are longer than
+    SCHOOLBOOK_MAX_LEN."""
+    if len(a) > SCHOOLBOOK_MAX_LEN and len(b) > SCHOOLBOOK_MAX_LEN:
+        k = _slot_bits(1, len(a), len(b), max(map(abs, a)), max(map(abs, b)))
+        for i, c in enumerate(_unpack(_pack(a, k) * _pack(b, k), k, len(a) + len(b) - 1)):
+            out[i] += c
+        return
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+
+
+def _check_subs_power(n: int, degree: int) -> int:
+    """The degree n * degree after x -> x^n, checked against the cap."""
+    if n <= 0:
+        raise PrecondError("power substitution needs n > 0")
+    if n * degree > MAX_EXPONENT:
+        raise PrecondError(f"x -> x^{n} would make degree {n * degree}, above the cap {MAX_EXPONENT}")
+    return n * degree
 
 
 def _as_polyint(v) -> PolyInt:
@@ -379,8 +403,7 @@ class PolyF2:
         return self
 
     def subs_power(self, n: int) -> "PolyF2":
-        if n <= 0:
-            raise PrecondError("power substitution needs n > 0")
+        _check_subs_power(n, max(self.degree(), 0))
         out, a, i = 0, self.bits, 0
         while a:
             if a & 1:
@@ -431,140 +454,113 @@ def f2_divmod(a: PolyF2, b: PolyF2):
 
 @dataclass(frozen=True)
 class C2Elt:
-    """Group-ring element m + n*T with T^2 = 1."""
+    """Group-ring coefficient m + n*T (T^2 = 1), as C2Poly.coeffs lists them."""
 
     m: int = 0
     n: int = 0
 
-    def __add__(self, other):
-        other = _as_c2elt(other)
-        return C2Elt(self.m + other.m, self.n + other.n)
-
-    def __neg__(self):
-        return C2Elt(-self.m, -self.n)
-
-    def __sub__(self, other):
-        return self + (-_as_c2elt(other))
-
-    def __mul__(self, other):
-        other = _as_c2elt(other)
-        return C2Elt(
-            self.m * other.m + self.n * other.n,
-            self.m * other.n + self.n * other.m,
-        )
-
-    __rmul__ = __mul__
-    __radd__ = __add__
-
-    def conj(self):
-        """Involution T -> T^{-1} = T: the identity."""
-        return self
-
-    def __bool__(self):
-        return bool(self.m or self.n)
-
-    def __str__(self):
-        return format_poly(C2Poly.from_parts(PolyInt((self.m,)), PolyInt((self.n,))))
-
-
-def _as_c2elt(v) -> C2Elt:
-    if isinstance(v, C2Elt):
-        return v
-    if isinstance(v, int):
-        return C2Elt(v, 0)
-    raise RingTagError(f"cannot coerce {v!r} into Z[C2]")
-
 
 class C2Poly:
-    """Polynomial over Z[C2], stored as the pair (a, b) with value a + b*T."""
+    """Polynomial over Z[C2], stored by its two pullback legs: u, the value
+    at T -> -1, and v, the value at T -> +1, integer polynomials with
+    u = v mod 2.
 
-    __slots__ = ("a", "b")
+    Z[C2][x] is the fibre product of two copies of Z[x] over F2[x], so each
+    ring operation is the same operation on both legs, and a product is two
+    Z[x] products.  The a + b*T form is derived: a = (u + v)/2 and
+    b = (v - u)/2.  An element of Z[x] holds one PolyInt as both legs.
+    """
+
+    __slots__ = ("u", "v")
     TAG = "Z[C2][x]"
 
     def __init__(self, coeffs=()):
-        ms, ns = [], []
-        for c in coeffs:
-            c = _as_c2elt(c)
-            ms.append(c.m)
-            ns.append(c.n)
-        object.__setattr__(self, "a", PolyInt(ms))
-        object.__setattr__(self, "b", PolyInt(ns))
+        """From Z[C2] coefficients, each an int or a C2Elt, lowest first."""
+        cs = [c if isinstance(c, C2Elt) else C2Elt(c) for c in coeffs]
+        a, b = PolyInt([c.m for c in cs]), PolyInt([c.n for c in cs])
+        _SET_U(self, a - b)
+        _SET_V(self, a + b)
 
     def __setattr__(self, *a):
         raise AttributeError("C2Poly is immutable")
 
     @classmethod
     def from_parts(cls, a: PolyInt, b: PolyInt) -> "C2Poly":
-        self = cls.__new__(cls)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        return self
+        """The element a + b*T."""
+        return _c2(a, a) if not b else _c2(a - b, a + b)
 
     @classmethod
     def from_polyint(cls, p: PolyInt) -> "C2Poly":
-        return cls.from_parts(p, PolyInt(()))
+        return _c2(p, p)
 
     @classmethod
     def from_int(cls, n: int) -> "C2Poly":
-        return cls.from_parts(PolyInt((n,)), PolyInt(()))
+        return cls.from_polyint(PolyInt((n,)))
 
     @classmethod
     def zero(cls) -> "C2Poly":
-        return cls.from_parts(PolyInt(()), PolyInt(()))
+        return cls.from_int(0)
 
     @classmethod
     def one(cls) -> "C2Poly":
-        return cls.from_parts(PolyInt((1,)), PolyInt(()))
+        return cls.from_int(1)
 
     @classmethod
     def t(cls) -> "C2Poly":
-        return cls.from_parts(PolyInt(()), PolyInt((1,)))
+        return _c2(PolyInt((-1,)), PolyInt((1,)))
+
+    # u + v and v - u are even, so halving keeps the top coefficient nonzero
+    @property
+    def a(self) -> PolyInt:
+        """The T-free part (u + v)/2."""
+        return PolyInt._raw(tuple(c // 2 for c in (self.u + self.v).coeffs))
+
+    @property
+    def b(self) -> PolyInt:
+        """The coefficient (v - u)/2 of T."""
+        return PolyInt._raw(tuple(c // 2 for c in (self.v - self.u).coeffs))
 
     @property
     def coeffs(self):
-        la, lb = self.a.coeffs, self.b.coeffs
-        k = max(len(la), len(lb))
         return tuple(
-            C2Elt(la[i] if i < len(la) else 0, lb[i] if i < len(lb) else 0)
-            for i in range(k)
+            C2Elt(m, n) for m, n in itertools.zip_longest(self.a.coeffs, self.b.coeffs, fillvalue=0)
         )
 
     def degree(self):
-        da, db = self.a.degree(), self.b.degree()
-        return max(da, db)
+        return max(self.u.degree(), self.v.degree())
 
     def __bool__(self):
-        return bool(self.a) or bool(self.b)
+        return bool(self.u) or bool(self.v)
 
     def __eq__(self, other):
-        return isinstance(other, C2Poly) and self.a == other.a and self.b == other.b
+        return isinstance(other, C2Poly) and self.u == other.u and self.v == other.v
 
     def __hash__(self):
-        return hash(("C2Poly", self.a.coeffs, self.b.coeffs))
+        return hash(("C2Poly", self.u.coeffs, self.v.coeffs))
 
     def __add__(self, other):
         other = _as_c2poly(other)
-        return C2Poly.from_parts(self.a + other.a, self.b + other.b)
+        u = self.u + other.u
+        return _c2(u, u if self.u is self.v and other.u is other.v else self.v + other.v)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return C2Poly.from_parts(-self.a, -self.b)
+        u = -self.u
+        return _c2(u, u if self.u is self.v else -self.v)
 
     def __sub__(self, other):
         other = _as_c2poly(other)
-        return C2Poly.from_parts(self.a - other.a, self.b - other.b)
+        u = self.u - other.u
+        return _c2(u, u if self.u is self.v and other.u is other.v else self.v - other.v)
 
     def __rsub__(self, other):
         return _as_c2poly(other) - self
 
     def __mul__(self, other):
-        # (a + bT)(c + dT) = (ac + bd) + (ad + bc)T
         other = _as_c2poly(other)
-        return C2Poly.from_parts(
-            self.a * other.a + self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
+        u = self.u * other.u
+        return _c2(u, u if self.u is self.v and other.u is other.v else self.v * other.v)
 
     __rmul__ = __mul__
 
@@ -572,8 +568,8 @@ class C2Poly:
         return self
 
     def is_unit(self) -> bool:
-        """Units of Z[C2][x] are +-1 and +-T."""
-        return (self.a.is_unit() and not self.b) or (self.b.is_unit() and not self.a)
+        """Units of Z[C2][x] are +-1 and +-T: both legs are constants +-1."""
+        return self.u.is_unit() and self.v.is_unit()
 
     def unit_inverse(self):
         if not self.is_unit():
@@ -585,9 +581,9 @@ class C2Poly:
 
         Writing the mod-2 image as alpha(x) + beta(x)*s with s = 1 + T
         (s^2 = 0 in characteristic 2), the element is a unit iff alpha = 1;
-        here alpha = (a + b) mod 2.
+        here alpha = (a + b) mod 2, the reduction of v.
         """
-        return (self.a + self.b).is_unit_mod2()
+        return self.v.is_unit_mod2()
 
     def inverse_mod2(self) -> "C2Poly":
         """An inverse of the mod-2 image, as a lift with 0/1 coefficients.
@@ -601,17 +597,33 @@ class C2Poly:
         return C2Poly.from_parts(PolyInt((1,)) + beta, beta)
 
     def congruent_mod2(self, other: "C2Poly") -> bool:
-        d = self - other
-        return all(c % 2 == 0 for c in d.a.coeffs) and all(c % 2 == 0 for c in d.b.coeffs)
+        return (self - other).is_even()
+
+    def is_even(self) -> bool:
+        """Whether self = 2*(c + d*T): its u leg is even and its legs agree
+        mod 4."""
+        u, v = self.u, self.v
+        return not any(c % 2 for c in u.coeffs) and (u is v or not any(c % 4 for c in (v - u).coeffs))
 
     def subs_power(self, n: int) -> "C2Poly":
-        return C2Poly.from_parts(self.a.subs_power(n), self.b.subs_power(n))
+        return _c2(self.u.subs_power(n), self.v.subs_power(n))
 
     def __str__(self):
         return format_poly(self)
 
     def __repr__(self):
         return f"C2Poly({format_poly(self)})"
+
+
+_SET_U, _SET_V = C2Poly.u.__set__, C2Poly.v.__set__
+
+
+def _c2(u: PolyInt, v: PolyInt) -> C2Poly:
+    """Internal fast path: the element with legs u and v (u = v mod 2)."""
+    p = object.__new__(C2Poly)
+    _SET_U(p, u)
+    _SET_V(p, v)
+    return p
 
 
 def _as_c2poly(v) -> C2Poly:
@@ -626,7 +638,7 @@ def _as_c2poly(v) -> C2Poly:
     raise RingTagError(f"cannot coerce {v!r} into Z[C2][x]")
 
 
-ONE_MINUS_T = C2Poly.from_parts(PolyInt((1,)), PolyInt((-1,)))
+ONE_MINUS_T = _c2(PolyInt((2,)), PolyInt(()))
 
 _COERCIONS = {PolyInt: _as_polyint, PolyF2: _as_polyf2, C2Poly: _as_c2poly}
 
@@ -648,10 +660,12 @@ def _check_block_rings(blocks, ring):
 
 
 def apply_i(sign: int, p: C2Poly) -> PolyInt:
-    """Substitute T -> sign * 1 coefficient-wise (sign is +1 or -1)."""
-    if sign not in (1, -1):
-        raise PrecondError("sign must be +1 or -1")
-    return p.a + p.b if sign == 1 else p.a - p.b
+    """Substitute T -> sign * 1 (sign is +1 or -1): one of the stored legs."""
+    if sign == -1:
+        return p.u
+    if sign == 1:
+        return p.v
+    raise PrecondError("sign must be +1 or -1")
 
 
 def apply_j(p: PolyInt) -> PolyF2:
@@ -661,46 +675,20 @@ def apply_j(p: PolyInt) -> PolyF2:
 
 def apply_k(p: C2Poly) -> PolyF2:
     """The diagonal composite: mod-2 reduction after either T-evaluation."""
-    return apply_j(apply_i(-1, p))
+    return p.u.mod2()
 
 
 def pullback_pair(p: C2Poly):
     """(T -> -1 image, T -> +1 image); a ring isomorphism onto the pairs
     of integer polynomials that agree mod 2."""
-    return (apply_i(-1, p), apply_i(1, p))
+    return (p.u, p.v)
 
 
 def pullback_inverse(u: PolyInt, v: PolyInt) -> C2Poly:
     """Inverse of pullback_pair on pairs with u = v mod 2."""
-    diff = v - u
-    if any(c % 2 for c in diff.coeffs):
+    if any(c % 2 for c in (v - u).coeffs):
         raise NotInImageError(f"({u}, {v}) do not agree mod 2")
-    # both u + v and v - u are even, so halving is exact
-    a = PolyInt(tuple(c // 2 for c in (u + v).coeffs))
-    b = PolyInt(tuple(c // 2 for c in diff.coeffs))
-    return C2Poly.from_parts(a, b)
-
-
-def ring_add(x, y):
-    if type(x) is not type(y):
-        raise RingTagError(f"mixed rings: {type(x).__name__} + {type(y).__name__}")
-    return x + y
-
-
-def ring_mul(x, y):
-    if type(x) is not type(y):
-        raise RingTagError(f"mixed rings: {type(x).__name__} * {type(y).__name__}")
-    return x * y
-
-
-def is_unit(x) -> bool:
-    return x.is_unit()
-
-
-def is_unit_mod2(x) -> bool:
-    if isinstance(x, (PolyInt, C2Poly)):
-        return x.is_unit_mod2()
-    raise RingTagError("unit-mod-2 test is defined over Z[x] and Z[C2][x]")
+    return _c2(u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -847,40 +835,27 @@ class Mat:
         )
 
     def __mul__(self, other):
-        if not isinstance(other, Mat):
-            return Mat(
-                [[e * other for e in r] for r in self.entries], self.ring
-            )
+        if not isinstance(other, Mat):  # entry * scalar stays in the ring or raises
+            return Mat._raw(tuple(tuple(e * other for e in r) for r in self.entries), self.ring)
         self._check_ring(other)
         if self.cols != other.rows:
             raise ShapeError(
                 f"product shape mismatch: {self.rows}x{self.cols} * {other.rows}x{other.cols}"
             )
+        a, b = self.entries, other.entries
         if self.ring is PolyInt:
-            return Mat._raw(_kronecker_matmul(self.entries, other.entries), PolyInt)
+            return Mat._raw(_zx_matmul(a, b), PolyInt)
         if self.ring is PolyF2:
-            return Mat._raw(_f2_matmul(self.entries, other.entries, other.cols), PolyF2)
-        bt = list(zip(*other.entries))
-        zero = self.ring.zero()
-        out = []
-        for r in self.entries:
-            row = []
-            for c in bt:
-                acc = zero
-                for a, b in zip(r, c):
-                    if a and b:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(tuple(row))
-        return Mat._raw(tuple(out), self.ring)
+            return Mat._raw(_f2_matmul(a, b, other.cols), PolyF2)
+        # Z[C2][x]: one Z[x] product per pullback leg, and only one when
+        # both factors are T-free (equal legs)
+        au, bu, av, bv = _legs(a, "u"), _legs(b, "u"), _legs(a, "v"), _legs(b, "v")
+        u = _zx_matmul(au, bu)
+        v = u if au == av and bu == bv else _zx_matmul(av, bv)
+        return Mat._raw(tuple(tuple(map(_c2, ru, rv)) for ru, rv in zip(u, v)), C2Poly)
 
     def __rmul__(self, other):
         return Mat([[other * e for e in r] for r in self.entries], self.ring)
-
-    def transpose(self) -> "Mat":
-        return Mat._raw(
-            tuple(zip(*self.entries)) if self.entries else (), self.ring
-        )
 
     def conj_t(self) -> "Mat":
         """Conjugate-transpose: involution entry-wise, then transpose."""
@@ -897,27 +872,22 @@ class Mat:
     # The ring maps below return canonical entries, so they skip coercion.
 
     def mod2(self) -> "Mat":
-        if self.ring is PolyInt:
-            fn = PolyInt.mod2
-        elif self.ring is C2Poly:
-            fn = apply_k
-        else:
+        if self.ring is PolyF2:
             return self
-        return Mat._raw(tuple(tuple(map(fn, r)) for r in self.entries), PolyF2)
+        rows = _legs(self.entries, "u") if self.ring is C2Poly else self.entries
+        return Mat._raw(tuple(tuple(map(PolyInt.mod2, r)) for r in rows), PolyF2)
 
     def i_minus(self) -> "Mat":
-        return self._eval_t(-1)
+        return self._leg("u")
 
     def i_plus(self) -> "Mat":
-        return self._eval_t(1)
+        return self._leg("v")
 
-    def _eval_t(self, sign: int) -> "Mat":
-        """Entry-wise T -> sign*1 of a Z[C2][x] matrix."""
+    def _leg(self, name: str) -> "Mat":
+        """Entry-wise T -> -1 ("u") or T -> +1 ("v") of a Z[C2][x] matrix."""
         if self.ring is not C2Poly:
             raise RingTagError(f"T-evaluation needs a Z[C2][x] matrix, not {self.ring.TAG}")
-        return Mat._raw(
-            tuple(tuple(apply_i(sign, e) for e in r) for r in self.entries), PolyInt
-        )
+        return Mat._raw(_legs(self.entries, name), PolyInt)
 
     def to_c2(self) -> "Mat":
         if self.ring is C2Poly:
@@ -941,9 +911,8 @@ class Mat:
 
         Up to 2x2 by the expansion formula.  Above that, Z[x] and F2[x] use
         fraction-free Bareiss elimination.  Z[C2][x] has zero divisors, so
-        its determinant is assembled by pullback_inverse from the
-        determinants of the two T-evaluations: both are ring maps of the
-        pullback square, so they commute with det.
+        its determinant is the pair of the determinants of its two legs:
+        both T-evaluations are ring maps, so they commute with det.
         """
         if not self.is_square():
             raise ShapeError("determinant of a non-square matrix")
@@ -955,9 +924,7 @@ class Mat:
         if n == 2:
             return ent[0][0] * ent[1][1] - ent[0][1] * ent[1][0]
         if self.ring is C2Poly:
-            return pullback_inverse(
-                *(_bareiss([[apply_i(s, e) for e in r] for r in ent], PolyInt) for s in (-1, 1))
-            )
+            return _c2(*(_bareiss(list(map(list, _legs(ent, s))), PolyInt) for s in "uv"))
         return _bareiss([list(r) for r in ent], self.ring)
 
     def adjugate(self) -> "Mat":
@@ -992,6 +959,40 @@ class Mat:
 
     def __repr__(self):
         return f"Mat[{self.ring.TAG}]{format_matrix(self)}"
+
+
+def _legs(rows, name: str):
+    """Row tuples of one leg ("u" or "v") of Z[C2][x] row tuples."""
+    if name == "u":
+        return tuple([tuple([e.u for e in r]) for r in rows])
+    return tuple([tuple([e.v for e in r]) for r in rows])
+
+
+def _zx_matmul(a, b):
+    """Row tuples of the product of Z[x] matrices given by their row tuples.
+
+    Up to inner dimension ENTRYWISE_MAX_INNER each entry sums its products
+    of nonzero factors in one coefficient list; wider products use
+    Kronecker substitution, whose packing costs more than a short sum."""
+    if len(b) > ENTRYWISE_MAX_INNER:
+        return _kronecker_matmul(a, b)
+    cols = list(zip(*[[p.coeffs for p in r] for r in b]))
+    zero = PolyInt(())
+    out = []
+    for r in a:
+        rc = [p.coeffs for p in r]
+        row = []
+        for col in cols:
+            acc = []
+            for x, y in zip(rc, col):
+                if x and y:
+                    acc += [0] * (len(x) + len(y) - 1 - len(acc))
+                    _add_product(acc, x, y)
+            while acc and not acc[-1]:
+                acc.pop()
+            row.append(PolyInt._raw(tuple(acc)) if acc else zero)
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def _kronecker_matmul(a, b):
@@ -1224,14 +1225,11 @@ def format_poly(p) -> str:
     T-free part precedes the T part."""
     terms = []
     if isinstance(p, C2Poly):
-        la, lb = p.a.coeffs, p.b.coeffs
-        for k in range(max(len(la), len(lb))):
-            m = la[k] if k < len(la) else 0
-            n = lb[k] if k < len(lb) else 0
-            if m:
-                terms.append(_fmt_term(m, k, False))
-            if n:
-                terms.append(_fmt_term(n, k, True))
+        for k, c in enumerate(p.coeffs):
+            if c.m:
+                terms.append(_fmt_term(c.m, k, False))
+            if c.n:
+                terms.append(_fmt_term(c.n, k, True))
     elif isinstance(p, PolyInt):
         for k, c in enumerate(p.coeffs):
             if c:

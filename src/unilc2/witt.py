@@ -65,7 +65,7 @@ class GenWord:
         for (p, g), c in (m_terms or {}).items():
             if c == 0:
                 continue
-            if (p * g).constant != 0:
+            if p.constant * g.constant != 0:  # the constant coefficient of p*g
                 raise PrecondError("every generator needs p*g in x*Z[x]")
             terms[_key(p, g)] = c
         if not arf_part.is_reduced():

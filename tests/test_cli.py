@@ -184,6 +184,22 @@ def test_replay_malformed_word_is_a_domain_error(capsys, tmp_path):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "steps, index",
+    [
+        ("VN n=1000000000\n", 0),
+        ("VN n=1000\nVN n=1000\n", 1),  # x^1000, then x^1000000
+    ],
+)
+def test_replay_exponent_over_the_cap_is_a_domain_error(capsys, tmp_path, steps, index):
+    path = tmp_path / "vn.script"
+    path.write_text("start: M(x;1)+Q(x)\nend: 0\n" + steps)
+    code, out = run(capsys, "replay", str(path))
+    assert code == 3
+    assert out.startswith(f"invalid step {index}: ")
+    assert str(MAX_EXPONENT) in out
+
+
 def test_replay_open_chain(capsys, tmp_path):
     path = tmp_path / "open.script"
     path.write_text("start: 2*M(x;1)\nend: 0\nR1 p1=x p2=x g=1\n")
@@ -246,11 +262,14 @@ def test_registry_ids_unique_and_documented():
         assert cid in readme, f"{cid} missing from the registry table"
 
 
-def test_verify_deterministic_across_thread_counts():
-    from unilc2.registry import SweepConfig, run_registry
+def test_verify_deterministic_across_runs():
+    """Two runs give the same checks, in registry order, with the same
+    verdicts and details."""
+    from unilc2.registry import REGISTRY, SweepConfig, run_registry
 
     cfg = SweepConfig(max_deg=2)
-    one_thread = run_registry(cfg, pattern="rings.*", threads=1)
-    four_threads = run_registry(cfg, pattern="rings.*", threads=4)
+    first, second = (run_registry(cfg, pattern="rings.*") for _ in range(2))
     strip = lambda rep: [(r[0], r[2], r[3]) for r in rep.results]
-    assert strip(one_thread) == strip(four_threads)
+    assert strip(first) == strip(second)
+    assert [r[0] for r in first.results] == [c.id for c in REGISTRY if c.id.startswith("rings.")]
+    assert first.ok

@@ -10,7 +10,6 @@ from conftest import int_polys, pg_sweep, zx
 from unilc2.complexes import (
     NullCobordismData,
     StageError,
-    _normalize_mu_signs,
     alpha_pullback_check,
     build_null_cobordism,
     build_psi_hat,
@@ -72,8 +71,9 @@ def test_cycle_condition_sweep():
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(pg_sweep(1)), st.booleans()), min_size=1, max_size=4))
 def test_normalize_mu_signs_against_diag_product(summands):
-    """The sign flips equal the base change by beta = diag(+-1):
-    gamma*beta, mu*beta, beta^* theta beta."""
+    """The sign flips of formation_to_complex equal the base change by
+    beta = diag(+-1): the complex is the dictionary image of gamma*beta,
+    mu*beta, beta^* theta beta."""
     f = None
     for (p, g), neg in summands:
         m = negate(make_M(p, g)) if neg else make_M(p, g)
@@ -84,9 +84,12 @@ def test_normalize_mu_signs_against_diag_product(summands):
     beta = Mat([[zero if i != j else one if f.mu[i, i] == two else -one
                  for j in range(n)] for i in range(n)], C2Poly)
     want = SplitFormation(f.gamma * beta, f.mu * beta, beta.conj_t() * f.theta * beta, -1)
-    got = _normalize_mu_signs(f)
-    assert got == want
-    assert got.mu == Mat.scalar(n, two, C2Poly)
+    c = formation_to_complex(f)
+    assert c.d == want.mu.conj_t() == Mat.scalar(n, two, C2Poly)
+    assert c.psi0.is_zero()
+    assert c.psi0t == want.gamma.conj_t()
+    assert c.psi1 == -want.theta
+    assert complex_to_formation(c) == want
 
 
 def test_dictionary_rejects_other_mu_shapes():
@@ -172,6 +175,8 @@ def test_null_cobordism_chain_map():
         bundle = build_null_cobordism(c, ncd)
         assert bundle.f0 == Mat.identity(c.rank, PolyInt)
         assert bundle.f0 * c.i_minus().d == bundle.d_d * bundle.f1
+        assert bundle.dpsi0 == -ncd.chi.conj_t()
+        assert bundle.dpsi1 == -(ncd.chi * bundle.d_d.conj_t())
         assert bundle.dpsi2.is_zero()
 
 

@@ -11,8 +11,9 @@ from conftest import f2, int_polys, zx
 
 from unilc2.complexes import relation_fixture
 from unilc2.rings import (
-    C2Elt,
     C2Poly,
+    ENTRYWISE_MAX_INNER,
+    MAX_EXPONENT,
     Mat,
     NEG_INF,
     NonDivisibleError,
@@ -24,6 +25,8 @@ from unilc2.rings import (
     RingTagError,
     SCHOOLBOOK_MAX_LEN,
     ShapeError,
+    _kronecker_matmul,
+    _zx_matmul,
     apply_i,
     apply_j,
     apply_k,
@@ -34,8 +37,6 @@ from unilc2.rings import (
     parse_poly,
     pullback_inverse,
     pullback_pair,
-    ring_add,
-    ring_mul,
     solve_right,
 )
 
@@ -72,10 +73,11 @@ def test_equality_is_structural():
 
 
 def test_c2_multiplication_table():
-    one, t = C2Elt(1, 0), C2Elt(0, 1)
+    one, t = C2Poly.one(), C2Poly.t()
     assert t * t == one
-    assert t * one == t
-    assert C2Elt(2, 3) * C2Elt(5, -1) == C2Elt(7, 13)
+    assert t * one == one * t == t
+    assert parse_poly("2+3*T", C2Poly) * parse_poly("5-T", C2Poly) == parse_poly("7+13*T", C2Poly)
+    assert (t.a, t.b) == (zx("0"), zx("1"))
 
 
 def test_one_minus_t_squared():
@@ -93,9 +95,11 @@ def test_duality_determinant_square_is_one_mod_two():
 
 def test_mixed_ring_operands_rejected():
     with pytest.raises(RingTagError):
-        ring_add(zx("x"), f2("x"))
+        zx("x") + f2("x")
     with pytest.raises(RingTagError):
-        ring_mul(f2("1"), ONE_MINUS_T)
+        f2("1") * ONE_MINUS_T
+    with pytest.raises(RingTagError):
+        ONE_MINUS_T - f2("x")
 
 
 def test_ring_axioms_randomized():
@@ -213,10 +217,11 @@ def poly_pairs(draw):
 
 
 def is_canonical(p):
-    """No trailing zero coefficient (a PolyF2 bitmask is always canonical)."""
+    """No trailing zero coefficient (a PolyF2 bitmask is always canonical);
+    a C2Poly is canonical when both legs are."""
     if isinstance(p, PolyF2):
         return True
-    parts = (p.a, p.b) if isinstance(p, C2Poly) else (p,)
+    parts = pullback_pair(p) if isinstance(p, C2Poly) else (p,)
     return all(not q.coeffs or q.coeffs[-1] for q in parts)
 
 
@@ -771,3 +776,182 @@ def test_subs_power():
     assert f2("1+x^2").subs_power(3) == f2("1+x^6")
     v = parse_poly("x-T*x", C2Poly).subs_power(2)
     assert v == parse_poly("x^2-T*x^2", C2Poly)
+
+
+def test_subs_power_cap():
+    """x -> x^n is refused before anything is built when the result's
+    degree would pass MAX_EXPONENT; constants never pass it."""
+    assert zx("x^2").subs_power(MAX_EXPONENT // 2) == PolyInt.x_power(MAX_EXPONENT)
+    assert zx("3").subs_power(10**9) == zx("3")
+    assert C2Poly.zero().subs_power(10**9) == C2Poly.zero()
+    for p in (zx("x^2"), f2("1+x^2"), parse_poly("1-T*x^2", C2Poly)):
+        with pytest.raises(PrecondError):
+            p.subs_power(MAX_EXPONENT // 2 + 1)
+        with pytest.raises(PrecondError):
+            p.subs_power(10**9)
+        with pytest.raises(PrecondError):
+            p.subs_power(0)
+
+
+# -- Z[C2][x] stored by its pullback legs, against the a + b*T formulas
+#
+# The oracle keeps an element as the pair (a, b) with value a + b*T and
+# computes with the formulas of the group ring.
+
+
+def oracle_mul(x, y):
+    (a, b), (c, d) = x, y
+    return (a * c + b * d, a * d + b * c)
+
+
+def parts(p):
+    return (p.a, p.b)
+
+
+def c2_pairs(max_len=7, bound=2**70):
+    """(a, b) with unequal lengths, large and negative coefficients and
+    zero; b is sometimes zero (an element of Z[x]), and sometimes the pair
+    is a unit or a unit mod 2."""
+    ints = st.lists(st.integers(-bound, bound), max_size=max_len).map(PolyInt)
+    small = st.sampled_from([zx(t) for t in ("0", "1", "-1", "2", "-2", "x", "1+x")])
+
+    def unit_mod2(br):  # (1 - b + 2r) + b*T reduces to 1 + (b mod 2)(1 + T)
+        b, r = br
+        return (PolyInt((1,)) - b + zx("2") * r, b)
+
+    return st.one_of(
+        st.tuples(ints, ints),
+        st.tuples(ints, st.just(PolyInt(()))),
+        st.tuples(small, small),
+        st.tuples(ints, ints).map(unit_mod2),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(c2_pairs(), c2_pairs(), st.integers(1, 5))
+def test_c2_ring_operations_against_the_oracle(x, y, n):
+    p, q = C2Poly.from_parts(*x), C2Poly.from_parts(*y)
+    assert parts(p) == x
+    assert parts(p + q) == (x[0] + y[0], x[1] + y[1])
+    assert parts(p - q) == (x[0] - y[0], x[1] - y[1])
+    assert parts(-p) == (-x[0], -x[1])
+    assert parts(p * q) == oracle_mul(x, y)
+    assert parts(p.subs_power(n)) == (x[0].subs_power(n), x[1].subs_power(n))
+    assert apply_k(p) == (x[0] + x[1]).mod2()
+    assert (p == q) == (x == y)
+    for r in (p, q, p + q, p * q, -p):
+        assert is_canonical(r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(c2_pairs(), c2_pairs())
+def test_c2_unit_tests_against_the_oracle(x, y):
+    (a, b), p = x, C2Poly.from_parts(*x)
+    assert p.is_unit() == ((a.is_unit() and not b) or (b.is_unit() and not a))
+    assert p.is_unit_mod2() == (a + b).is_unit_mod2()
+    if p.is_unit_mod2():
+        beta = PolyInt(tuple(c & 1 for c in b.coeffs))
+        assert parts(p.inverse_mod2()) == (PolyInt((1,)) + beta, beta)
+    else:
+        with pytest.raises(PrecondError):
+            p.inverse_mod2()
+    c, d = y
+    even = lambda f: not any(k % 2 for k in f.coeffs)
+    q = C2Poly.from_parts(*y)
+    assert p.congruent_mod2(q) == (even(a - c) and even(b - d))
+    assert p.congruent_mod2(C2Poly.from_parts(a + zx("2") * c, b - zx("2") * d))
+
+
+@settings(max_examples=300, deadline=None)
+@given(c2_pairs())
+def test_c2_text_roundtrip_against_the_oracle(x):
+    p = C2Poly.from_parts(*x)
+    back = parse_poly(format_poly(p), C2Poly)
+    assert back == p and parts(back) == x
+
+
+@st.composite
+def c2_matrix_pairs(draw):
+    """Z[C2][x] factors of shape r x n and n x c (1 <= r, n, c <= 6); some
+    have a zero row or only T-free entries, in either factor."""
+    r, n, c = (draw(st.integers(1, 6)) for _ in range(3))
+    entry = c2_pairs(max_len=4, bound=2**20)
+    a = [[draw(entry) for _ in range(n)] for _ in range(r)]
+    b = [[draw(entry) for _ in range(c)] for _ in range(n)]
+    kind = draw(st.sampled_from(["dense", "zero-row", "t-free-a", "t-free-b", "t-free"]))
+    zero = (PolyInt(()), PolyInt(()))
+    if kind == "zero-row":
+        a[draw(st.integers(0, r - 1))] = [zero] * n
+    if kind in ("t-free-a", "t-free"):
+        a = [[(e[0], PolyInt(())) for e in row] for row in a]
+    if kind in ("t-free-b", "t-free"):
+        b = [[(e[0], PolyInt(())) for e in row] for row in b]
+    return a, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(c2_matrix_pairs())
+def test_c2_matrix_product_against_the_oracle(pair):
+    a, b = pair
+    ma, mb = (Mat([[C2Poly.from_parts(*e) for e in row] for row in m], C2Poly) for m in pair)
+    prod = ma * mb
+    assert (prod.rows, prod.cols) == (len(a), len(b[0]))
+    minus, plus, mod2 = prod.i_minus(), prod.i_plus(), prod.mod2()
+    for i, row in enumerate(a):
+        for j in range(len(b[0])):
+            want = (PolyInt(()), PolyInt(()))
+            for k, x in enumerate(row):
+                t = oracle_mul(x, b[k][j])
+                want = (want[0] + t[0], want[1] + t[1])
+            assert parts(prod[i, j]) == want
+            assert minus[i, j] == want[0] - want[1]
+            assert plus[i, j] == want[0] + want[1]
+            assert mod2[i, j] == (want[0] + want[1]).mod2()
+
+
+def oracle_det(rows):
+    """The Leibniz sum over all permutations, in the a + b*T oracle."""
+    n = len(rows)
+    acc = (PolyInt(()), PolyInt(()))
+    for perm in itertools.permutations(range(n)):
+        sign = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)) % 2
+        term = (PolyInt((1,)), PolyInt(()))
+        for i in range(n):
+            term = oracle_mul(term, rows[i][perm[i]])
+        acc = (acc[0] - term[0], acc[1] - term[1]) if sign else (acc[0] + term[0], acc[1] + term[1])
+    return acc
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(c2_pairs(max_len=3, bound=3), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_c2_det_against_the_oracle(rows):
+    m = Mat([[C2Poly.from_parts(*e) for e in row] for row in rows], C2Poly)
+    assert parts(m.det()) == oracle_det(rows)
+
+
+@st.composite
+def narrow_zx_pairs(draw):
+    """Z[x] factors of inner dimension 1 or 2 (r, c <= 6) with entries of
+    length up to 12, so both product kernels of PolyInt run, coefficients
+    up to 2^64 and zero entries."""
+    r, n, c = draw(st.integers(1, 6)), draw(st.integers(1, ENTRYWISE_MAX_INNER)), draw(st.integers(1, 6))
+    entry = st.one_of(
+        st.lists(st.integers(-(2**64), 2**64), max_size=12).map(PolyInt),
+        st.just(PolyInt(())),
+        st.just(PolyInt((2**64,) * 12)),
+    )
+    a = tuple(tuple(draw(entry) for _ in range(n)) for _ in range(r))
+    b = tuple(tuple(draw(entry) for _ in range(c)) for _ in range(n))
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(narrow_zx_pairs())
+def test_zx_narrow_product_against_kronecker(pair):
+    a, b = pair
+    want = _kronecker_matmul(a, b)
+    assert _zx_matmul(a, b) == want
+    assert (Mat(a, PolyInt) * Mat(b, PolyInt)).entries == want
+    assert all(is_canonical(e) for row in want for e in row)
