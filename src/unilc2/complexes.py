@@ -132,6 +132,7 @@ def _signed(m: Mat, row_signs, col_signs) -> Mat:
             for row, r in zip(m.entries, row_signs)
         ),
         m.ring,
+        m.cols,
     )
 
 

@@ -109,7 +109,7 @@ def make_M(p: PolyInt, g: PolyInt) -> SplitFormation:
     pc = C2Poly.from_polyint(p)
     one = C2Poly.one()
     gg = ONE_MINUS_T * C2Poly.from_polyint(g)
-    gamma = Mat._raw(((pc, one), (one, gg)), C2Poly)
+    gamma = Mat._raw(((pc, one), (one, gg)), C2Poly, 2)
     mu = Mat.scalar(2, C2Poly.from_int(2), C2Poly)
     return SplitFormation(gamma, mu, gamma, -1)
 

@@ -19,7 +19,9 @@ from .rings import (
     PrecondError,
     RingTagError,
     ShapeError,
-    f2_divmod,
+    cl_divmod,
+    clmul,
+    f2_matmul_bits,
     format_poly,
 )
 
@@ -226,6 +228,7 @@ def standard_symplectic(n: int) -> Mat:
     return Mat._raw(
         tuple(tuple(one if j == i ^ 1 else zero for j in range(n)) for i in range(n)),
         PolyF2,
+        n,
     )
 
 
@@ -240,40 +243,40 @@ def symplectic_reduce(form: QuadraticForm) -> SymplecticBasis:
 
     The quadratic values q[j] = mu(u_j) ride along with the congruences:
     in characteristic 2, mu(a + f*b) = mu(a) + f^2 mu(b) + f lambda(a, b).
+
+    The reduction runs on bitmasks (PolyF2.bits) with the carry-less
+    arithmetic of rings; PolyF2 objects are built only for the result.
     """
     if form.ring is not PolyF2:
         raise RingTagError("symplectic reduction works over F2[x]")
     if form.epsilon != 1:
         raise PrecondError("symplectic reduction expects a (+1)-form")
-    lam = form.symmetrization()
     n = form.rank
-    if any(lam[i, i] for i in range(n)):
+    psi = [[p.bits for p in r] for r in form.psi.entries]
+    lam = [[psi[i][j] ^ psi[j][i] for j in range(n)] for i in range(n)]
+    if any(lam[i][i] for i in range(n)):
         raise PrecondError("pairing must be alternating (zero diagonal)")
-    g = [list(r) for r in lam.entries]
-    u = [list(r) for r in Mat.identity(n, PolyF2).entries]
-    q = [form.psi[j, j] for j in range(n)]
+    g = [list(r) for r in lam]  # the pairing in the current basis (symmetric)
+    ucols = [[int(i == j) for i in range(n)] for j in range(n)]  # the basis, by columns
+    q = [psi[j][j] for j in range(n)]
 
     def add_col(tgt, src, f):
-        # column op on u and the matching congruence update on g and q
+        # u_tgt += f * u_src, and the matching congruence on g and q: row
+        # and column tgt of g gain f times those of src (g[src][src] and
+        # the new g[tgt][tgt] are 0)
         if not f:
             return
-        if q[src]:
-            q[tgt] = q[tgt] + f * f * q[src]
-        if g[tgt][src]:
-            q[tgt] = q[tgt] + f * g[tgt][src]
-        for rows in (u, g):
-            for r in rows:
-                if r[src]:
-                    r[tgt] = r[tgt] + f * r[src]
-        gt, gs = g[tgt], g[src]
-        for j in range(n):
-            if gs[j]:
-                gt[j] = gt[j] + f * gs[j]
+        q[tgt] ^= clmul(clmul(f, f), q[src]) ^ clmul(f, g[tgt][src])
+        ucols[tgt] = [a ^ clmul(f, b) if b else a for a, b in zip(ucols[tgt], ucols[src])]
+        row = [a ^ clmul(f, b) if b else a for a, b in zip(g[tgt], g[src])]
+        row[tgt] = 0
+        g[tgt] = row
+        for r, v in zip(g, row):
+            r[tgt] = v
 
     def swap(i, j):
         q[i], q[j] = q[j], q[i]
-        for r in u:
-            r[i], r[j] = r[j], r[i]
+        ucols[i], ucols[j] = ucols[j], ucols[i]
         g[i], g[j] = g[j], g[i]
         for r in g:
             r[i], r[j] = r[j], r[i]
@@ -282,16 +285,17 @@ def symplectic_reduce(form: QuadraticForm) -> SymplecticBasis:
         # Euclid on row t: afterwards <e_t, e_piv> is the row's gcd and
         # every other pairing of e_t vanishes
         while True:
-            nz = [j for j in range(t + 1, n) if g[t][j]]
+            gt = g[t]
+            nz = [j for j in range(t + 1, n) if gt[j]]
             if not nz:
                 raise SingularFormError("pairing is not unimodular")
-            piv = min(nz, key=lambda j: (g[t][j].degree(), j))
+            piv = min(nz, key=lambda j: (gt[j].bit_length(), j))
             if len(nz) == 1:
                 break
             for j in nz:
                 if j != piv:
-                    add_col(j, piv, f2_divmod(g[t][j], g[t][piv])[0])
-        if not g[t][piv].is_unit():
+                    add_col(j, piv, cl_divmod(g[t][j], g[t][piv])[0])
+        if g[t][piv] != 1:
             raise SingularFormError("pairing is not unimodular")
         if piv != t + 1:
             swap(t + 1, piv)
@@ -299,10 +303,12 @@ def symplectic_reduce(form: QuadraticForm) -> SymplecticBasis:
         # already 0 for j > t+1, so only <e_{t+1}, e_j> needs clearing
         for j in range(t + 2, n):
             add_col(j, t, g[t + 1][j])
-    um = Mat._raw(tuple(map(tuple, u)), PolyF2)
-    if um.conj_t() * lam * um != standard_symplectic(n):
+    urows = [list(r) for r in zip(*ucols)]
+    moved = f2_matmul_bits(f2_matmul_bits(ucols, lam, n), urows, n)
+    if moved != [[int(j == i ^ 1) for j in range(n)] for i in range(n)]:
         raise SingularFormError("internal error: reduction did not standardise")
-    return SymplecticBasis(um, tuple(q))
+    um = Mat._raw(tuple(tuple(map(PolyF2, r)) for r in urows), PolyF2, n)
+    return SymplecticBasis(um, tuple(map(PolyF2, q)))
 
 
 def arf(form: QuadraticForm) -> ArfClass:

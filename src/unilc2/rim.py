@@ -24,7 +24,7 @@ the hessian identity, but no canonical lift choice is singled out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .forms import QuadraticForm, make_P
 from .formations import SplitFormation, make_Q
@@ -50,14 +50,16 @@ class AssemblyError(AlgebraError):
     """A matched pair of integer matrices is not congruent mod 2."""
 
 
-def compute_chi_prime(form: QuadraticForm) -> Mat:
-    """chi' = phi'^{-1} psi' phi'^{-1} over F2[x]; phi' must be unimodular."""
+def _phi_inverse(form: QuadraticForm) -> Mat:
+    """phi'^{-1} over F2[x]; PrecondError unless phi' is unimodular."""
     if form.ring is not PolyF2 or form.epsilon != 1:
         raise PrecondError("the boundary takes (+1)-forms over F2[x]")
-    phi = form.symmetrization()
-    if not phi.det().is_unit():
-        raise PrecondError("singular symmetrization")
-    inv = _inverse_f2(phi)
+    return _inverse_f2(form.symmetrization())
+
+
+def compute_chi_prime(form: QuadraticForm) -> Mat:
+    """chi' = phi'^{-1} psi' phi'^{-1} over F2[x]; phi' must be unimodular."""
+    inv = _phi_inverse(form)
     return inv * form.psi * inv
 
 
@@ -79,23 +81,35 @@ def canonical_P_lifts(q: PolyInt):
 
 @dataclass(frozen=True)
 class BoundaryInput:
-    """A form over F2[x] plus integer lifts of psi' and chi'."""
+    """A form over F2[x] plus integer lifts of psi' and chi'.
+
+    An omitted lift_chi is the coefficient-wise lift of chi'.  phi_inv, the
+    inverse of the symmetrization phi', is derived once here: it gives chi'
+    for the lift check and the re-coordination in boundary_steps.
+    """
 
     form: QuadraticForm
     lift_psi: Mat
-    lift_chi: Mat
+    lift_chi: Mat | None = None
+    phi_inv: Mat = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.lift_psi.ring is not PolyInt or self.lift_chi.ring is not PolyInt:
+        chi = self.lift_chi
+        if self.lift_psi.ring is not PolyInt or (chi is not None and chi.ring is not PolyInt):
             raise RingTagError("lifts must have entries in Z[x]")
         if self.lift_psi.mod2() != self.form.psi:
             raise LiftError("lift_psi does not reduce to the input form")
-        if self.lift_chi.mod2() != compute_chi_prime(self.form):
+        inv = _phi_inverse(self.form)
+        chi_prime = inv * self.form.psi * inv
+        if chi is None:
+            object.__setattr__(self, "lift_chi", default_lift(chi_prime))
+        elif chi.mod2() != chi_prime:
             raise LiftError("lift_chi does not reduce to chi'")
+        object.__setattr__(self, "phi_inv", inv)
 
     @classmethod
     def with_default_lifts(cls, form: QuadraticForm) -> "BoundaryInput":
-        return cls(form, default_lift(form.psi), default_lift(compute_chi_prime(form)))
+        return cls(form, default_lift(form.psi))
 
 
 @dataclass(frozen=True)
@@ -157,19 +171,11 @@ def _euclid_ops(m: Mat) -> list:
 
 
 def _inverse_f2(m: Mat) -> Mat:
-    """Inverse of an invertible F2[x] matrix by Gauss-Jordan elimination:
-    the operations that reduce m to Id, applied to Id."""
-    n = m.rows
-    one, zero = PolyF2.one(), PolyF2.zero()
-    inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for op in _euclid_ops(m):
-        if op[0] == "swap":
-            _, i, j = op
-            inv[i], inv[j] = inv[j], inv[i]
-        else:
-            _, i, j, f = op
-            inv[i] = [a + f * b for a, b in zip(inv[i], inv[j])]
-    return Mat._raw(tuple(map(tuple, inv)), PolyF2)
+    """Inverse of an invertible F2[x] matrix (PrecondError otherwise), by
+    the packed Gauss-Jordan elimination of rings."""
+    if m.ring is not PolyF2:
+        raise RingTagError("_inverse_f2 expects an F2[x] matrix")
+    return m.inverse_unimodular()
 
 
 def _unimodular_lift(phi_bar: Mat) -> Mat:
@@ -219,7 +225,7 @@ def _assemble(pair, gluing_check=True) -> Mat:
                     f"pair ({u}, {v}) does not glue: {exc}"
                 ) from exc
         rows.append(tuple(row))
-    return Mat._raw(tuple(rows), C2Poly)
+    return Mat._raw(tuple(rows), C2Poly, m_minus.cols)
 
 
 def boundary_steps(inp: BoundaryInput) -> BoundarySteps:
@@ -241,7 +247,7 @@ def boundary_steps(inp: BoundaryInput) -> BoundarySteps:
     )
     # re-coordinate the second lagrangian by a unimodular lift of the
     # inverse symmetrization, so that every pair glues over the identity
-    phi_tilde = _unimodular_lift(_inverse_f2(phi_bar))
+    phi_tilde = _unimodular_lift(inp.phi_inv)
     step2 = GluedPair(
         gamma=(gamma_b * phi_tilde, zero),
         mu=(phi * phi_tilde, ident),

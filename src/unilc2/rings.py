@@ -104,20 +104,21 @@ def _pack(coeffs, k: int) -> int:
     return z
 
 
-def _unpack(z: int, k: int, m: int) -> list:
-    """The m signed k-bit slots of z, lowest first.  A slot of at least
-    2^(k-1) stands for a negative coefficient and borrows one from the next
-    slot."""
+def _unpack(z: int, k: int) -> tuple:
+    """The coefficients of the polynomial whose value at x = 2^k is z, lowest
+    first and with no trailing zeros, when each fits a signed k-bit slot.  A
+    slot of at least 2^(k-1) stands for a negative coefficient and borrows
+    one from the next slot."""
     mask, half, full = (1 << k) - 1, 1 << (k - 1), 1 << k
     out = []
-    for _ in range(m):
+    while z:
         c = z & mask
         z >>= k
         if c >= half:
             c -= full
             z += 1
         out.append(c)
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +289,7 @@ def _add_product(out: list, a: tuple, b: tuple):
     SCHOOLBOOK_MAX_LEN."""
     if len(a) > SCHOOLBOOK_MAX_LEN and len(b) > SCHOOLBOOK_MAX_LEN:
         k = _slot_bits(1, len(a), len(b), max(map(abs, a)), max(map(abs, b)))
-        for i, c in enumerate(_unpack(_pack(a, k) * _pack(b, k), k, len(a) + len(b) - 1)):
+        for i, c in enumerate(_unpack(_pack(a, k) * _pack(b, k), k)):
             out[i] += c
         return
     for i, ai in enumerate(a):
@@ -316,6 +317,31 @@ def _as_polyint(v) -> PolyInt:
 
 # ---------------------------------------------------------------------------
 # F2[x], stored as an integer bitmask (bit k = coefficient of x^k)
+
+
+def clmul(a: int, b: int) -> int:
+    """Carry-less product of two bitmasks: their product in F2[x].  One
+    shifted copy of the denser operand is XORed in per set bit of the
+    sparser one."""
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    out = 0
+    while a:
+        low = a & -a
+        out ^= b * low  # b shifted to the set bit's position
+        a ^= low
+    return out
+
+
+def cl_divmod(a: int, b: int):
+    """Quotient and remainder of bitmasks in F2[x]; b is nonzero."""
+    q, db = 0, b.bit_length()
+    s = a.bit_length() - db
+    while s >= 0:
+        q |= 1 << s
+        a ^= b << s
+        s = a.bit_length() - db
+    return q, a
 
 
 class PolyF2:
@@ -380,14 +406,7 @@ class PolyF2:
         return self
 
     def __mul__(self, other):
-        other = _as_polyf2(other)
-        a, b, out = self.bits, other.bits, 0
-        while a:
-            if a & 1:
-                out ^= b
-            a >>= 1
-            b <<= 1
-        return PolyF2(out)
+        return PolyF2(clmul(self.bits, _as_polyf2(other).bits))
 
     __rmul__ = __mul__
 
@@ -440,11 +459,7 @@ def f2_divmod(a: PolyF2, b: PolyF2):
     """Quotient and remainder in the Euclidean domain F2[x]."""
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
-    q, r, db = 0, a.bits, b.bits.bit_length() - 1
-    while r.bit_length() - 1 >= db:
-        shift = r.bit_length() - 1 - db
-        q |= 1 << shift
-        r ^= b.bits << shift
+    q, r = cl_divmod(a.bits, b.bits)
     return PolyF2(q), PolyF2(r)
 
 
@@ -733,11 +748,12 @@ class Mat:
     # -- constructors
 
     @classmethod
-    def _raw(cls, rows, ring) -> "Mat":
-        """Internal fast path: entries already canonical for the ring."""
+    def _raw(cls, rows, ring, cols: int) -> "Mat":
+        """Internal fast path: entries already canonical for the ring, and
+        the column count (which a matrix with no rows cannot show)."""
         self = cls.__new__(cls)
         object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", len(rows[0]) if rows else 0)
+        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "ring", ring)
         return self
@@ -748,7 +764,7 @@ class Mat:
 
     @classmethod
     def zeros(cls, r: int, c: int, ring) -> "Mat":
-        return cls._raw(((ring.zero(),) * c,) * r, ring)
+        return cls._raw(((ring.zero(),) * c,) * r, ring, c)
 
     @classmethod
     def scalar(cls, n: int, value, ring) -> "Mat":
@@ -756,6 +772,7 @@ class Mat:
         return cls._raw(
             tuple(tuple(value if i == j else zero for j in range(n)) for i in range(n)),
             ring,
+            n,
         )
 
     @classmethod
@@ -773,7 +790,7 @@ class Mat:
             if any(b.rows != h for b in brow):
                 raise ShapeError("block row heights differ")
             out.extend(sum(r, ()) for r in zip(*(b.entries for b in brow)))
-        return cls._raw(tuple(out), ring)
+        return cls._raw(tuple(out), ring, sum(widths))
 
     @classmethod
     def block_diag(cls, blocks) -> "Mat":
@@ -787,7 +804,7 @@ class Mat:
             left, right = (zero,) * j, (zero,) * (m - j - b.cols)
             out.extend(left + r + right for r in b.entries)
             j += b.cols
-        return cls._raw(tuple(out), ring)
+        return cls._raw(tuple(out), ring, m)
 
     # -- basics
 
@@ -795,11 +812,12 @@ class Mat:
         return (
             isinstance(other, Mat)
             and self.ring is other.ring
+            and self.cols == other.cols
             and self.entries == other.entries
         )
 
     def __hash__(self):
-        return hash((self.ring.TAG, self.entries))
+        return hash((self.ring.TAG, self.cols, self.entries))
 
     def __getitem__(self, rc):
         return self.entries[rc[0]][rc[1]]
@@ -821,6 +839,7 @@ class Mat:
         return Mat._raw(
             tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
             self.ring,
+            self.cols,
         )
 
     def __add__(self, other):
@@ -831,43 +850,43 @@ class Mat:
 
     def __neg__(self):
         return Mat._raw(
-            tuple(tuple(-e for e in r) for r in self.entries), self.ring
+            tuple(tuple(-e for e in r) for r in self.entries), self.ring, self.cols
         )
 
     def __mul__(self, other):
         if not isinstance(other, Mat):  # entry * scalar stays in the ring or raises
-            return Mat._raw(tuple(tuple(e * other for e in r) for r in self.entries), self.ring)
+            return Mat._raw(
+                tuple(tuple(e * other for e in r) for r in self.entries), self.ring, self.cols
+            )
         self._check_ring(other)
         if self.cols != other.rows:
             raise ShapeError(
                 f"product shape mismatch: {self.rows}x{self.cols} * {other.rows}x{other.cols}"
             )
-        a, b = self.entries, other.entries
+        a, b, cols = self.entries, other.entries, other.cols
         if self.ring is PolyInt:
-            return Mat._raw(_zx_matmul(a, b), PolyInt)
+            return Mat._raw(_zx_matmul(a, b, cols), PolyInt, cols)
         if self.ring is PolyF2:
-            return Mat._raw(_f2_matmul(a, b, other.cols), PolyF2)
+            bits = f2_matmul_bits([[p.bits for p in r] for r in a], [[p.bits for p in r] for r in b], cols)
+            return Mat._raw(tuple(tuple(map(PolyF2, r)) for r in bits), PolyF2, cols)
         # Z[C2][x]: one Z[x] product per pullback leg, and only one when
         # both factors are T-free (equal legs)
         au, bu, av, bv = _legs(a, "u"), _legs(b, "u"), _legs(a, "v"), _legs(b, "v")
-        u = _zx_matmul(au, bu)
-        v = u if au == av and bu == bv else _zx_matmul(av, bv)
-        return Mat._raw(tuple(tuple(map(_c2, ru, rv)) for ru, rv in zip(u, v)), C2Poly)
+        u = _zx_matmul(au, bu, cols)
+        v = u if au == av and bu == bv else _zx_matmul(av, bv, cols)
+        return Mat._raw(_from_legs(u, v), C2Poly, cols)
 
     def __rmul__(self, other):
-        return Mat([[other * e for e in r] for r in self.entries], self.ring)
+        return self.map_entries(lambda e: other * e, self.ring)
 
     def conj_t(self) -> "Mat":
         """Conjugate-transpose: involution entry-wise, then transpose."""
-        return Mat._raw(
-            tuple(tuple(e.conj() for e in r) for r in zip(*self.entries))
-            if self.entries
-            else (),
-            self.ring,
-        )
+        cols = zip(*self.entries) if self.entries else ((),) * self.cols
+        return Mat._raw(tuple(tuple(e.conj() for e in r) for r in cols), self.ring, self.rows)
 
     def map_entries(self, fn, ring) -> "Mat":
-        return Mat([[fn(e) for e in r] for r in self.entries], ring)
+        coerce = _coercion(ring)
+        return Mat._raw(tuple(tuple(coerce(fn(e)) for e in r) for r in self.entries), ring, self.cols)
 
     # The ring maps below return canonical entries, so they skip coercion.
 
@@ -875,7 +894,7 @@ class Mat:
         if self.ring is PolyF2:
             return self
         rows = _legs(self.entries, "u") if self.ring is C2Poly else self.entries
-        return Mat._raw(tuple(tuple(map(PolyInt.mod2, r)) for r in rows), PolyF2)
+        return Mat._raw(tuple(tuple(map(PolyInt.mod2, r)) for r in rows), PolyF2, self.cols)
 
     def i_minus(self) -> "Mat":
         return self._leg("u")
@@ -887,7 +906,7 @@ class Mat:
         """Entry-wise T -> -1 ("u") or T -> +1 ("v") of a Z[C2][x] matrix."""
         if self.ring is not C2Poly:
             raise RingTagError(f"T-evaluation needs a Z[C2][x] matrix, not {self.ring.TAG}")
-        return Mat._raw(_legs(self.entries, name), PolyInt)
+        return Mat._raw(_legs(self.entries, name), PolyInt, self.cols)
 
     def to_c2(self) -> "Mat":
         if self.ring is C2Poly:
@@ -896,23 +915,14 @@ class Mat:
             return self.map_entries(C2Poly.from_polyint, C2Poly)
         raise RingTagError("no canonical embedding of F2[x] into Z[C2][x]")
 
-    def submatrix(self, drop_row: int, drop_col: int) -> "Mat":
-        return Mat._raw(
-            tuple(
-                r[:drop_col] + r[drop_col + 1:]
-                for i, r in enumerate(self.entries)
-                if i != drop_row
-            ),
-            self.ring,
-        )
-
     def det(self):
         """Determinant.
 
         Up to 2x2 by the expansion formula.  Above that, Z[x] and F2[x] use
-        fraction-free Bareiss elimination.  Z[C2][x] has zero divisors, so
-        its determinant is the pair of the determinants of its two legs:
-        both T-evaluations are ring maps, so they commute with det.
+        fraction-free Bareiss elimination on packed integers (_det).
+        Z[C2][x] has zero divisors, so its determinant is the pair of the
+        determinants of its two legs: both T-evaluations are ring maps, so
+        they commute with det.
         """
         if not self.is_square():
             raise ShapeError("determinant of a non-square matrix")
@@ -923,33 +933,46 @@ class Mat:
             return ent[0][0]
         if n == 2:
             return ent[0][0] * ent[1][1] - ent[0][1] * ent[1][0]
-        if self.ring is C2Poly:
-            return _c2(*(_bareiss(list(map(list, _legs(ent, s))), PolyInt) for s in "uv"))
-        return _bareiss([list(r) for r in ent], self.ring)
+        if self.ring is not C2Poly:
+            return _det(ent, self.ring)
+        lu, lv = _legs(ent, "u"), _legs(ent, "v")
+        u = _det(lu, PolyInt)
+        return _c2(u, u if lu == lv else _det(lv, PolyInt))
 
     def adjugate(self) -> "Mat":
-        """adj(A) with A * adj(A) = det(A) * Id."""
+        """adj(A) with A * adj(A) = det(A) * Id, in closed form up to 2x2.
+        Larger systems are solved by elimination (solve_right,
+        inverse_unimodular) instead."""
         if not self.is_square():
             raise ShapeError("adjugate of a non-square matrix")
         n, ent = self.rows, self.entries
+        if n > 2:
+            raise ShapeError("the adjugate is formed up to 2x2 only")
         if n == 0:
             return self
         if n == 1:
-            return Mat._raw(((self.ring.one(),),), self.ring)
-        if n == 2:
-            (a, b), (c, d) = ent
-            return Mat._raw(((d, -b), (-c, a)), self.ring)
-        out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = self.submatrix(i, j).det()
-                out[j][i] = minor if (i + j) % 2 == 0 else -minor
-        return Mat._raw(tuple(map(tuple, out)), self.ring)
+            return Mat._raw(((self.ring.one(),),), self.ring, 1)
+        (a, b), (c, d) = ent
+        return Mat._raw(((d, -b), (-c, a)), self.ring, 2)
 
     def inverse_unimodular(self) -> "Mat":
-        """Inverse of a matrix whose determinant is a ring unit."""
-        d = self.det()
-        return self.adjugate() * d.unit_inverse()
+        """Inverse of a matrix whose determinant is a ring unit (PrecondError
+        otherwise).  Up to 2x2 the adjugate over the unit determinant;
+        above that A * X = Id is solved by elimination, over Z[C2][x] on
+        each leg."""
+        if not self.is_square() or self.rows <= 2:
+            return self.adjugate() * self.det().unit_inverse()
+        ident, ent = Mat.identity(self.rows, self.ring).entries, self.entries
+        try:
+            if self.ring is not C2Poly:
+                return _solve(ent, ident, self.ring, self.rows)
+            one = _legs(ident, "u")
+            lu, lv = _legs(ent, "u"), _legs(ent, "v")
+            u = _solve(lu, one, PolyInt, self.rows).entries
+            v = u if lu == lv else _solve(lv, one, PolyInt, self.rows).entries
+        except NonDivisibleError:  # the determinant is not a unit
+            raise PrecondError("the determinant is not a unit") from None
+        return Mat._raw(_from_legs(u, v), C2Poly, self.rows)
 
     def is_unimodular(self) -> bool:
         return self.is_square() and self.det().is_unit()
@@ -968,21 +991,27 @@ def _legs(rows, name: str):
     return tuple([tuple([e.v for e in r]) for r in rows])
 
 
-def _zx_matmul(a, b):
-    """Row tuples of the product of Z[x] matrices given by their row tuples.
+def _from_legs(u, v):
+    """Z[C2][x] row tuples from the row tuples of their two legs."""
+    return tuple(tuple(map(_c2, ru, rv)) for ru, rv in zip(u, v))
+
+
+def _zx_matmul(a, b, cols):
+    """Row tuples of the product of Z[x] matrices given by their row tuples
+    (b has `cols` columns).
 
     Up to inner dimension ENTRYWISE_MAX_INNER each entry sums its products
     of nonzero factors in one coefficient list; wider products use
     Kronecker substitution, whose packing costs more than a short sum."""
     if len(b) > ENTRYWISE_MAX_INNER:
         return _kronecker_matmul(a, b)
-    cols = list(zip(*[[p.coeffs for p in r] for r in b]))
+    bcols = list(zip(*[[p.coeffs for p in r] for r in b])) if b else [()] * cols
     zero = PolyInt(())
     out = []
     for r in a:
         rc = [p.coeffs for p in r]
         row = []
-        for col in cols:
+        for col in bcols:
             acc = []
             for x, y in zip(rc, col):
                 if x and y:
@@ -996,7 +1025,8 @@ def _zx_matmul(a, b):
 
 
 def _kronecker_matmul(a, b):
-    """Row tuples of the product of Z[x] matrices given by their row tuples.
+    """Row tuples of the product of Z[x] matrices given by their row tuples
+    (b has at least one row).
 
     Every entry of both factors is packed once, at one slot width for the
     whole product; each dot product is accumulated as one Python int and
@@ -1006,115 +1036,164 @@ def _kronecker_matmul(a, b):
     la, lb = (max(map(len, ps), default=0) for ps in polys)
     ma, mb = (max((abs(c) for cs in ps for c in cs), default=0) for ps in polys)
     k = _slot_bits(len(b), la, lb, ma, mb)
-    m = la + lb - 1
     pb = list(zip(*[[_pack(p.coeffs, k) for p in r] for r in b]))
-    zero = PolyInt(())
     out = []
     for r in a:
         pr = [_pack(p.coeffs, k) for p in r]
-        row = []
-        for col in pb:
-            z = sum(map(operator.mul, pr, col))
-            row.append(PolyInt(_unpack(z, k, m)) if z else zero)
-        out.append(tuple(row))
+        out.append(tuple(PolyInt._raw(_unpack(sum(map(operator.mul, pr, col)), k)) for col in pb))
     return tuple(out)
 
 
-def _f2_matmul(a, b, cols):
-    """Row tuples of the product of F2[x] matrices given by their row tuples
-    (b has `cols` columns).
+def f2_matmul_bits(a, b, cols):
+    """Rows of the product of F2[x] matrices given by rows of bitmasks (b
+    has `cols` columns), as lists of bitmasks.
 
     Each row of b is packed into one int, slot j holding entry j's bits.  A
     product of an entry of a and one of b has at most la + lb - 1 bits (la,
     lb the longest entries), so at that slot width a shifted row never
     spills into the next slot, and XOR has no carries: row i of the product
-    is the XOR of b's packed rows, each shifted by the set bits of a[i][k].
+    is the XOR of the carry-less products a[i][k] * (packed row k of b).
     Each output entry is unpacked once.
     """
-    la = max((p.bits for r in a for p in r), default=0).bit_length()
-    lb = max((p.bits for r in b for p in r), default=0).bit_length()
+    la = max((v for r in a for v in r), default=0).bit_length()
+    lb = max((v for r in b for v in r), default=0).bit_length()
     w = max(la + lb - 1, 1)
     packed = []
     for r in b:
         z = 0
-        for p in reversed(r):
-            z = (z << w) | p.bits
+        for v in reversed(r):
+            z = (z << w) | v
         packed.append(z)
     mask = (1 << w) - 1
-    zero = PolyF2(0)
     out = []
     for r in a:
         acc = 0
-        for p, z in zip(r, packed):
-            bits = p.bits
-            while bits:
-                if bits & 1:
-                    acc ^= z
-                bits >>= 1
-                z <<= 1
+        for v, z in zip(r, packed):
+            if v:
+                acc ^= clmul(v, z)
         row = []
         for _ in range(cols):
-            v = acc & mask
-            row.append(PolyF2(v) if v else zero)
+            row.append(acc & mask)
             acc >>= w
-        out.append(tuple(row))
-    return tuple(out)
+        out.append(row)
+    return out
 
 
-def _pivot_row(a, k):
-    """Index of a row at or below k with a nonzero entry in column k,
-    preferring k itself; None if there is none."""
-    if a[k][k]:
-        return k
-    return next((i for i in range(k + 1, len(a)) if a[i][k]), None)
+# Exact elimination runs on integers.  Over F2[x] an entry is its bitmask.
+# Over Z[x] it is its value at x = 2^k (Kronecker substitution, as for the
+# products above): evaluation is a ring map, so every Bareiss division stays
+# exact over Z, and every intermediate of fraction-free elimination on a
+# matrix is (up to sign) one of its minors.  A minor's coefficients are at
+# most the product over its rows of the rows' coefficient L1 norms, so with
+# k one bit wider than the product over all rows of max(1, L1 norm) every
+# intermediate is a polynomial in signed k-bit slots: it is zero exactly
+# when its value is, and only the results are unpacked.
 
 
-def _bareiss_row(ri, rk, k, prev):
-    """One Bareiss update of row ri against pivot row rk at column k:
-    ri[j] <- (rk[k]*ri[j] - ri[k]*rk[j]) / prev for j > k.  Column k of ri
-    is left as it was; no later step reads it."""
+def _zx_pack_rows(rows):
+    """(k, int rows): Z[x] row tuples packed at x = 2^k, k from the minor
+    bound above."""
+    bound = 1
+    for r in rows:
+        bound *= max(1, sum([abs(c) for p in r for c in p.coeffs]))
+    k = bound.bit_length() + 1
+    return k, [[_pack(p.coeffs, k) for p in r] for r in rows]
+
+
+def _zx_row(ri, rk, k, prev):
+    """One Bareiss update of the packed Z[x] row ri against the pivot row
+    rk at column k: ri[j] <- (rk[k]*ri[j] - ri[k]*rk[j]) / prev for j > k.
+    Column k of ri is left as it was; no later step reads it."""
     piv, f = rk[k], ri[k]
-    for j in range(k + 1, len(rk)):
-        v = ri[j] * piv
-        if f and rk[j]:
-            v = v - f * rk[j]
-        ri[j] = v.exact_div(prev) if prev is not None else v
+    vals = [x * piv - f * y for x, y in zip(ri[k + 1:], rk[k + 1:])]
+    if prev != 1:
+        qr = [divmod(v, prev) for v in vals]
+        if any([r for _, r in qr]):
+            raise NonDivisibleError("a Bareiss division left a remainder")
+        vals = [q for q, _ in qr]
+    ri[k + 1:] = vals
 
 
-def _bareiss(a, ring):
-    """Determinant of the square list-of-lists a over an integral domain
-    (Z[x] or F2[x]) by Bareiss elimination; a is overwritten.
+def _f2_row(ri, rk, k, prev):
+    """_zx_row over F2[x], on bitmasks."""
+    piv, f = rk[k], ri[k]
+    vals = [clmul(x, piv) ^ clmul(f, y) for x, y in zip(ri[k + 1:], rk[k + 1:])]
+    if prev != 1:
+        qr = [cl_divmod(v, prev) for v in vals]
+        if any([r for _, r in qr]):
+            raise NonDivisibleError("a Bareiss division left a remainder")
+        vals = [q for q, _ in qr]
+    ri[k + 1:] = vals
 
-    After step k every entry below and right of the pivot is a (k+2)-minor
-    of the input, so each division by the previous pivot is exact.
-    E. H. Bareiss, Math. Comp. 22 (1968).
+
+def _eliminate(m, n, jordan, row_update):
+    """Fraction-free elimination of the first n columns of the int rows m
+    (n of them), in place.  E. H. Bareiss, Math. Comp. 22 (1968).
+
+    Each step takes the first row at or below the diagonal with a nonzero
+    entry in its column as pivot row.  Returns (sign, d): the sign of the
+    row permutation and the last pivot, which is sign * det of the left
+    n x n block; None if some column has no pivot (the block is singular).
+    With jordan, rows above each pivot are cleared too (Gauss-Jordan), which
+    leaves the left block d * Id and the rest d * A^{-1} * (the rest).
     """
-    n = len(a)
-    negate, prev = False, None
-    for k in range(n - 1):
-        p = _pivot_row(a, k)
-        if p is None:
-            return ring.zero()
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            negate = not negate
-        rk = a[k]
-        for ri in a[k + 1:]:
-            _bareiss_row(ri, rk, k, prev)
+    sign, prev = 1, 1
+    for k in range(n):
+        if not m[k][k]:
+            p = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if p is None:
+                return None
+            m[k], m[p] = m[p], m[k]
+            sign = -sign
+        rk = m[k]
+        for i in range(0 if jordan else k + 1, n):
+            if i != k:
+                row_update(m[i], rk, k, prev)
         prev = rk[k]
-    d = a[n - 1][n - 1]
-    return -d if negate else d
+    return sign, prev
+
+
+def _det(rows, ring):
+    """Determinant of a square Z[x] or F2[x] matrix given by its row tuples."""
+    if ring is PolyF2:
+        res = _eliminate([[p.bits for p in r] for r in rows], len(rows), False, _f2_row)
+        return PolyF2(res[1]) if res else PolyF2(0)
+    k, m = _zx_pack_rows(rows)
+    res = _eliminate(m, len(m), False, _zx_row)
+    return PolyInt._raw(_unpack(res[0] * res[1], k)) if res else PolyInt(())
+
+
+def _solve(a, b, ring, cols):
+    """X with A * X = B over Z[x] or F2[x] (A square, both given by row
+    tuples, B with `cols` columns), by fraction-free Gauss-Jordan on
+    [A | B]: d * X is read off the right block and divided by d.
+    PrecondError if A is singular, NonDivisibleError if X is not over the
+    ring."""
+    n = len(a)
+    rows = [ra + rb for ra, rb in zip(a, b)]
+    if ring is PolyF2:
+        m, row_update, unpack = [[p.bits for p in r] for r in rows], _f2_row, PolyF2
+    else:
+        k, m = _zx_pack_rows(rows)
+        row_update = _zx_row
+
+        def unpack(z):
+            return PolyInt._raw(_unpack(z, k))
+
+    res = _eliminate(m, n, True, row_update)
+    if res is None:
+        raise PrecondError("singular matrix")
+    d = unpack(res[1])
+    return Mat._raw(tuple(tuple(unpack(z).exact_div(d) for z in r[n:]) for r in m), ring, cols)
 
 
 def solve_right(a: Mat, b: Mat) -> Mat:
     """Solve A * X = B exactly over Z[x] by fraction-free Gauss-Jordan
-    elimination on [A | B].
+    elimination on [A | B] (_solve).
 
-    Every row other than the pivot row takes the Bareiss update, so after
-    the last step the left block is d * Id (d = +-det A) and the right block
-    is d * A^{-1} B.  A with no pivot in some column is singular
-    (PrecondError); a right block not exactly divisible by d means the
-    composite is not defined over the ring (NonDivisibleError).
+    A with no pivot in some column is singular (PrecondError); a right block
+    not exactly divisible by d = +-det A means the composite is not defined
+    over the ring (NonDivisibleError).
     """
     if a.ring is not PolyInt or b.ring is not PolyInt:
         raise RingTagError("solve_right works over Z[x]")
@@ -1122,20 +1201,7 @@ def solve_right(a: Mat, b: Mat) -> Mat:
         raise ShapeError("solve_right needs a square left-hand side")
     if a.rows != b.rows:
         raise ShapeError("solve_right shape mismatch")
-    n = a.rows
-    m = [list(ra + rb) for ra, rb in zip(a.entries, b.entries)]
-    prev = None
-    for k in range(n):
-        p = _pivot_row(m, k)
-        if p is None:
-            raise PrecondError("singular matrix in solve_right")
-        m[k], m[p] = m[p], m[k]
-        rk = m[k]
-        for i, ri in enumerate(m):
-            if i != k:
-                _bareiss_row(ri, rk, k, prev)
-        prev = rk[k]
-    return Mat._raw(tuple(tuple(e.exact_div(prev) for e in r[n:]) for r in m), PolyInt)
+    return _solve(a.entries, b.entries, PolyInt, b.cols)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import hashlib
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -291,19 +290,31 @@ def test_machine_stage_list():
     )
 
 
-def test_machine_chi_slack_invariance():
-    rng = random.Random(67)
-    f, ncd, expected = fixture(1, zx("x"), zx("1"), zx("x"))
+SLACK_FIXTURES = [(1, "x", "1", "x"), (1, "x^2", "1+x", "x"), (2, "x", "1", None), (4, "x", "x", None)]
+
+
+@st.composite
+def chi_slack(draw):
+    """A relation fixture and an antisymmetric Z[x] matrix of degree <= 2
+    of the witness's size."""
+    k, p, g, p2 = draw(st.sampled_from(SLACK_FIXTURES))
+    f, ncd, expected = fixture(k, zx(p), zx(g), zx(p2) if p2 else None)
     n = ncd.p_rank
-    for _ in range(5):
-        rows = [[PolyInt.zero()] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                e = PolyInt([rng.randint(-2, 2), rng.randint(-2, 2)])
-                rows[i][j] = e
-                rows[j][i] = -e
-        res = run_machine(f, NullCobordismData(ncd.pi, ncd.chi + Mat(rows, PolyInt)))
-        assert res.arf == expected
+    entry = st.lists(st.integers(-3, 3), max_size=3).map(PolyInt)
+    rows = [[PolyInt.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = draw(entry)
+            rows[j][i] = -rows[i][j]
+    return f, ncd, expected, Mat(rows, PolyInt)
+
+
+@settings(max_examples=40, deadline=None)
+@given(chi_slack())
+def test_machine_chi_slack_invariance(case):
+    f, ncd, expected, slack = case
+    res = run_machine(f, NullCobordismData(ncd.pi, ncd.chi + slack))
+    assert res.arf == expected
 
 
 def test_machine_rejects_broken_witness():

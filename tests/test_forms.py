@@ -10,6 +10,7 @@ from unilc2.forms import (
     ArfClass,
     QuadraticForm,
     SingularFormError,
+    SymplecticBasis,
     arf,
     arf_normalize,
     direct_sum,
@@ -21,7 +22,7 @@ from unilc2.forms import (
     symplectic_reduce,
     witt_equal,
 )
-from unilc2.rings import Mat, PolyF2, parse_matrix
+from unilc2.rings import Mat, PolyF2, PrecondError, RingTagError, f2_divmod, parse_matrix
 
 
 def rand_unimodular(rng, n):
@@ -254,6 +255,104 @@ def test_reduce_property_on_transported_block_sums(case):
     assert got == standard_symplectic(moved.rank)
     transported = moved.transport(basis.u).psi
     assert basis.mu == tuple(transported[i, i] for i in range(moved.rank))
+
+
+def polyf2_symplectic_reduce(form):
+    """Oracle: symplectic_reduce on PolyF2 objects, the congruences written
+    entry by entry (the version the bitmask reduction replaced)."""
+    if form.ring is not PolyF2:
+        raise RingTagError("symplectic reduction works over F2[x]")
+    if form.epsilon != 1:
+        raise PrecondError("symplectic reduction expects a (+1)-form")
+    lam = form.symmetrization()
+    n = form.rank
+    if any(lam[i, i] for i in range(n)):
+        raise PrecondError("pairing must be alternating (zero diagonal)")
+    g = [list(r) for r in lam.entries]
+    u = [list(r) for r in Mat.identity(n, PolyF2).entries]
+    q = [form.psi[j, j] for j in range(n)]
+
+    def add_col(tgt, src, f):
+        # column op on u and the matching congruence update on g and q
+        if not f:
+            return
+        if q[src]:
+            q[tgt] = q[tgt] + f * f * q[src]
+        if g[tgt][src]:
+            q[tgt] = q[tgt] + f * g[tgt][src]
+        for rows in (u, g):
+            for r in rows:
+                if r[src]:
+                    r[tgt] = r[tgt] + f * r[src]
+        gt, gs = g[tgt], g[src]
+        for j in range(n):
+            if gs[j]:
+                gt[j] = gt[j] + f * gs[j]
+
+    def swap(i, j):
+        q[i], q[j] = q[j], q[i]
+        for r in u:
+            r[i], r[j] = r[j], r[i]
+        g[i], g[j] = g[j], g[i]
+        for r in g:
+            r[i], r[j] = r[j], r[i]
+
+    for t in range(0, n, 2):
+        # Euclid on row t: afterwards <e_t, e_piv> is the row's gcd and
+        # every other pairing of e_t vanishes
+        while True:
+            nz = [j for j in range(t + 1, n) if g[t][j]]
+            if not nz:
+                raise SingularFormError("pairing is not unimodular")
+            piv = min(nz, key=lambda j: (g[t][j].degree(), j))
+            if len(nz) == 1:
+                break
+            for j in nz:
+                if j != piv:
+                    add_col(j, piv, f2_divmod(g[t][j], g[t][piv])[0])
+        if not g[t][piv].is_unit():
+            raise SingularFormError("pairing is not unimodular")
+        if piv != t + 1:
+            swap(t + 1, piv)
+        # decouple the rest from the new pair (t, t+1); <e_t, e_j> is
+        # already 0 for j > t+1, so only <e_{t+1}, e_j> needs clearing
+        for j in range(t + 2, n):
+            add_col(j, t, g[t + 1][j])
+    um = Mat(u, PolyF2)
+    if um.conj_t() * lam * um != standard_symplectic(n):
+        raise SingularFormError("internal error: reduction did not standardise")
+    return SymplecticBasis(um, tuple(q))
+
+
+
+@st.composite
+def perturbed_block_sums(draw):
+    """A transported block sum, sometimes with psi changed off the diagonal
+    (the pairing then is often singular) or a row and column dropped (odd
+    rank)."""
+    _, form = draw(transported_block_sums())
+    n = form.rank
+    rows = [list(r) for r in form.psi.entries]
+    for i, j, bits in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                              st.integers(1, 7)), max_size=2)):
+        rows[i][j] = rows[i][j] + PolyF2(bits)
+    if n > 2 and draw(st.booleans()):
+        rows = [r[:-1] for r in rows[:-1]]
+    return QuadraticForm(Mat(rows, PolyF2), 1)
+
+
+def _reduction(reduce, form):
+    try:
+        basis = reduce(form)
+    except (SingularFormError, PrecondError) as exc:
+        return type(exc)
+    return basis.u, basis.mu
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(transported_block_sums().map(lambda case: case[1]), perturbed_block_sums()))
+def test_reduce_against_the_polyf2_oracle(form):
+    assert _reduction(symplectic_reduce, form) == _reduction(polyf2_symplectic_reduce, form)
 
 
 @pytest.mark.parametrize(
