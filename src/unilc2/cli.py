@@ -219,15 +219,33 @@ def _parse_word(text: str) -> witt.GenWord:
     return word
 
 
+_SIGNS = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
+
+
+def _parse_value(key: str, text: str):
+    """Type a step value by its key: n is an integer, dir and sign are
+    options, anything else is a polynomial over Z[x].  Which keys a rule
+    takes is checked by witt.Step."""
+    if key == "n":
+        return _int(text)
+    if key == "dir":
+        return text
+    if key == "sign":
+        if text not in _SIGNS:
+            raise ParseError(f"sign is one of {' '.join(_SIGNS)}, not {text!r}")
+        return _SIGNS[text]
+    return _poly_int(text)
+
+
 def _parse_script(path: str) -> tuple:
     """Line format: rule then key=value pairs; start:/end: lines give the
-    endpoint words."""
+    endpoint words; # starts a comment.  Returns (steps, start, end)."""
     steps = []
     start = end = None
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            line = raw.partition("#")[0].strip()
+            if not line:
                 continue
             if line.startswith("start:"):
                 start = _parse_word(line[len("start:"):])
@@ -235,29 +253,21 @@ def _parse_script(path: str) -> tuple:
             if line.startswith("end:"):
                 end = _parse_word(line[len("end:"):])
                 continue
-            bits = line.split()
-            rule = bits[0].upper()
+            rule, *bits = line.split()
             params = {}
-            for bit in bits[1:]:
+            for bit in bits:
                 key, _, value = bit.partition("=")
-                if key == "n":
-                    params["n"] = _int(value)
-                elif key == "dir":
-                    params["dir"] = value
-                elif key == "sign":
-                    params["sign"] = 1 if value in ("+", "+1", "1") else -1
-                else:
-                    params[key] = _poly_int(value)
-            steps.append(witt.Step(rule, params))
+                params[key] = _parse_value(key, value)
+            steps.append(witt.Step(rule.upper(), params))
     if start is None or end is None:
         raise ParseError("script needs start: and end: lines")
-    return witt.DerivationScript(tuple(steps)), start, end
+    return tuple(steps), start, end
 
 
 def cmd_replay(args) -> int:
-    script, start, end = _parse_script(args.script)
+    steps, start, end = _parse_script(args.script)
     try:
-        closed = witt.replay(script, start, end)
+        closed = witt.replay(steps, start, end)
     except witt.ReplayError as exc:
         print(f"invalid {exc}")
         return EXIT_DOMAIN
@@ -336,10 +346,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except AlgebraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except FileNotFoundError as exc:
+    except (AlgebraError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

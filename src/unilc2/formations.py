@@ -15,8 +15,6 @@ certificates attached to them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .rings import (
     AlgebraError,
     C2Poly,
@@ -129,24 +127,6 @@ def make_Q(q: PolyInt) -> SplitFormation:
     return SplitFormation(gamma, mu, theta, -1)
 
 
-@dataclass(frozen=True)
-class LinkingFormGen:
-    """Symbolic exponent-two linking-form generator, kept by its parameters;
-    computations go through the split-formation resolution."""
-
-    p: PolyInt
-    g: PolyInt
-
-    def __post_init__(self):
-        if self.p.constant != 0 and self.g.constant != 0:
-            raise PrecondError(
-                "either p or g must have zero constant coefficient"
-            )
-
-    def resolution(self) -> "SplitFormation":
-        return make_N_resolution(self.p, self.g)
-
-
 def make_N_resolution(p: PolyInt, g: PolyInt) -> SplitFormation:
     """Resolution over Z[x] of the exponent-two linking-form generator with
     parameters p, g: gamma = theta = [[p,1],[1,2g]], mu = 2*Id."""
@@ -247,18 +227,18 @@ def verify_formation_iso(
       (ii)  mu' beta = alpha^{-*} mu
       (iii) beta^* theta' beta - theta - mu^* nu mu is an even difference
             (eta - (-e) eta^* for some eta).
-    alpha and beta must be unimodular.
+    alpha and beta must be unimodular (PrecondError otherwise).
     """
     if src.epsilon != dst.epsilon or src.ring is not dst.ring:
         raise PrecondError("formations must share epsilon and ring")
     e = src.epsilon
-    if not (alpha.is_unimodular() and beta.is_unimodular()):
+    if not (alpha.is_square() and beta.is_unimodular()):
         raise PrecondError("alpha and beta must be unimodular")
+    alpha_inv_star = alpha.conj_t().inverse_unimodular()  # checks det(alpha)
     nus = nu.conj_t()
     skew_nu = nu - nus if e == 1 else nu + nus
     if dst.gamma * beta != alpha * src.gamma + skew_nu * src.mu:
         return False
-    alpha_inv_star = alpha.conj_t().inverse_unimodular()
     if dst.mu * beta != alpha_inv_star * src.mu:
         return False
     diff = (

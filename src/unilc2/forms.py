@@ -55,10 +55,6 @@ class ArfClass:
     def zero() -> "ArfClass":
         return ArfClass(0, frozenset())
 
-    @staticmethod
-    def from_poly(q: PolyF2) -> "ArfClass":
-        return arf_normalize(q)
-
     def __add__(self, other: "ArfClass") -> "ArfClass":
         return ArfClass(self.constant ^ other.constant, self.odd ^ other.odd)
 

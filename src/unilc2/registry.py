@@ -564,9 +564,10 @@ def check_verschiebung(cfg):
         g = PolyInt([rng.randint(0, 2), rng.randint(0, 2)])
         word = witt.GenWord.generator(p1, g) + witt.GenWord.generator(p2, g)
         n = rng.choice((2, 3))
-        a = witt.verschiebung(n, witt.apply_R1(word, p1, p2, g))
-        b = witt.apply_R1(
+        a = witt.verschiebung(n, witt.apply_rule(word, "R1", p1, p2, g))
+        b = witt.apply_rule(
             witt.verschiebung(n, word),
+            "R1",
             p1.subs_power(n),
             p2.subs_power(n),
             g.subs_power(n),
@@ -589,7 +590,7 @@ def check_machine_crosscheck(cfg):
     ]
     for p1, p2, g in triples:
         word = witt.GenWord.generator(p1, g) + witt.GenWord.generator(p2, g)
-        debris = witt.apply_R1(word, p1, p2, g).arf_part
+        debris = witt.apply_rule(word, "R1", p1, p2, g).arf_part
         res, _ = complexes.run_relation(1, p1, g, p2=p2)
         if res.arf != debris:
             return False, f"rewrite debris disagrees with the machine at ({p1},{p2},{g})"

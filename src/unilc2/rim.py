@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .forms import QuadraticForm, make_P
-from .formations import SplitFormation, make_Q
+from .forms import QuadraticForm
+from .formations import SplitFormation
 from .rings import (
     AlgebraError,
     C2Poly,
@@ -50,17 +50,18 @@ class AssemblyError(AlgebraError):
     """A matched pair of integer matrices is not congruent mod 2."""
 
 
-def _phi_inverse(form: QuadraticForm) -> Mat:
-    """phi'^{-1} over F2[x]; PrecondError unless phi' is unimodular."""
+def _chi_prime(form: QuadraticForm):
+    """(chi', phi'^{-1}) with chi' = phi'^{-1} psi' phi'^{-1} over F2[x];
+    PrecondError unless phi' is unimodular."""
     if form.ring is not PolyF2 or form.epsilon != 1:
         raise PrecondError("the boundary takes (+1)-forms over F2[x]")
-    return _inverse_f2(form.symmetrization())
+    inv = form.symmetrization().inverse_unimodular()
+    return inv * form.psi * inv, inv
 
 
 def compute_chi_prime(form: QuadraticForm) -> Mat:
     """chi' = phi'^{-1} psi' phi'^{-1} over F2[x]; phi' must be unimodular."""
-    inv = _phi_inverse(form)
-    return inv * form.psi * inv
+    return _chi_prime(form)[0]
 
 
 def default_lift(m: Mat) -> Mat:
@@ -99,8 +100,7 @@ class BoundaryInput:
             raise RingTagError("lifts must have entries in Z[x]")
         if self.lift_psi.mod2() != self.form.psi:
             raise LiftError("lift_psi does not reduce to the input form")
-        inv = _phi_inverse(self.form)
-        chi_prime = inv * self.form.psi * inv
+        chi_prime, inv = _chi_prime(self.form)
         if chi is None:
             object.__setattr__(self, "lift_chi", default_lift(chi_prime))
         elif chi.mod2() != chi_prime:
@@ -170,14 +170,6 @@ def _euclid_ops(m: Mat) -> list:
     return ops
 
 
-def _inverse_f2(m: Mat) -> Mat:
-    """Inverse of an invertible F2[x] matrix (PrecondError otherwise), by
-    the packed Gauss-Jordan elimination of rings."""
-    if m.ring is not PolyF2:
-        raise RingTagError("_inverse_f2 expects an F2[x] matrix")
-    return m.inverse_unimodular()
-
-
 def _unimodular_lift(phi_bar: Mat) -> Mat:
     """A lift of an invertible F2[x] matrix that is unimodular over Z[x].
 
@@ -208,7 +200,7 @@ def _unimodular_lift(phi_bar: Mat) -> Mat:
     return lift
 
 
-def _assemble(pair, gluing_check=True) -> Mat:
+def _assemble(pair) -> Mat:
     """Entry-wise fibre-product assembly of (matrix over leg-, matrix over
     leg+) into a matrix over Z[C2][x]."""
     m_minus, m_plus = pair
@@ -266,17 +258,6 @@ def boundary_steps(inp: BoundaryInput) -> BoundarySteps:
 def boundary(inp: BoundaryInput) -> SplitFormation:
     """Boundary formation over Z[C2][x] of a lifted form over F2[x]."""
     return boundary_steps(inp).result
-
-
-def verify_boundary_fixture(q: PolyInt) -> bool:
-    """End-to-end check that the boundary of the P-family form at (q, 1)
-    with the canonical lifts equals make_Q(q) as exact matrices."""
-    if q.constant != 0:
-        raise PrecondError("q must have zero constant coefficient")
-    form = make_P(q.mod2(), PolyF2.one())
-    psi, chi = canonical_P_lifts(q)
-    out = boundary(BoundaryInput(form, psi, chi))
-    return out == make_Q(q)
 
 
 def expected_fixture_steps(q: PolyInt):

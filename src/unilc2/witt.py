@@ -5,14 +5,10 @@ multiset of rank-2 generators M(p, g) plus an Arf class absorbing all the
 boundary generators (the boundary map is injective, so a Q-generator is
 remembered only through its Arf class).
 
-The four rewrite rules are
-
-    additivity            M(p1,g) + M(p2,g) = M(p1+p2,g) + [p1*p2*g^2]
-    symmetry              M(2p,g) = M(2g,p)
-    square associativity  M(x^2 p, g) = M(p, x^2 g)
-    square root           M(2 p^2 g, g) = M(2p, g)
-
-applied in either direction, to a positively or negatively signed
+The four rewrite rules (additivity, symmetry, square associativity and
+square root) are the relations R1-R4 of the table RULES, which also holds
+the other steps a derivation may take and the parameters of each.  They
+apply in either direction, to a positively or negatively signed
 occurrence.  Derivations are replayed step by step; the discharge step for
 M(4p, g) checks the explicit formation isomorphism onto M(0, g) and that
 M(0, g) is a graph formation.  Verschiebung operators substitute x -> x^n
@@ -21,6 +17,7 @@ everywhere.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .forms import ArfClass, arf_normalize
@@ -51,10 +48,6 @@ class ReplayError(AlgebraError):
         super().__init__(f"step {index}: {reason}")
 
 
-def _key(p: PolyInt, g: PolyInt):
-    return (p, g)
-
-
 class GenWord:
     """Integer combination of M-generators plus a reduced Arf part."""
 
@@ -67,7 +60,7 @@ class GenWord:
                 continue
             if p.constant * g.constant != 0:  # the constant coefficient of p*g
                 raise PrecondError("every generator needs p*g in x*Z[x]")
-            terms[_key(p, g)] = c
+            terms[(p, g)] = c
         if not arf_part.is_reduced():
             raise PrecondError("the Arf part of a reduced word has constant 0")
         object.__setattr__(self, "m_terms", terms)
@@ -91,7 +84,7 @@ class GenWord:
         return GenWord({}, arf_normalize(q.mod2()))
 
     def coeff(self, p: PolyInt, g: PolyInt) -> int:
-        return self.m_terms.get(_key(p, g), 0)
+        return self.m_terms.get((p, g), 0)
 
     def is_zero(self) -> bool:
         return not self.m_terms and not self.arf_part
@@ -133,13 +126,6 @@ class GenWord:
             bits.append(f"+Q({q})" if bits else f"Q({q})")
         return "".join(bits) if bits else "0"
 
-    def _shift(self, key, delta: int) -> dict:
-        terms = dict(self.m_terms)
-        terms[key] = terms.get(key, 0) + delta
-        if terms[key] == 0:
-            del terms[key]
-        return terms
-
 
 def _take(word: GenWord, keys, sign: int) -> dict:
     """Remove one signed occurrence of each key (with multiplicity for
@@ -168,51 +154,63 @@ def _put(terms: dict, keys, sign: int) -> dict:
     return terms
 
 
-def apply_R1(
-    word: GenWord,
-    p1: PolyInt,
-    p2: PolyInt,
-    g: PolyInt,
-    direction: str = "lr",
-    sign: int = 1,
+_TWO = PolyInt((2,))
+_X2 = PolyInt.x_power(2)
+_NO_DEBRIS = ArfClass.zero()
+
+
+def _additivity(p1, p2, g):
+    gb = g.mod2()  # reduce each factor first: mod 2 is a ring map
+    debris = arf_normalize(p1.mod2() * p2.mod2() * gb * gb)
+    return [(p1, g), (p2, g)], [(p1 + p2, g)], debris
+
+
+@dataclass(frozen=True)
+class Rule:
+    """An entry of RULES: the parameter names, in the order the rule takes
+    them, and the keys of OPTIONS a step may add.  A relation (R1-R4) has a
+    move, from its parameters to the generators taken, the generators put
+    and the Arf debris, read left to right; any other rule has an act,
+    (word, *params, **options) -> word."""
+
+    params: tuple
+    options: tuple = ("dir", "sign")
+    move: Callable | None = None
+    act: Callable | None = None
+
+
+# The options a step may give, by key: the keyword the rule's function
+# takes it as and its allowed values.  Left out, it takes that default.
+OPTIONS = {"dir": ("direction", ("lr", "rl")), "sign": ("sign", (1, -1))}
+
+RULES = {
+    # additivity: M(p1,g) + M(p2,g) = M(p1+p2,g) + [p1*p2*g^2]
+    "R1": Rule(("p1", "p2", "g"), move=_additivity),
+    # symmetry: M(2p,g) = M(2g,p)
+    "R2": Rule(("p", "g"), move=lambda p, g: ([(_TWO * p, g)], [(_TWO * g, p)], _NO_DEBRIS)),
+    # square associativity: M(x^2 p,g) = M(p,x^2 g)
+    "R3": Rule(("p", "g"), move=lambda p, g: ([(_X2 * p, g)], [(p, _X2 * g)], _NO_DEBRIS)),
+    # square root: M(2 p^2 g,g) = M(2p,g)
+    "R4": Rule(("p", "g"), move=lambda p, g: ([(_TWO * p * p * g, g)], [(_TWO * p, g)], _NO_DEBRIS)),
+    "VN": Rule(("n",), (), act=lambda word, n: verschiebung(n, word)),
+    # looked up by name on each call, so a wrapper on witt.apply_iso_M0 sees it
+    "ISO-M0": Rule(("p", "g"), ("sign",), act=lambda w, p, g, **o: apply_iso_M0(w, p, g, **o)),
+    "QARITH": Rule(("q",), (), act=lambda word, q: apply_qarith(word, q)),
+}
+
+
+def apply_rule(
+    word: GenWord, rule: str, *params, direction: str = "lr", sign: int = 1
 ) -> GenWord:
-    """Additivity: M(p1,g) + M(p2,g) <-> M(p1+p2,g) + [p1*p2*g^2].
+    """Apply the relation rule (R1-R4) at params.
 
-    lr merges the two generators on the left into the one on the right;
-    rl splits.  sign selects a positively or negatively signed occurrence.
+    lr takes the generators of the left side and puts those of the right;
+    rl does the reverse.  sign selects a positively or negatively signed
+    occurrence.  The Arf debris is added either way: it is 2-torsion.
     """
-    debris = arf_normalize((p1 * p2 * g * g).mod2())
-    left = [_key(p1, g), _key(p2, g)]
-    right = [_key(p1 + p2, g)]
+    left, right, debris = RULES[rule].move(*params)
     src, dst = (left, right) if direction == "lr" else (right, left)
-    terms = _put(_take(word, src, sign), dst, sign)
-    return GenWord(terms, word.arf_part + debris)
-
-
-def _indexed_rule(word, src_key, dst_key, sign):
-    terms = _put(_take(word, [src_key], sign), [dst_key], sign)
-    return GenWord(terms, word.arf_part)
-
-
-def apply_R2(word, p, g, direction="lr", sign=1) -> GenWord:
-    """Symmetry: M(2p, g) <-> M(2g, p)."""
-    two = PolyInt((2,))
-    a, b = _key(two * p, g), _key(two * g, p)
-    return _indexed_rule(word, *((a, b) if direction == "lr" else (b, a)), sign)
-
-
-def apply_R3(word, p, g, direction="lr", sign=1) -> GenWord:
-    """Square associativity: M(x^2 p, g) <-> M(p, x^2 g)."""
-    x2 = PolyInt.x_power(2)
-    a, b = _key(x2 * p, g), _key(p, x2 * g)
-    return _indexed_rule(word, *((a, b) if direction == "lr" else (b, a)), sign)
-
-
-def apply_R4(word, p, g, direction="lr", sign=1) -> GenWord:
-    """Square root: M(2 p^2 g, g) <-> M(2p, g)."""
-    two = PolyInt((2,))
-    a, b = _key(two * p * p * g, g), _key(two * p, g)
-    return _indexed_rule(word, *((a, b) if direction == "lr" else (b, a)), sign)
+    return GenWord(_put(_take(word, src, sign), dst, sign), word.arf_part + debris)
 
 
 def verschiebung(n: int, word: GenWord) -> GenWord:
@@ -221,7 +219,7 @@ def verschiebung(n: int, word: GenWord) -> GenWord:
         raise PrecondError("verschiebung needs n > 0")
     terms = {}
     for (p, g), c in word.m_terms.items():
-        k = _key(p.subs_power(n), g.subs_power(n))
+        k = (p.subs_power(n), g.subs_power(n))
         terms[k] = terms.get(k, 0) + c
     return GenWord(terms, word.arf_part.verschiebung(n))
 
@@ -244,7 +242,7 @@ def apply_iso_M0(word: GenWord, p: PolyInt, g: PolyInt, sign: int = 1) -> GenWor
         raise RuleError("the M(0,g) -> M(4p,g) isomorphism witness fails")
     if not is_graph(src):
         raise RuleError("M(0,g) is not a graph formation")
-    return GenWord(_take(word, [_key(four_p, g)], sign), word.arf_part)
+    return GenWord(_take(word, [(four_p, g)], sign), word.arf_part)
 
 
 def apply_qarith(word: GenWord, q: PolyInt) -> GenWord:
@@ -258,42 +256,37 @@ def apply_qarith(word: GenWord, q: PolyInt) -> GenWord:
 
 @dataclass(frozen=True)
 class Step:
-    rule: str           # R1 | R2 | R3 | R4 | VN | ISO-M0 | QARITH
+    """A rule of RULES with its parameters and options by name; RuleError
+    unless they are exactly what the rule takes."""
+
+    rule: str
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        entry = RULES.get(self.rule)
+        if entry is None:
+            raise RuleError(f"unknown rule {self.rule!r}, not one of {' '.join(RULES)}")
+        given = self.params
+        wrong = [f"missing {k}" for k in entry.params if k not in given]
+        wrong += [f"unexpected {k}" for k in given if k not in entry.params + entry.options]
+        wrong += [f"{k} must be one of {'/'.join(map(str, OPTIONS[k][1]))}"
+                  for k in entry.options if k in given and given[k] not in OPTIONS[k][1]]
+        if wrong:
+            takes = " ".join([*entry.params, *(f"[{k}]" for k in entry.options)])
+            raise RuleError(f"{self.rule} takes {takes}: {', '.join(wrong)}")
+
     def apply(self, word: GenWord) -> GenWord:
-        r, p = self.rule, self.params
-        if r == "R1":
-            return apply_R1(
-                word, p["p1"], p["p2"], p["g"],
-                p.get("dir", "lr"), p.get("sign", 1),
-            )
-        if r == "R2":
-            return apply_R2(word, p["p"], p["g"], p.get("dir", "lr"), p.get("sign", 1))
-        if r == "R3":
-            return apply_R3(word, p["p"], p["g"], p.get("dir", "lr"), p.get("sign", 1))
-        if r == "R4":
-            return apply_R4(word, p["p"], p["g"], p.get("dir", "lr"), p.get("sign", 1))
-        if r == "VN":
-            return verschiebung(p["n"], word)
-        if r == "ISO-M0":
-            return apply_iso_M0(word, p["p"], p["g"], p.get("sign", 1))
-        if r == "QARITH":
-            return apply_qarith(word, p["q"])
-        raise RuleError(f"unknown rule {r!r}")
+        entry = RULES[self.rule]
+        args = [self.params[k] for k in entry.params]
+        opts = {OPTIONS[k][0]: v for k, v in self.params.items() if k in OPTIONS}
+        if entry.move is not None:
+            return apply_rule(word, self.rule, *args, **opts)
+        return entry.act(word, *args, **opts)
 
 
-@dataclass(frozen=True)
-class DerivationScript:
-    steps: tuple
-
-    def __iter__(self):
-        return iter(self.steps)
-
-
-def replay(script: DerivationScript, start: GenWord, end: GenWord) -> bool:
-    """Apply the script to start; ReplayError tags the failing step, and the
-    return value is whether the final word equals end."""
+def replay(script, start: GenWord, end: GenWord) -> bool:
+    """Apply the steps of script to start; ReplayError tags the failing
+    step, and the return value is whether the final word equals end."""
     word = start
     for i, step in enumerate(script):
         try:
@@ -306,15 +299,13 @@ def replay(script: DerivationScript, start: GenWord, end: GenWord) -> bool:
 # -- script generators transcribing the four derivations
 
 
-def exponent_four_script(p: PolyInt, g: PolyInt) -> DerivationScript:
+def exponent_four_script(p: PolyInt, g: PolyInt) -> tuple:
     """4*M(p,g) -> 0: merge twice, merge the doubles, discharge M(4p,g)."""
-    return DerivationScript(
-        (
-            Step("R1", {"p1": p, "p2": p, "g": g}),
-            Step("R1", {"p1": p, "p2": p, "g": g}),
-            Step("R1", {"p1": PolyInt((2,)) * p, "p2": PolyInt((2,)) * p, "g": g}),
-            Step("ISO-M0", {"p": p, "g": g}),
-        )
+    return (
+        Step("R1", {"p1": p, "p2": p, "g": g}),
+        Step("R1", {"p1": p, "p2": p, "g": g}),
+        Step("R1", {"p1": _TWO * p, "p2": _TWO * p, "g": g}),
+        Step("ISO-M0", {"p": p, "g": g}),
     )
 
 
@@ -324,7 +315,7 @@ def _monomials(p: PolyInt):
     ]
 
 
-def idempotence_script(p: PolyInt) -> DerivationScript:
+def idempotence_script(p: PolyInt) -> tuple:
     """2*(V2 - 1)*M(p,1) -> 0 for p with zero constant coefficient and
     nonnegative coefficients.
 
@@ -338,13 +329,12 @@ def idempotence_script(p: PolyInt) -> DerivationScript:
     if any(c < 0 for c in p.coeffs):
         raise PrecondError("monomial decomposition needs nonnegative coefficients")
     one = PolyInt.one()
-    two = PolyInt((2,))
     v2p = p.subs_power(2)
     steps = [
         Step("R1", {"p1": v2p, "p2": v2p, "g": one}),
         Step("R1", {"p1": p, "p2": p, "g": one, "sign": -1}),
     ]
-    for poly, sign in ((two * v2p, 1), (two * p, -1)):
+    for poly, sign in ((_TWO * v2p, 1), (_TWO * p, -1)):
         # peel monomials off the merged generator, highest exponent first
         rest = poly
         mono = _monomials(poly)
@@ -375,7 +365,7 @@ def idempotence_script(p: PolyInt) -> DerivationScript:
     for c, k in sorted(_monomials(p), key=lambda ck: -ck[1]):
         for _ in range(c):
             steps.append(Step("R4", {"p": PolyInt.x_power(k), "g": one}))
-    return DerivationScript(tuple(steps))
+    return tuple(steps)
 
 
 def _claim_steps(k: int, sign: int):
@@ -403,7 +393,7 @@ def _claim_steps(k: int, sign: int):
     return steps
 
 
-def exponent_two_script(k: int) -> DerivationScript:
+def exponent_two_script(k: int) -> tuple:
     """2*(M(x,g) - M(1,xg)) -> 0 for g = x^k: merge both signed pairs, turn
     the doubles by symmetry, then run the inductive monomial chain.
 
@@ -420,21 +410,19 @@ def exponent_two_script(k: int) -> DerivationScript:
         Step("R2", {"p": x, "g": g}),
     ]
     if k == 0:
-        return DerivationScript(tuple(steps))
+        return tuple(steps)
     steps.append(Step("R2", {"p": one, "g": xg, "sign": -1}))
     steps += _claim_steps(k, 1)
-    return DerivationScript(tuple(steps))
+    return tuple(steps)
 
 
-def nilpotence_script(g: PolyInt) -> DerivationScript:
+def nilpotence_script(g: PolyInt) -> tuple:
     """V2*(M(x,g) - M(1,xg)) -> 0: substitute and apply square
     associativity once."""
     one = PolyInt.one()
-    return DerivationScript(
-        (
-            Step("VN", {"n": 2}),
-            Step("R3", {"p": one, "g": g.subs_power(2), "sign": 1}),
-        )
+    return (
+        Step("VN", {"n": 2}),
+        Step("R3", {"p": one, "g": g.subs_power(2), "sign": 1}),
     )
 
 

@@ -1,6 +1,11 @@
+import io
 import os
+import re
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from unilc2.cli import main
 from unilc2.rings import MAX_DIM, MAX_EXPONENT
@@ -166,6 +171,21 @@ def test_replay_script(capsys, tmp_path):
     assert "chain closes" in out
 
 
+def test_replay_script_with_trailing_comments(capsys, tmp_path):
+    path = tmp_path / "commented.script"
+    path.write_text(
+        "start: 4*M(x;1)  # four copies\n"
+        "end: 0\n"
+        "R1 p1=x p2=x g=1          # additivity, direction lr (merge) by default\n"
+        "R1 p1=x p2=x g=1\n"
+        "R1 p1=2*x p2=2*x g=1\n"
+        "ISO-M0 p=x g=1            # discharge M(4p,g) via the explicit isomorphism\n"
+    )
+    code, out = run(capsys, "replay", str(path))
+    assert code == 0
+    assert out == "chain closes\n"
+
+
 def test_replay_invalid_step(capsys, tmp_path):
     path = tmp_path / "bad.script"
     path.write_text("start: M(x;1)\nend: 0\nR4 p=x g=1\n")
@@ -198,6 +218,38 @@ def test_replay_exponent_over_the_cap_is_a_domain_error(capsys, tmp_path, steps,
     assert code == 3
     assert out.startswith(f"invalid step {index}: ")
     assert str(MAX_EXPONENT) in out
+
+
+@pytest.mark.parametrize(
+    "step",
+    [
+        "R2 p=x",  # no g
+        "VN",  # no n
+        "R2 p=x g=1 bogus=1",  # a key R2 does not take
+        "R2 p=x g=1 dir=sideways",
+        "R2 p=x g=1 sign=banana",
+        "R9 p=x g=1",  # no such rule
+        "ISO-M0 p=x g=1 dir=rl",  # ISO-M0 takes no direction
+    ],
+)
+def test_replay_malformed_step_is_a_domain_error(capsys, tmp_path, step):
+    path = tmp_path / "bad.script"
+    path.write_text(f"start: M(2*x;1)\nend: M(2;x)\n{step}\n")
+    code = main(["replay", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_replay_undecodable_script_is_a_domain_error(capsys, tmp_path):
+    path = tmp_path / "binary.script"
+    path.write_bytes(b"start: M(x;1)\nend: 0\n\xff\xfe\n")
+    code = main(["replay", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_replay_open_chain(capsys, tmp_path):
@@ -273,3 +325,142 @@ def test_verify_deterministic_across_runs():
     assert strip(first) == strip(second)
     assert [r[0] for r in first.results] == [c.id for c in REGISTRY if c.id.startswith("rings.")]
     assert first.ok
+
+
+# -- grammar fuzz: no input text may crash the CLI or read as a failed check
+
+POLY_TEXTS = ["x", "1", "0", "2*x", "x^2", "-x", "1+x", "4*x", "x^3+x", "2", "2*x^2"]
+BAD_TEXTS = ["T", "", "x^1025", "abc", "1.5", "x*", "lr", "banana", "+", "-3"]
+ATOM_TEXTS = ["M(x;1)", "M(2*x;1)", "M(0;x)", "M(1;x)", "M(x;x)", "Q(x)", "Q(x^3)",
+              "M(2;x)", "M(4*x;1)", "2*M(x;1)", "4*M(x;1)", "0"]
+BAD_ATOMS = ["Q(1)", "M(1;1)", "M(", "Q)", "M(x;1", "3*", "*M(x;1)", "M(x)"]
+# the keys each rule takes, so that most generated steps are well formed
+RULE_KEYS = {"R1": ("p1", "p2", "g"), "R2": ("p", "g"), "R3": ("p", "g"), "R4": ("p", "g"),
+             "VN": ("n",), "ISO-M0": ("p", "g"), "QARITH": ("q",)}
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+junk = st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=12)
+
+
+def _step_line(rule, values, bad, extras, drop):
+    """A step line for rule; bad, if not None, replaces its last value, and
+    drop leaves out that many keys."""
+    keys = RULE_KEYS.get(rule, ("p", "g"))
+    values = [len(v) % 4 if k == "n" else v for k, v in zip(keys, values)]
+    if bad is not None:
+        values[-1] = bad
+    bits = [f"{k}={v}" for k, v in zip(keys, values)]
+    return " ".join([rule, *bits[:len(bits) - drop], *extras])
+
+
+step_lines = st.builds(
+    _step_line,
+    st.sampled_from([*RULE_KEYS, "r2", "vn", "R5"]),
+    st.lists(st.sampled_from(POLY_TEXTS), min_size=3, max_size=3),
+    st.one_of(*[st.none()] * 6, st.sampled_from(BAD_TEXTS), junk),
+    st.lists(st.sampled_from(["dir=rl", "dir=lr", "sign=-", "sign=+1", "sign=1"]), max_size=2),
+    st.sampled_from([0, 0, 0, 1]),
+)
+words = st.builds(
+    lambda atoms, signs: "".join(s + a for s, a in zip(signs, atoms)) or "0",
+    st.lists(st.sampled_from(ATOM_TEXTS * 4 + BAD_ATOMS), max_size=3),
+    st.lists(st.sampled_from(["", "+", "-"]), min_size=3, max_size=3),
+)
+scripts = st.builds(
+    lambda start, end, body: "\n".join([start, end, *body]) + "\n",
+    st.one_of(*[words.map(lambda w: f"start: {w}")] * 4, st.sampled_from(["", "start:"])),
+    st.one_of(*[words.map(lambda w: f"end: {w}")] * 4, st.sampled_from(["", "end:"])),
+    st.lists(st.one_of(
+        *[step_lines] * 8,
+        st.sampled_from(["", "# comment", "VN n=0", "VN n=-1", "VN n=x", "R2 p=x g=1 bogus=1",
+                         "R2 p=x g=1 dir=sideways", "R2 p=x g=1 sign=banana", "R2 g", "R2 =x"]),
+        junk,
+    ), max_size=5),
+)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(scripts)
+@example("start: M(2*x;1)\nend: M(2;x)\nR2 p=x\n")
+@example("start: M(2*x;1)\nend: M(2;x)\nVN\n")
+@example("start: M(2*x;1)\nend: M(2;x)\nR2 p=x g=1 bogus=1\n")
+@example("start: M(2*x;1)\nend: M(2;x)\nR2 p=x g=1 dir=sideways\n")
+@example("start: M(2*x;1)\nend: M(2;x)\nR2 p=x g=1 sign=banana\n")
+@example("start: M(2*x;1)\nend: M(2;x)\nR2 p=x g=1\n")
+@example("start: 2*M(x;1)\nend: 0\nR1 p1=x p2=x g=1\n")
+@example("start: M(x;1)\nend: 0\nR4 p=x g=1\n")
+def test_replay_grammar_fuzz(tmp_path, text):
+    path = tmp_path / "fuzz.script"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = _run_cli(["replay", str(path)])
+    assert code in (0, 1, 3)
+    if code == 0:
+        assert out == "chain closes\n"
+    elif code == 1:
+        assert out == "chain does not close\n"
+    elif out:
+        assert re.fullmatch(r"invalid step \d+: .*\n", out, re.S)
+    else:
+        assert err.startswith("error: ")
+
+
+ENTRY_TEXTS = ["x", "1", "0", "2", "2*x", "1-T", "T", "2-2*T", "x^2"]
+BAD_MATRICES = ["[x,1;1]", "x", "[abc]", "[T", "[x^1025]", "[]", "[0]"]
+
+
+def _matrix(entries, rows, cols):
+    it = iter(entries)
+    return "[" + ";".join(",".join(next(it) for _ in range(cols)) for _ in range(rows)) + "]"
+
+
+def _formation_file(shape, entries, gamma_cols, bad, extra):
+    """gamma and mu of one shape and theta square, so most files are
+    well formed; bad, if not None, replaces one of the three lines."""
+    rows, cols = shape
+    lines = [
+        f"gamma={_matrix(entries, rows, gamma_cols or cols)}",
+        f"mu={_matrix(entries, rows, cols)}",
+        f"theta={_matrix(entries, cols, cols)}",
+    ]
+    if bad is not None:
+        lines[bad[0]] = lines[bad[0]].split("=")[0] + "=" + bad[1]
+    return lines + extra
+
+
+formation_files = st.builds(
+    _formation_file,
+    st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    st.lists(st.sampled_from(ENTRY_TEXTS), min_size=27, max_size=27),
+    st.sampled_from([None, None, None, 1, 2]),
+    st.one_of(st.none(), st.tuples(st.integers(0, 2), st.one_of(st.sampled_from(BAD_MATRICES), junk))),
+    st.lists(st.one_of(
+        st.sampled_from(["ring=Z[x]", "ring=F2[x]", "ring=Z[C2][x]", "ring=Q", "epsilon=1",
+                         "epsilon=-1", "epsilon=0", "epsilon=odd", "", "# comment", "gamma",
+                         "=", "bogus=1"]),
+        junk,
+    ), max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(formation_files)
+@example(["ring=Z[x]", "gamma=[x,1;1,2]", "mu=[2,0;0,2]", "theta=[x,1;1,2]"])
+@example(["ring=Z[x]", "gamma=[x,1;1,2]", "mu=[2,0;0,2]", "theta=[x,1;1,2]", "epsilon=1"])
+@example(["ring=F2[x]", "gamma=[x,1;1,0]", "mu=[0,0;0,0]", "theta=[x,1;1,0]"])
+@example(["gamma=[x,1]", "mu=[x,1]", "theta=[1]"])
+def test_formation_file_grammar_fuzz(tmp_path, lines):
+    path = tmp_path / "fuzz.formation"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = _run_cli(["formation", "check", str(path)])
+    assert code in (0, 3)
+    if code == 0:
+        assert [line.split(":")[0] for line in out.splitlines()] == ["hessian", "duality", "graph"]
+    else:
+        assert out == "" and err.startswith("error: ")

@@ -66,15 +66,6 @@ def test_make_N_resolution():
         make_N_resolution(zx("1"), zx("1"))
 
 
-def test_linking_form_generator_type():
-    from unilc2.formations import LinkingFormGen
-
-    gen = LinkingFormGen(zx("x"), zx("1"))
-    assert gen.resolution() == make_N_resolution(zx("x"), zx("1"))
-    with pytest.raises(PrecondError):
-        LinkingFormGen(zx("1"), zx("1"))
-
-
 def test_hessians_on_sweep():
     for p, g in pg_sweep(max_deg=2):
         assert make_M(p, g).hessian_holds()
@@ -177,6 +168,17 @@ def test_iso_requires_unimodular_change():
     bad = Mat.scalar(2, C2Poly.from_int(2), C2Poly)
     with pytest.raises(PrecondError):
         verify_formation_iso(m, m, bad, bad, Mat.zeros(2, 2, C2Poly))
+
+
+def test_iso_checks_alpha_and_beta_separately():
+    m = make_M(zx("x"), zx("1"))
+    ident, zero = Mat.identity(2, C2Poly), Mat.zeros(2, 2, C2Poly)
+    bad = Mat.scalar(2, C2Poly.from_int(2), C2Poly)
+    wide = Mat.zeros(2, 3, C2Poly)
+    for alpha, beta in ((bad, ident), (ident, bad), (wide, ident), (ident, wide)):
+        with pytest.raises(PrecondError):
+            verify_formation_iso(m, m, alpha, beta, zero)
+    assert verify_formation_iso(m, m, ident, ident, zero)
 
 
 # -- sums and negation

@@ -16,9 +16,7 @@ from unilc2.rim import (
     compute_chi_prime,
     default_lift,
     expected_fixture_steps,
-    verify_boundary_fixture,
     _assemble,
-    _inverse_f2,
     _unimodular_lift,
 )
 from unilc2.rings import Mat, PolyF2, PolyInt, PrecondError, parse_matrix
@@ -65,7 +63,8 @@ def test_lift_validation():
 
 @pytest.mark.parametrize("qtext", ["x", "x^2", "x+x^3", "x^5", "2*x"])
 def test_boundary_fixture(qtext):
-    assert verify_boundary_fixture(zx(qtext))
+    q = zx(qtext)
+    assert boundary(BoundaryInput(make_P(q.mod2(), PolyF2.one()), *canonical_P_lifts(q))) == make_Q(q)
 
 
 def test_boundary_intermediates():
@@ -190,7 +189,7 @@ def test_inverse_f2_against_adjugate():
         for _ in range(4):
             m = dense_unimodular(rng, n)
             assert m.det() == PolyF2.one()
-            inv = _inverse_f2(m)
+            inv = m.inverse_unimodular()
             assert inv == cofactor_adjugate(m)
             assert m * inv == Mat.identity(n, PolyF2)
 
@@ -207,7 +206,7 @@ def test_inverse_f2_against_adjugate():
 )
 def test_inverse_f2_rejects_non_invertible(text):
     with pytest.raises(PrecondError):
-        _inverse_f2(parse_matrix(text, PolyF2))
+        parse_matrix(text, PolyF2).inverse_unimodular()
 
 
 def dense_boundary_form(rng, rank):

@@ -2,25 +2,24 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import int_polys, pg_sweep, zx
 
 from unilc2.forms import ArfClass, arf_normalize
 from unilc2.rings import PolyInt, PrecondError
 from unilc2.witt import (
-    DerivationScript,
+    RULES,
     GenWord,
     NWord,
     ReplayError,
     RuleError,
     SpanError,
     Step,
-    apply_R1,
-    apply_R2,
-    apply_R3,
-    apply_R4,
     apply_iso_M0,
     apply_qarith,
+    apply_rule,
     exponent_four_script,
     exponent_four_start,
     exponent_two_script,
@@ -67,7 +66,7 @@ def test_generator_precondition():
 
 def test_additivity_merges():
     w = GenWord.generator(x, one) + GenWord.generator(x, one)
-    out = apply_R1(w, x, x, one)
+    out = apply_rule(w, "R1", x, x, one)
     assert out.coeff(zx("2*x"), one) == 1
     assert out.arf_part == arf_normalize(zx("x^2").mod2())
     assert out.arf_part.to_poly().bits == 0b10  # [x^2] = [x]
@@ -75,53 +74,67 @@ def test_additivity_merges():
 
 def test_additivity_with_zero_partner():
     w = GenWord.generator(x, x) + GenWord.generator(zx("0"), x)
-    out = apply_R1(w, x, zx("0"), x)
+    out = apply_rule(w, "R1", x, zx("0"), x)
     assert out.coeff(x, x) == 1 and len(out.m_terms) == 1
     assert out.arf_part == ArfClass.zero()
 
 
 def test_additivity_distinct_parameters():
     w = GenWord.generator(x, one) + GenWord.generator(zx("x^2"), one)
-    out = apply_R1(w, x, zx("x^2"), one)
+    out = apply_rule(w, "R1", x, zx("x^2"), one)
     assert out.coeff(zx("x+x^2"), one) == 1
     assert out.arf_part.to_poly().bits == 0b1000  # [x^3]
 
 
 def test_additivity_split_direction():
     w = GenWord.generator(zx("2*x"), one)
-    out = apply_R1(w, x, x, one, direction="rl")
+    out = apply_rule(w, "R1", x, x, one, direction="rl")
     assert out.coeff(x, one) == 2
-    assert apply_R1(out, x, x, one) == w
+    assert apply_rule(out, "R1", x, x, one) == w
 
 
 def test_rule_requires_occurrence():
     with pytest.raises(RuleError):
-        apply_R1(GenWord.generator(x, one), x, x, one)
+        apply_rule(GenWord.generator(x, one), "R1", x, x, one)
     with pytest.raises(RuleError):
-        apply_R4(GenWord.zero(), x, one)
+        apply_rule(GenWord.zero(), "R4", x, one)
+
+
+x_polys = st.lists(st.integers(-3, 3), max_size=5).map(lambda cs: PolyInt([0, *cs]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x_polys, x_polys, st.lists(st.integers(-3, 3), max_size=5).map(PolyInt))
+def test_additivity_debris_is_the_class_of_p1_p2_g_squared(p1, p2, g):
+    # the debris reduces each factor mod 2 before multiplying; the product
+    # over Z[x] reduced afterwards is the oracle
+    w = GenWord.generator(p1, g) + GenWord.generator(p2, g)
+    out = apply_rule(w, "R1", p1, p2, g)
+    assert out.arf_part == arf_normalize((p1 * p2 * g * g).mod2())
+    assert apply_rule(out, "R1", p1, p2, g, direction="rl") == w
 
 
 def test_symmetry_instance():
     w = GenWord.generator(zx("2*x"), zx("x^2"))
-    out = apply_R2(w, x, zx("x^2"))
+    out = apply_rule(w, "R2", x, zx("x^2"))
     assert out.coeff(zx("2*x^2"), x) == 1
 
 
 def test_square_associativity_instance():
     w = GenWord.generator(zx("x^3"), one)
-    out = apply_R3(w, x, one)
+    out = apply_rule(w, "R3", x, one)
     assert out.coeff(x, zx("x^2")) == 1
 
 
 def test_square_root_instance():
     w = GenWord.generator(zx("2*x^3"), x)
-    out = apply_R4(w, x, x)
+    out = apply_rule(w, "R4", x, x)
     assert out.coeff(zx("2*x"), x) == 1
 
 
 def test_negative_occurrences():
     w = -GenWord.generator(zx("2*x"), one)
-    out = apply_R2(w, x, one, sign=-1)
+    out = apply_rule(w, "R2", x, one, sign=-1)
     assert out.coeff(zx("2"), x) == -1
 
 
@@ -137,6 +150,51 @@ def test_iso_m0_discharges():
     assert apply_iso_M0(w, x, one).is_zero()
     w0 = GenWord.generator(zx("0"), x)
     assert apply_iso_M0(w0, zx("0"), x).is_zero()
+
+
+# -- steps are checked against the rule table
+
+
+@pytest.mark.parametrize(
+    "rule, params",
+    [
+        ("R5", {"p": x, "g": one}),
+        ("r2", {"p": x, "g": one}),  # names are exact; the CLI upper-cases
+        ("R2", {"p": x}),
+        ("R1", {"p1": x, "g": one}),
+        ("VN", {}),
+        ("R2", {"p": x, "g": one, "bogus": one}),
+        ("R2", {"p": x, "g": one, "dir": "sideways"}),
+        ("R3", {"p": x, "g": one, "sign": 0}),
+        ("R4", {"p": x, "g": one, "sign": "-"}),
+        ("ISO-M0", {"p": x, "g": one, "dir": "rl"}),
+        ("QARITH", {"q": x, "sign": -1}),
+        ("VN", {"n": 2, "dir": "lr"}),
+    ],
+)
+def test_step_is_checked_against_the_rule_table(rule, params):
+    with pytest.raises(RuleError):
+        Step(rule, params)
+
+
+def test_step_takes_the_declared_parameters_and_options():
+    assert set(RULES) == {"R1", "R2", "R3", "R4", "VN", "ISO-M0", "QARITH"}
+    assert RULES["R1"].params == ("p1", "p2", "g")
+    assert all(RULES[r].params == ("p", "g") for r in ("R2", "R3", "R4", "ISO-M0"))
+    assert RULES["VN"].params == ("n",) and RULES["QARITH"].params == ("q",)
+    w = -GenWord.generator(zx("2*x"), one)
+    step = Step("R2", {"p": x, "g": one, "dir": "lr", "sign": -1})
+    assert step.apply(w) == -GenWord.generator(zx("2"), x)
+    assert Step("R2", {"p": one, "g": x, "dir": "rl", "sign": -1}).apply(w) == (
+        -GenWord.generator(zx("2"), x)
+    )
+    assert Step("ISO-M0", {"p": x, "g": one, "sign": -1}).apply(
+        -GenWord.generator(zx("4*x"), one)
+    ).is_zero()
+    assert Step("VN", {"n": 2}).apply(GenWord.generator(x, one)) == GenWord.generator(
+        zx("x^2"), one
+    )
+    assert Step("QARITH", {"q": x}).apply(GenWord.zero()) == GenWord.q_generator(x)
 
 
 # -- substitution operators
@@ -173,9 +231,9 @@ def test_verschiebung_commutes_with_additivity():
         g = PolyInt([rng.randint(0, 2), rng.randint(0, 2)])
         w = GenWord.generator(p1, g) + GenWord.generator(p2, g)
         n = rng.choice((2, 3))
-        lhs = verschiebung(n, apply_R1(w, p1, p2, g))
-        rhs = apply_R1(
-            verschiebung(n, w), p1.subs_power(n), p2.subs_power(n), g.subs_power(n)
+        lhs = verschiebung(n, apply_rule(w, "R1", p1, p2, g))
+        rhs = apply_rule(
+            verschiebung(n, w), "R1", p1.subs_power(n), p2.subs_power(n), g.subs_power(n)
         )
         assert lhs == rhs
 
@@ -209,11 +267,9 @@ def test_nilpotence_replay():
 
 
 def test_replay_reports_failing_step():
-    bad = DerivationScript(
-        (
-            Step("R1", {"p1": x, "p2": x, "g": one}),
-            Step("R4", {"p": x, "g": one}),  # needs M(2x^2,1), absent
-        )
+    bad = (
+        Step("R1", {"p1": x, "p2": x, "g": one}),
+        Step("R4", {"p": x, "g": one}),  # needs M(2x^2,1), absent
     )
     start = 2 * GenWord.generator(x, one)
     with pytest.raises(ReplayError) as err:
@@ -222,7 +278,7 @@ def test_replay_reports_failing_step():
 
 
 def test_replay_open_chain_returns_false():
-    script = DerivationScript((Step("R1", {"p1": x, "p2": x, "g": one}),))
+    script = (Step("R1", {"p1": x, "p2": x, "g": one}),)
     start = 2 * GenWord.generator(x, one)
     assert not replay(script, start, GenWord.zero())
 
@@ -231,7 +287,7 @@ def test_misapplied_square_root_is_diagnosed():
     # odd first index: the rule instance does not match
     w = GenWord.generator(zx("x"), one)
     with pytest.raises(RuleError):
-        apply_R4(w, x, one)
+        apply_rule(w, "R4", x, one)
 
 
 # -- section
