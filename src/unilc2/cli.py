@@ -106,15 +106,26 @@ def cmd_boundary(args) -> int:
     return EXIT_OK if same else EXIT_VERIFY_FAIL
 
 
+_FORMATION_KEYS = ("ring", "epsilon", "gamma", "mu", "theta")
+
+
 def _read_formation(path: str) -> formations.SplitFormation:
+    """key=value lines, each key of _FORMATION_KEYS at most once; lines
+    starting with # are comments."""
     fields = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
+            key, eq, value = line.partition("=")
+            key = key.strip()
+            if not eq or key not in _FORMATION_KEYS:
+                keys = " ".join(_FORMATION_KEYS)
+                raise ParseError(f"formation file lines are key=value, key one of {keys}: {line!r}")
+            if key in fields:
+                raise ParseError(f"formation file gives {key} twice")
+            fields[key] = value.strip()
     ring_by_name = {"Z[x]": PolyInt, "F2[x]": PolyF2, "Z[C2][x]": C2Poly}
     ring = ring_by_name.get(fields.get("ring", "Z[C2][x]"))
     missing = [k for k in ("gamma", "mu", "theta") if k not in fields]
@@ -177,23 +188,19 @@ def cmd_machine(args) -> int:
 
 
 def _parse_word(text: str) -> witt.GenWord:
-    """Word grammar: terms k*M(p;g) and k*Q(q) joined by +/-; 0 for zero."""
+    """Word grammar: terms k*M(p;g) and k*Q(q), each after one + or -
+    (optional before the first term); 0 for zero."""
     s = text.replace(" ", "")
-    if s in ("0", ""):
-        return witt.GenWord.zero()
     word = witt.GenWord.zero()
+    if s in ("0", ""):
+        return word
     i = 0
-    sign = 1
     while i < len(s):
-        ch = s[i]
-        if ch == "+":
-            sign = 1
+        sign = -1 if s[i] == "-" else 1
+        if s[i] in "+-":
             i += 1
-            continue
-        if ch == "-":
-            sign = -1
-            i += 1
-            continue
+        elif i:
+            raise ParseError(f"word terms are joined by + or -, not juxtaposed: {text!r}")
         coeff = 1
         j = i
         while j < len(s) and (s[j].isdigit()):
@@ -202,6 +209,8 @@ def _parse_word(text: str) -> witt.GenWord:
             coeff = _int(s[i:j])
             i = j + 1
         kind = s[i : i + 1]
+        if not kind:
+            raise ParseError(f"word ends in a sign: {text!r}")
         if kind not in ("M", "Q"):
             raise ParseError(f"bad word atom near {s[i:]!r} in {text!r}")
         close = s.find(")", i)
@@ -214,7 +223,6 @@ def _parse_word(text: str) -> witt.GenWord:
         else:
             atom = witt.GenWord.q_generator(_poly_int(inner))
         word = word + (sign * coeff) * atom
-        sign = 1
         i = close + 1
     return word
 

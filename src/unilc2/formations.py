@@ -71,14 +71,6 @@ class SplitFormation:
         lhs = self.theta - ts if self.epsilon == 1 else self.theta + ts
         return lhs == self.gamma.conj_t() * self.mu
 
-    def map_entries(self, fn, ring) -> "SplitFormation":
-        return SplitFormation(
-            self.gamma.map_entries(fn, ring),
-            self.mu.map_entries(fn, ring),
-            self.theta.map_entries(fn, ring),
-            self.epsilon,
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, SplitFormation)

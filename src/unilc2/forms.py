@@ -204,11 +204,15 @@ class SymplecticBasis:
 
     Column 2i is e_i and column 2i+1 is f_i; the transported pairing is the
     block-antidiagonal standard symplectic matrix.  mu[j] is the quadratic
-    value of column j, i.e. the diagonal of the transported psi.
+    value of column j, i.e. the diagonal of the transported psi.  ops are
+    the elementary column operations that build u from Id, in order:
+    ("add", tgt, src, f) for u_tgt += f * u_src, with f a nonzero bitmask
+    (PolyF2.bits), and ("swap", i, j).
     """
 
     u: Mat
     mu: tuple
+    ops: tuple
 
     @property
     def pairs(self):
@@ -242,6 +246,7 @@ def symplectic_reduce(form: QuadraticForm) -> SymplecticBasis:
 
     The reduction runs on bitmasks (PolyF2.bits) with the carry-less
     arithmetic of rings; PolyF2 objects are built only for the result.
+    Every column operation is recorded in the result's ops.
     """
     if form.ring is not PolyF2:
         raise RingTagError("symplectic reduction works over F2[x]")
@@ -255,6 +260,7 @@ def symplectic_reduce(form: QuadraticForm) -> SymplecticBasis:
     g = [list(r) for r in lam]  # the pairing in the current basis (symmetric)
     ucols = [[int(i == j) for i in range(n)] for j in range(n)]  # the basis, by columns
     q = [psi[j][j] for j in range(n)]
+    ops = []
 
     def add_col(tgt, src, f):
         # u_tgt += f * u_src, and the matching congruence on g and q: row
@@ -262,6 +268,7 @@ def symplectic_reduce(form: QuadraticForm) -> SymplecticBasis:
         # the new g[tgt][tgt] are 0)
         if not f:
             return
+        ops.append(("add", tgt, src, f))
         q[tgt] ^= clmul(clmul(f, f), q[src]) ^ clmul(f, g[tgt][src])
         ucols[tgt] = [a ^ clmul(f, b) if b else a for a, b in zip(ucols[tgt], ucols[src])]
         row = [a ^ clmul(f, b) if b else a for a, b in zip(g[tgt], g[src])]
@@ -271,6 +278,7 @@ def symplectic_reduce(form: QuadraticForm) -> SymplecticBasis:
             r[tgt] = v
 
     def swap(i, j):
+        ops.append(("swap", i, j))
         q[i], q[j] = q[j], q[i]
         ucols[i], ucols[j] = ucols[j], ucols[i]
         g[i], g[j] = g[j], g[i]
@@ -304,7 +312,7 @@ def symplectic_reduce(form: QuadraticForm) -> SymplecticBasis:
     if moved != [[int(j == i ^ 1) for j in range(n)] for i in range(n)]:
         raise SingularFormError("internal error: reduction did not standardise")
     um = Mat._raw(tuple(tuple(map(PolyF2, r)) for r in urows), PolyF2, n)
-    return SymplecticBasis(um, tuple(map(PolyF2, q)))
+    return SymplecticBasis(um, tuple(map(PolyF2, q)), tuple(ops))
 
 
 def arf(form: QuadraticForm) -> ArfClass:

@@ -9,8 +9,8 @@ symmetrization).  The construction runs in three recorded steps:
      with the hyperbolic data over the other leg, glued over phi';
   2. a change of coordinates on the second lagrangian that re-glues the
      pair over the identity (this needs a unimodular integer lift of the
-     inverse of phi', produced from an elementary factorization when the
-     coefficient-wise lift is not already unimodular);
+     inverse of phi', read off the symplectic reduction of phi': its
+     elementary column operations are lifted one by one);
   3. entry-wise assembly of each matched pair of integer matrices into a
      single matrix over Z[C2][x] through the fibre-product isomorphism.
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .forms import QuadraticForm
+from .forms import QuadraticForm, symplectic_reduce
 from .formations import SplitFormation
 from .rings import (
     AlgebraError,
@@ -37,7 +37,6 @@ from .rings import (
     PrecondError,
     RingTagError,
     ShapeError,
-    f2_divmod,
     pullback_inverse,
 )
 
@@ -132,70 +131,31 @@ class BoundarySteps:
     result: SplitFormation
 
 
-def _euclid_ops(m: Mat) -> list:
-    """Row operations over the Euclidean domain F2[x] that reduce the square
-    matrix m to Id, in order of application: ("add", i, j, f) for
-    row_i += f * row_j and ("swap", i, j).  PrecondError if m is not
-    invertible."""
-    n = m.rows
-    work = [list(r) for r in m.entries]
-    ops = []
+def _unimodular_lift(form: QuadraticForm, phi_inv: Mat) -> Mat:
+    """A lift of phi_inv = phi'^{-1} over Z[x] with determinant +-1.
 
-    def rows_add(i, j, f):
-        work[i] = [a + f * b for a, b in zip(work[i], work[j])]
-        ops.append(("add", i, j, f))
-
-    def rows_swap(i, j):
-        work[i], work[j] = work[j], work[i]
-        ops.append(("swap", i, j))
-
-    for col in range(n):
-        while True:
-            nz = [i for i in range(col, n) if work[i][col]]
-            if not nz:
-                raise PrecondError("matrix is singular over F2[x]")
-            nz.sort(key=lambda i: (work[i][col].degree(), i))
-            piv = nz[0]
-            if len(nz) == 1 and work[piv][col].is_unit():
-                if piv != col:
-                    rows_swap(col, piv)
-                break
-            if len(nz) == 1:
-                raise PrecondError("matrix is not invertible over F2[x]")
-            other = nz[1]
-            rows_add(other, piv, f2_divmod(work[other][col], work[piv][col])[0])
-        for i in range(n):
-            if i != col and work[i][col]:
-                rows_add(i, col, work[i][col])
-    return ops
-
-
-def _unimodular_lift(phi_bar: Mat) -> Mat:
-    """A lift of an invertible F2[x] matrix that is unimodular over Z[x].
-
-    The coefficient-wise lift is used when its determinant is already +-1;
-    otherwise phi_bar is factored into elementary row operations over the
-    Euclidean domain F2[x] and each factor lifted, so the product lifts
-    phi_bar with determinant +-1.
+    symplectic_reduce finds u with u^T phi' u = J, J exchanging the two
+    columns of each pair, so phi'^{-1} = u J u^T.  Its column operations,
+    replayed on Id with each multiplier lifted coefficient-wise, build a
+    lift U of u; every operation is elementary, so det U = +-1, and
+    U J U^T lifts phi'^{-1} with determinant +-1.  The result is checked
+    against phi_inv, which was inverted independently of u.
     """
-    cand = default_lift(phi_bar)
-    if cand.det().is_unit():
-        return cand
-    n = phi_bar.rows
-    # the ops reduce phi_bar to Id, so phi_bar is the inverse of their
-    # product: apply the inverse ops to Id in reverse order, with integer
-    # entries
-    ident = [[PolyInt((1,)) if i == j else PolyInt(()) for j in range(n)] for i in range(n)]
-    for op in reversed(_euclid_ops(phi_bar)):
+    n = form.rank
+    one, zero = PolyInt.one(), PolyInt.zero()
+    cols = [[one if i == j else zero for i in range(n)] for j in range(n)]
+    for op in symplectic_reduce(form).ops:
         if op[0] == "swap":
             _, i, j = op
-            ident[i], ident[j] = ident[j], ident[i]
+            cols[i], cols[j] = cols[j], cols[i]
         else:
-            _, i, j, f = op
-            fl = PolyInt(f.coeffs)
-            ident[i] = [a - fl * b for a, b in zip(ident[i], ident[j])]
-    lift = Mat(ident, PolyInt)
-    if lift.mod2() != phi_bar or not lift.det().is_unit():
+            _, tgt, src, f = op
+            fl = PolyInt._raw(PolyF2(f).coeffs)
+            cols[tgt] = [a + fl * b if b else a for a, b in zip(cols[tgt], cols[src])]
+    # U J is U with the columns of each pair exchanged; U^T has rows cols
+    u_j = tuple(tuple(cols[j ^ 1][i] for j in range(n)) for i in range(n))
+    lift = Mat._raw(u_j, PolyInt, n) * Mat._raw(tuple(map(tuple, cols)), PolyInt, n)
+    if lift.mod2() != phi_inv or not lift.det().is_unit():
         raise AssemblyError("unimodular lift construction failed")
     return lift
 
@@ -239,7 +199,7 @@ def boundary_steps(inp: BoundaryInput) -> BoundarySteps:
     )
     # re-coordinate the second lagrangian by a unimodular lift of the
     # inverse symmetrization, so that every pair glues over the identity
-    phi_tilde = _unimodular_lift(inp.phi_inv)
+    phi_tilde = _unimodular_lift(inp.form, inp.phi_inv)
     step2 = GluedPair(
         gamma=(gamma_b * phi_tilde, zero),
         mu=(phi * phi_tilde, ident),

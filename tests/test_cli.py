@@ -102,6 +102,9 @@ def test_formation_make_and_check(capsys, tmp_path):
         "ring=Q\ngamma=[0]\nmu=[1]\ntheta=[0]\n",
         "ring=Z[x]\ngamma=[0]\n",
         "gamma=[0]\nmu=[1]\ntheta=[0]\nepsilon=odd\n",
+        "gamma=[0]\nmu=[1]\ntheta=[0]\nthetta=[5]\n",  # unknown key
+        "gamma=[0]\nmu=[1]\ntheta=[0]\ngamma=[1]\n",  # repeated key
+        "gamma=[0]\nmu=[1]\ntheta=[0]\nepsilon\n",  # no =
     ],
 )
 def test_formation_check_malformed_file_is_a_domain_error(capsys, tmp_path, text):
@@ -245,6 +248,24 @@ def test_replay_malformed_step_is_a_domain_error(capsys, tmp_path, step):
 def test_replay_undecodable_script_is_a_domain_error(capsys, tmp_path):
     path = tmp_path / "binary.script"
     path.write_bytes(b"start: M(x;1)\nend: 0\n\xff\xfe\n")
+    code = main(["replay", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "start",
+    [
+        "M(x;1)M(x;1)",  # juxtaposed terms: once read as a sum closing against 2*M(x;1)
+        "M(x;1)+",  # a dangling sign
+        "--M(x;1)",  # two signs
+    ],
+)
+def test_replay_word_needs_one_sign_between_terms(capsys, tmp_path, start):
+    path = tmp_path / "word.script"
+    path.write_text(f"start: {start}\nend: 2*M(x;1)\n")
     code = main(["replay", str(path)])
     captured = capsys.readouterr()
     assert code == 3
@@ -456,11 +477,18 @@ formation_files = st.builds(
 @example(["ring=F2[x]", "gamma=[x,1;1,0]", "mu=[0,0;0,0]", "theta=[x,1;1,0]"])
 @example(["gamma=[x,1]", "mu=[x,1]", "theta=[1]"])
 def test_formation_file_grammar_fuzz(tmp_path, lines):
+    text = "\n".join(lines) + "\n"
     path = tmp_path / "fuzz.formation"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     code, out, err = _run_cli(["formation", "check", str(path)])
     assert code in (0, 3)
     if code == 0:
+        # every line is key=value with a known key, given once
+        body = [line for line in map(str.strip, text.split("\n")) if line and not line.startswith("#")]
+        keys = [line.partition("=")[0].strip() for line in body]
+        assert all("=" in line for line in body)
+        assert set(keys) <= {"ring", "epsilon", "gamma", "mu", "theta"}
+        assert len(keys) == len(set(keys))
         assert [line.split(":")[0] for line in out.splitlines()] == ["hessian", "duality", "graph"]
     else:
         assert out == "" and err.startswith("error: ")

@@ -257,6 +257,24 @@ def test_reduce_property_on_transported_block_sums(case):
     assert basis.mu == tuple(transported[i, i] for i in range(moved.rank))
 
 
+@settings(max_examples=100, deadline=None)
+@given(transported_block_sums())
+def test_reduce_ops_replay_to_the_basis(case):
+    _, moved = case
+    basis = symplectic_reduce(moved)
+    cols = [list(c) for c in zip(*Mat.identity(moved.rank, PolyF2).entries)]
+    for op in basis.ops:
+        if op[0] == "swap":
+            _, i, j = op
+            cols[i], cols[j] = cols[j], cols[i]
+        else:
+            _, tgt, src, f = op
+            assert f
+            cols[tgt] = [a + PolyF2(f) * b for a, b in zip(cols[tgt], cols[src])]
+    assert Mat(list(zip(*cols)), PolyF2) == basis.u
+    assert sum(op[0] == "swap" for op in basis.ops) <= moved.rank // 2
+
+
 def polyf2_symplectic_reduce(form):
     """Oracle: symplectic_reduce on PolyF2 objects, the congruences written
     entry by entry (the version the bitmask reduction replaced)."""
@@ -271,11 +289,13 @@ def polyf2_symplectic_reduce(form):
     g = [list(r) for r in lam.entries]
     u = [list(r) for r in Mat.identity(n, PolyF2).entries]
     q = [form.psi[j, j] for j in range(n)]
+    ops = []
 
     def add_col(tgt, src, f):
         # column op on u and the matching congruence update on g and q
         if not f:
             return
+        ops.append(("add", tgt, src, f.bits))
         if q[src]:
             q[tgt] = q[tgt] + f * f * q[src]
         if g[tgt][src]:
@@ -290,6 +310,7 @@ def polyf2_symplectic_reduce(form):
                 gt[j] = gt[j] + f * gs[j]
 
     def swap(i, j):
+        ops.append(("swap", i, j))
         q[i], q[j] = q[j], q[i]
         for r in u:
             r[i], r[j] = r[j], r[i]
@@ -321,7 +342,7 @@ def polyf2_symplectic_reduce(form):
     um = Mat(u, PolyF2)
     if um.conj_t() * lam * um != standard_symplectic(n):
         raise SingularFormError("internal error: reduction did not standardise")
-    return SymplecticBasis(um, tuple(q))
+    return SymplecticBasis(um, tuple(q), tuple(ops))
 
 
 
@@ -346,7 +367,7 @@ def _reduction(reduce, form):
         basis = reduce(form)
     except (SingularFormError, PrecondError) as exc:
         return type(exc)
-    return basis.u, basis.mu
+    return basis.u, basis.mu, basis.ops
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cofactor_adjugate, f2, zx
 
@@ -138,27 +140,28 @@ def test_assembly_rejects_incongruent_pairs():
         _assemble((Mat.identity(2, PolyInt), Mat.zeros(2, 2, PolyInt)))
 
 
+GENERIC_PSI = "[x,x,x,1;0,1+x+x^2,1+x+x^2,x;0,x^2,x^2,1+x;0,0,0,0]"
+
+
 def test_unimodular_lift_of_elementary_product():
-    # det of the coefficient-wise lift is 1 + 2x, not a unit over Z[x],
-    # so the elementary-factorization path is exercised
-    m = parse_matrix("[1+x,x;x,1+x]", PolyF2)
-    assert m.det() == f2("1")
-    assert not default_lift(m).det().is_unit()
-    lift = _unimodular_lift(m)
-    assert lift.mod2() == m
+    # phi'^{-1} of the rank-4 form below: its coefficient-wise lift has det
+    # 1 - 4x^2 - 4x^3, not a unit over Z[x]; U J U^T, with U the product of
+    # the lifted column operations of the symplectic reduction, is unimodular
+    form = QuadraticForm(parse_matrix(GENERIC_PSI, PolyF2), 1)
+    phi_inv = form.symmetrization().inverse_unimodular()
+    assert all(not phi_inv[i, i] for i in range(4)) and phi_inv == phi_inv.conj_t()
+    assert phi_inv.det() == f2("1")
+    assert not default_lift(phi_inv).det().is_unit()
+    lift = _unimodular_lift(form, phi_inv)
+    assert lift.mod2() == phi_inv
     assert lift.det().is_unit()
 
 
 def test_generic_boundary_input():
     """A rank-4 even nonsingular form outside the rank-2 family whose
-    symmetrization has no unimodular coefficient-wise lift, so assembly
-    goes through the factorized lift."""
-    psi = parse_matrix(
-        "[x,x,x,1;0,1+x+x^2,1+x+x^2,x;0,x^2,x^2,1+x;0,0,0,0]", PolyF2
-    )
-    from unilc2.forms import QuadraticForm
-
-    form = QuadraticForm(psi, 1)
+    symmetrization and its inverse have no unimodular coefficient-wise
+    lift, so assembly needs the lift read off the symplectic reduction."""
+    form = QuadraticForm(parse_matrix(GENERIC_PSI, PolyF2), 1)
     assert form.is_nonsingular() and form.is_even()
     assert not default_lift(form.symmetrization()).det().is_unit()
     out = boundary(BoundaryInput.with_default_lifts(form))
@@ -230,3 +233,16 @@ def test_chi_prime_against_adjugate_on_dense_forms():
             form = dense_boundary_form(rng, rank)
             adj = cofactor_adjugate(form.symmetrization())
             assert compute_chi_prime(form) == adj * form.psi * adj
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 6, 8]))
+def test_unimodular_lift_on_dense_forms(seed, rank):
+    inp = BoundaryInput.with_default_lifts(dense_boundary_form(random.Random(seed), rank))
+    lift = _unimodular_lift(inp.form, inp.phi_inv)
+    assert lift.mod2() == inp.phi_inv
+    assert lift.det().is_unit()
+    assert boundary(inp).hessian_holds()
+    if rank == 2:
+        # a rank-2 unimodular alternating pairing is J: no column operations
+        assert lift == default_lift(inp.phi_inv)
