@@ -39,6 +39,17 @@ def _int(text: str) -> int:
         raise ParseError(f"expected an integer, got {text!r}") from None
 
 
+def _nonnegative(text: str) -> int:
+    """argparse type of a sweep degree: a nonnegative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {n}")
+    return n
+
+
 def _dump(directory: str, name: str, mat: Mat):
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, name + ".txt"), "w", encoding="utf-8") as fh:
@@ -302,10 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the check registry")
     v.add_argument("--filter", default=None, help="glob over check ids")
-    v.add_argument("--max-deg", type=int, default=3)
-    v.add_argument("--coeff-set", type=int, nargs="+", default=[0, 1, 2])
-    v.add_argument("--machine-deg-triples", type=int, default=1)
-    v.add_argument("--machine-deg-pairs", type=int, default=2)
+    sweep = SweepConfig()
+    v.add_argument("--max-deg", type=_nonnegative, default=sweep.max_deg)
+    v.add_argument("--coeff-set", type=int, nargs="+", default=list(sweep.coeffs))
+    v.add_argument("--machine-deg-triples", type=_nonnegative, default=sweep.machine_deg_triples)
+    v.add_argument("--machine-deg-pairs", type=_nonnegative, default=sweep.machine_deg_pairs)
     v.add_argument("--summary", default="verify_summary.txt")
     v.set_defaults(fn=cmd_verify)
 

@@ -108,32 +108,10 @@ def _mu_signs(f: SplitFormation) -> list:
     other mu."""
     n = f.g_rank
     two = C2Poly.from_int(2) if f.ring is C2Poly else PolyInt((2,))
-    signs = []
-    for i in range(n):
-        row_ok = all(not f.mu[i, j] for j in range(n) if j != i)
-        col_ok = all(not f.mu[j, i] for j in range(n) if j != i)
-        if not (row_ok and col_ok):
-            raise PrecondError("mu must be diagonal with entries +-2")
-        e = f.mu[i, i]
-        if e == two:
-            signs.append(1)
-        elif e == -two:
-            signs.append(-1)
-        else:
-            raise PrecondError("mu must be diagonal with entries +-2")
+    signs = [1 if f.mu[i, i] == two else -1 for i in range(n)]
+    if f.mu != Mat.scalar(n, two, f.ring).signed(signs, [1] * n):
+        raise PrecondError("mu must be diagonal with entries +-2")
     return signs
-
-
-def _signed(m: Mat, row_signs, col_signs) -> Mat:
-    """The matrix with entries row_signs[i] * m[i, j] * col_signs[j]."""
-    return Mat._raw(
-        tuple(
-            tuple(e if r == s else -e for e, s in zip(row, col_signs))
-            for row, r in zip(m.entries, row_signs)
-        ),
-        m.ring,
-        m.cols,
-    )
 
 
 def formation_to_complex(f: SplitFormation) -> QuadComplex1:
@@ -153,10 +131,10 @@ def formation_to_complex(f: SplitFormation) -> QuadComplex1:
     signs = _mu_signs(f)
     ones = [1] * f.f_rank
     return QuadComplex1(
-        _signed(f.mu, ones, signs).conj_t(),
+        f.mu.signed(ones, signs).conj_t(),
         Mat.zeros(f.g_rank, f.g_rank, f.ring),
-        _signed(f.gamma, ones, signs).conj_t(),
-        _signed(f.theta, [-s for s in signs], signs),
+        f.gamma.signed(ones, signs).conj_t(),
+        f.theta.signed([-s for s in signs], signs),
     )
 
 

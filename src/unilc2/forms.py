@@ -244,8 +244,9 @@ def symplectic_reduce(form: QuadraticForm) -> SymplecticBasis:
     The quadratic values q[j] = mu(u_j) ride along with the congruences:
     in characteristic 2, mu(a + f*b) = mu(a) + f^2 mu(b) + f lambda(a, b).
 
-    The reduction runs on bitmasks (PolyF2.bits) with the carry-less
-    arithmetic of rings; PolyF2 objects are built only for the result.
+    The reduction runs on the bitmask rows of the matrices (Mat.bits) with
+    the carry-less arithmetic of rings; PolyF2 objects are built only for
+    the quadratic values.
     Every column operation is recorded in the result's ops.
     """
     if form.ring is not PolyF2:
@@ -253,7 +254,7 @@ def symplectic_reduce(form: QuadraticForm) -> SymplecticBasis:
     if form.epsilon != 1:
         raise PrecondError("symplectic reduction expects a (+1)-form")
     n = form.rank
-    psi = [[p.bits for p in r] for r in form.psi.entries]
+    psi = form.psi.bits
     lam = [[psi[i][j] ^ psi[j][i] for j in range(n)] for i in range(n)]
     if any(lam[i][i] for i in range(n)):
         raise PrecondError("pairing must be alternating (zero diagonal)")
@@ -311,7 +312,7 @@ def symplectic_reduce(form: QuadraticForm) -> SymplecticBasis:
     moved = f2_matmul_bits(f2_matmul_bits(ucols, lam, n), urows, n)
     if moved != [[int(j == i ^ 1) for j in range(n)] for i in range(n)]:
         raise SingularFormError("internal error: reduction did not standardise")
-    um = Mat._raw(tuple(tuple(map(PolyF2, r)) for r in urows), PolyF2, n)
+    um = Mat.from_bits(urows, n)
     return SymplecticBasis(um, tuple(map(PolyF2, q)), tuple(ops))
 
 

@@ -37,7 +37,7 @@ from .rings import (
 class SweepConfig:
     max_deg: int = 3
     coeffs: tuple = (0, 1, 2)
-    machine_deg_triples: int = 1
+    machine_deg_triples: int = 2
     machine_deg_pairs: int = 2
     seed: int = 20260808
 

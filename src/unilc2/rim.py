@@ -30,14 +30,14 @@ from .forms import QuadraticForm, symplectic_reduce
 from .formations import SplitFormation
 from .rings import (
     AlgebraError,
-    C2Poly,
     Mat,
+    NotInImageError,
     PolyF2,
     PolyInt,
     PrecondError,
     RingTagError,
     ShapeError,
-    pullback_inverse,
+    pullback_matrix,
 )
 
 
@@ -67,7 +67,7 @@ def default_lift(m: Mat) -> Mat:
     """Coefficient-wise integer lift of an F2[x] matrix (bits 0/1 kept)."""
     if m.ring is not PolyF2:
         raise RingTagError("default_lift expects an F2[x] matrix")
-    return m.map_entries(lambda e: PolyInt(e.coeffs), PolyInt)
+    return Mat._raw(tuple(tuple(PolyInt._raw(e.coeffs) for e in r) for r in m.entries), PolyInt, m.cols)
 
 
 def canonical_P_lifts(q: PolyInt):
@@ -161,23 +161,15 @@ def _unimodular_lift(form: QuadraticForm, phi_inv: Mat) -> Mat:
 
 
 def _assemble(pair) -> Mat:
-    """Entry-wise fibre-product assembly of (matrix over leg-, matrix over
-    leg+) into a matrix over Z[C2][x]."""
+    """Fibre-product assembly of (matrix over leg-, matrix over leg+) into a
+    matrix over Z[C2][x]."""
     m_minus, m_plus = pair
     if (m_minus.rows, m_minus.cols) != (m_plus.rows, m_plus.cols):
         raise ShapeError("pair shapes differ")
-    rows = []
-    for r1, r2 in zip(m_minus.entries, m_plus.entries):
-        row = []
-        for u, v in zip(r1, r2):
-            try:
-                row.append(pullback_inverse(u, v))
-            except AlgebraError as exc:
-                raise AssemblyError(
-                    f"pair ({u}, {v}) does not glue: {exc}"
-                ) from exc
-        rows.append(tuple(row))
-    return Mat._raw(tuple(rows), C2Poly, m_minus.cols)
+    try:
+        return pullback_matrix(m_minus, m_plus)
+    except NotInImageError as exc:
+        raise AssemblyError(f"the pair does not glue: {exc}") from exc
 
 
 def boundary_steps(inp: BoundaryInput) -> BoundarySteps:

@@ -10,12 +10,13 @@ The three rings are polynomial rings with involution:
 The involution is the identity on all three (T is its own inverse and x is
 fixed), so conjugate-transpose of a matrix is plain transpose; the hooks are
 kept explicit so every formula reads like the matrix identity it checks.
+Matrices hold their entries as integers (see the Matrices section).
 
 Ring homomorphisms of the pullback square are provided as functions:
 apply_i(sign, .) substitutes T -> sign*1, apply_j reduces mod 2, and
 pullback_pair / pullback_inverse realise the isomorphism of Z[C2][x] with
 the fibre product of two copies of Z[x] over F2[x].  A C2Poly stores that
-pair, so the T-evaluations read a field.
+pair, and so does a Z[C2][x] matrix, so the T-evaluations read a field.
 
 Polynomials are immutable and canonical (no trailing zero coefficients), so
 equality is structural.  The text grammar used by the CLI lives here too:
@@ -36,11 +37,6 @@ NEG_INF = float("-inf")  # degree of the zero polynomial
 # the schoolbook loop; longer pairs go through Kronecker substitution, which
 # wins from length 8 on (measured crossover).
 SCHOOLBOOK_MAX_LEN = 7
-
-# A Z[x] matrix product of inner dimension at most this runs entry-wise;
-# wider ones go through Kronecker substitution (measured crossover: at 2
-# entry-wise is 1.8x faster, at 4 they tie, at 6 Kronecker is 3x faster).
-ENTRYWISE_MAX_INNER = 2
 
 # Input size caps, checked before anything is built.
 MAX_EXPONENT = 1024  # largest x-exponent parse_poly accepts or subs_power makes
@@ -708,16 +704,37 @@ def pullback_inverse(u: PolyInt, v: PolyInt) -> C2Poly:
 
 # ---------------------------------------------------------------------------
 # Matrices
+#
+# A matrix holds its entries as integers.  Over F2[x] an entry is its
+# bitmask.  Over Z[x] it is its value at x = 2^k (Kronecker substitution,
+# as above), with one slot width k for the matrix, a bound B on the
+# absolute values of all its coefficients and a bound L on the entries'
+# lengths, and B < 2^(k-1) always.  Under that invariant a value determines
+# its polynomial, so equality at one k is equality of integers; and
+# evaluation is a ring map, so the ring operations are integer operations.
+# A sum has bound B1 + B2; a product of inner dimension n has bound
+# n * min(L1, L2) * B1 * B2.  An operation whose bound reaches 2^(k-1)
+# repacks its operands at a wider k, taking their bounds from the exact
+# coefficients it unpacks; otherwise an entry is unpacked only when it is
+# read.  A Z[C2][x] matrix is the pair of its leg matrices over Z[x], u at
+# T -> -1 and v at T -> +1 (one object when it is T-free), so each of its
+# operations is the same operation on both legs.
+
+MIN_SLOT_BITS = 64  # the narrowest slot width a Z[x] matrix is packed at
+
+_chain = itertools.chain.from_iterable
 
 
 class Mat:
     """Dense matrix over one of the three rings.
 
-    Entries are stored row-major as a tuple of tuples; the ring is the entry
-    class.  conj_t applies the ring involution entry-wise and transposes.
+    `entries` and indexing give ring elements, made on demand from the
+    integers the matrix holds (k, bound and length are 0 over F2[x] and
+    Z[C2][x]).  The involution is the identity on all three rings, so
+    conj_t is the transpose.
     """
 
-    __slots__ = ("rows", "cols", "entries", "ring")
+    __slots__ = ("ring", "rows", "cols", "_data", "k", "bound", "length")
 
     def __init__(self, entries, ring=None):
         rows = tuple(tuple(r) for r in entries)
@@ -737,10 +754,7 @@ class Mat:
             for e in r:
                 if type(e) is not ring:
                     raise RingTagError("mixed-ring entries")
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", w)
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "ring", ring)
+        _fill(self, rows, ring, w)
 
     def __setattr__(self, *a):
         raise AttributeError("Mat is immutable")
@@ -751,12 +765,12 @@ class Mat:
     def _raw(cls, rows, ring, cols: int) -> "Mat":
         """Internal fast path: entries already canonical for the ring, and
         the column count (which a matrix with no rows cannot show)."""
-        self = cls.__new__(cls)
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "ring", ring)
-        return self
+        return _fill(cls.__new__(cls), rows, ring, cols)
+
+    @classmethod
+    def from_bits(cls, rows, cols: int) -> "Mat":
+        """The F2[x] matrix with rows of bitmasks (PolyF2.bits)."""
+        return _new(PolyF2, len(rows), cols, tuple(map(tuple, rows)))
 
     @classmethod
     def identity(cls, n: int, ring) -> "Mat":
@@ -764,16 +778,22 @@ class Mat:
 
     @classmethod
     def zeros(cls, r: int, c: int, ring) -> "Mat":
-        return cls._raw(((ring.zero(),) * c,) * r, ring, c)
+        return cls.scalar(r, ring.zero(), ring, c)
 
     @classmethod
-    def scalar(cls, n: int, value, ring) -> "Mat":
-        value, zero = _coercion(ring)(value), ring.zero()
-        return cls._raw(
-            tuple(tuple(value if i == j else zero for j in range(n)) for i in range(n)),
-            ring,
-            n,
-        )
+    def scalar(cls, n: int, value, ring, cols=None) -> "Mat":
+        """value * Id, n x n (n x cols if cols is given)."""
+        value = _coercion(ring)(value)
+        if ring is C2Poly:
+            u = cls.scalar(n, value.u, PolyInt, cols)
+            return _c2mat(u, u if value.u is value.v else cls.scalar(n, value.v, PolyInt, cols))
+        if ring is PolyInt:
+            ((z,),), k, bound, length = _packed([[value.coeffs]])
+        else:
+            z, k, bound, length = value.bits, 0, 0, 0
+        cols = n if cols is None else cols
+        data = tuple([tuple([z if i == j else 0 for j in range(cols)]) for i in range(n)])
+        return _new(ring, n, cols, data, k, bound, length)
 
     @classmethod
     def from_blocks(cls, blocks) -> "Mat":
@@ -781,52 +801,73 @@ class Mat:
         edge sizes."""
         ring = blocks[0][0].ring
         widths = [b.cols for b in blocks[0]]
-        out = []
         for brow in blocks:
             _check_block_rings(brow, ring)
             if [b.cols for b in brow] != widths:
                 raise ShapeError("block column widths differ")
-            h = brow[0].rows
-            if any(b.rows != h for b in brow):
+            if any(b.rows != brow[0].rows for b in brow):
                 raise ShapeError("block row heights differ")
-            out.extend(sum(r, ()) for r in zip(*(b.entries for b in brow)))
-        return cls._raw(tuple(out), ring, sum(widths))
+        if ring is not C2Poly:
+            return _from_blocks(blocks)
+        u, v = ([[b._data[i] for b in brow] for brow in blocks] for i in (0, 1))
+        u_only = _from_blocks(u)
+        t_free = all(b._data[0] is b._data[1] for brow in blocks for b in brow)
+        return _c2mat(u_only, u_only if t_free else _from_blocks(v))
 
     @classmethod
     def block_diag(cls, blocks) -> "Mat":
-        ring = blocks[0].ring
-        _check_block_rings(blocks, ring)
-        m = sum(b.cols for b in blocks)
-        zero = ring.zero()
-        out = []
-        j = 0
-        for b in blocks:
-            left, right = (zero,) * j, (zero,) * (m - j - b.cols)
-            out.extend(left + r + right for r in b.entries)
-            j += b.cols
-        return cls._raw(tuple(out), ring, m)
+        _check_block_rings(blocks, blocks[0].ring)
+        return _legwise(_block_diag, *blocks)
 
     # -- basics
 
+    @property
+    def entries(self):
+        if self.ring is C2Poly:
+            u, v = self._data
+            u, v = u.entries, (u if u is v else v).entries
+            return tuple(tuple(map(_c2, ru, rv)) for ru, rv in zip(u, v))
+        return tuple(tuple(map(self._entry, r)) for r in self._data)
+
+    @property
+    def bits(self):
+        """The rows of an F2[x] matrix as bitmasks (PolyF2.bits)."""
+        if self.ring is not PolyF2:
+            raise RingTagError(f"bitmask rows belong to F2[x] matrices, not {self.ring.TAG}")
+        return self._data
+
+    def _entry(self, z: int):
+        return PolyF2(z) if self.ring is PolyF2 else PolyInt._raw(_unpack(z, self.k))
+
+    def __getitem__(self, rc):
+        if self.ring is C2Poly:
+            u, v = self._data
+            e = u[rc]
+            return _c2(e, e if u is v else v[rc])
+        return self._entry(self._data[rc[0]][rc[1]])
+
     def __eq__(self, other):
-        return (
+        if not (
             isinstance(other, Mat)
             and self.ring is other.ring
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+            and (self.rows, self.cols) == (other.rows, other.cols)
+        ):
+            return False
+        if self.ring is C2Poly:
+            return all(map(Mat.__eq__, self._data, other._data))
+        k = max(self.k, other.k)
+        return _at_width(self, k)[0] == _at_width(other, k)[0]
 
     def __hash__(self):
         return hash((self.ring.TAG, self.cols, self.entries))
-
-    def __getitem__(self, rc):
-        return self.entries[rc[0]][rc[1]]
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(not e for r in self.entries for e in r)
+        if self.ring is C2Poly:
+            return all(leg.is_zero() for leg in self._data)
+        return not any(any(r) for r in self._data)
 
     def _check_ring(self, other):
         if self.ring is not other.ring:
@@ -836,11 +877,10 @@ class Mat:
         self._check_ring(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError(f"entry-wise {op.__name__}: shape mismatch")
-        return Mat._raw(
-            tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
-            self.ring,
-            self.cols,
-        )
+        if self.ring is PolyF2:
+            data = tuple(tuple(map(operator.xor, r1, r2)) for r1, r2 in zip(self._data, other._data))
+            return _map_data(self, data)
+        return _legwise(_zx_add, self, other, op)
 
     def __add__(self, other):
         return self._entrywise(other, operator.add)
@@ -849,95 +889,94 @@ class Mat:
         return self._entrywise(other, operator.sub)
 
     def __neg__(self):
-        return Mat._raw(
-            tuple(tuple(-e for e in r) for r in self.entries), self.ring, self.cols
-        )
+        return self if self.ring is PolyF2 else _legwise(_scale, self, PolyInt((-1,)))
 
     def __mul__(self, other):
-        if not isinstance(other, Mat):  # entry * scalar stays in the ring or raises
-            return Mat._raw(
-                tuple(tuple(e * other for e in r) for r in self.entries), self.ring, self.cols
-            )
+        if not isinstance(other, Mat):  # a scalar of the ring (or coercible into it)
+            return _legwise(_scale, self, _coercion(self.ring)(other))
         self._check_ring(other)
         if self.cols != other.rows:
             raise ShapeError(
                 f"product shape mismatch: {self.rows}x{self.cols} * {other.rows}x{other.cols}"
             )
-        a, b, cols = self.entries, other.entries, other.cols
-        if self.ring is PolyInt:
-            return Mat._raw(_zx_matmul(a, b, cols), PolyInt, cols)
         if self.ring is PolyF2:
-            bits = f2_matmul_bits([[p.bits for p in r] for r in a], [[p.bits for p in r] for r in b], cols)
-            return Mat._raw(tuple(tuple(map(PolyF2, r)) for r in bits), PolyF2, cols)
-        # Z[C2][x]: one Z[x] product per pullback leg, and only one when
-        # both factors are T-free (equal legs)
-        au, bu, av, bv = _legs(a, "u"), _legs(b, "u"), _legs(a, "v"), _legs(b, "v")
-        u = _zx_matmul(au, bu, cols)
-        v = u if au == av and bu == bv else _zx_matmul(av, bv, cols)
-        return Mat._raw(_from_legs(u, v), C2Poly, cols)
+            rows = f2_matmul_bits(self._data, other._data, other.cols)
+            return Mat.from_bits(rows, other.cols)
+        # over Z[C2][x] one Z[x] product per leg, and one in all when both
+        # factors are T-free
+        return _legwise(_zx_mul, self, other)
 
-    def __rmul__(self, other):
-        return self.map_entries(lambda e: other * e, self.ring)
+    __rmul__ = __mul__  # the rings are commutative
 
     def conj_t(self) -> "Mat":
-        """Conjugate-transpose: involution entry-wise, then transpose."""
-        cols = zip(*self.entries) if self.entries else ((),) * self.cols
-        return Mat._raw(tuple(tuple(e.conj() for e in r) for r in cols), self.ring, self.rows)
+        """Conjugate-transpose, which is the transpose."""
+        if self.ring is C2Poly:
+            return _legwise(Mat.conj_t, self)
+        data = tuple(zip(*self._data)) if self._data else ((),) * self.cols
+        return _new(self.ring, self.cols, self.rows, data, self.k, self.bound, self.length)
 
-    def map_entries(self, fn, ring) -> "Mat":
-        coerce = _coercion(ring)
-        return Mat._raw(tuple(tuple(coerce(fn(e)) for e in r) for r in self.entries), ring, self.cols)
-
-    # The ring maps below return canonical entries, so they skip coercion.
+    def signed(self, row_signs, col_signs) -> "Mat":
+        """The matrix with entries row_signs[i] * self[i, j] * col_signs[j],
+        each sign +1 or -1."""
+        if self.ring is PolyF2:
+            return self
+        if self.ring is C2Poly:
+            return _legwise(Mat.signed, self, row_signs, col_signs)
+        data = tuple(
+            tuple(e if r == s else -e for e, s in zip(row, col_signs))
+            for row, r in zip(self._data, row_signs)
+        )
+        return _map_data(self, data)
 
     def mod2(self) -> "Mat":
         if self.ring is PolyF2:
             return self
-        rows = _legs(self.entries, "u") if self.ring is C2Poly else self.entries
-        return Mat._raw(tuple(tuple(map(PolyInt.mod2, r)) for r in rows), PolyF2, self.cols)
+        m = self._data[0] if self.ring is C2Poly else self
+        k, n = m.k, m.length
+        if n <= 1:
+            return Mat.from_bits([[z & 1 for z in r] for r in m._data], m.cols)
+        # 2^(k-1) added to every slot leaves no borrows, so the parity of
+        # coefficient i is bit i*k
+        offset = ((1 << (k * n)) - 1) // ((1 << k) - 1) << (k - 1)
+        rows = [[_slot_parities(z + offset, k) if z else 0 for z in r] for r in m._data]
+        return Mat.from_bits(rows, m.cols)
 
     def i_minus(self) -> "Mat":
-        return self._leg("u")
+        return self._leg(0)
 
     def i_plus(self) -> "Mat":
-        return self._leg("v")
+        return self._leg(1)
 
-    def _leg(self, name: str) -> "Mat":
-        """Entry-wise T -> -1 ("u") or T -> +1 ("v") of a Z[C2][x] matrix."""
+    def _leg(self, i: int) -> "Mat":
+        """T -> -1 (leg 0) or T -> +1 (leg 1) of a Z[C2][x] matrix."""
         if self.ring is not C2Poly:
             raise RingTagError(f"T-evaluation needs a Z[C2][x] matrix, not {self.ring.TAG}")
-        return Mat._raw(_legs(self.entries, name), PolyInt, self.cols)
+        return self._data[i]
 
     def to_c2(self) -> "Mat":
         if self.ring is C2Poly:
             return self
         if self.ring is PolyInt:
-            return self.map_entries(C2Poly.from_polyint, C2Poly)
+            return _c2mat(self, self)
         raise RingTagError("no canonical embedding of F2[x] into Z[C2][x]")
 
     def det(self):
         """Determinant.
 
-        Up to 2x2 by the expansion formula.  Above that, Z[x] and F2[x] use
-        fraction-free Bareiss elimination on packed integers (_det).
+        Over Z[x] a 2x2 determinant is the expansion formula on the packed
+        values when its bound fits the slot width; otherwise Z[x] and F2[x]
+        use fraction-free Bareiss elimination on packed integers (_det).
         Z[C2][x] has zero divisors, so its determinant is the pair of the
         determinants of its two legs: both T-evaluations are ring maps, so
         they commute with det.
         """
         if not self.is_square():
             raise ShapeError("determinant of a non-square matrix")
-        n, ent = self.rows, self.entries
-        if n == 0:
-            return self.ring.one()
-        if n == 1:
-            return ent[0][0]
-        if n == 2:
-            return ent[0][0] * ent[1][1] - ent[0][1] * ent[1][0]
-        if self.ring is not C2Poly:
-            return _det(ent, self.ring)
-        lu, lv = _legs(ent, "u"), _legs(ent, "v")
-        u = _det(lu, PolyInt)
-        return _c2(u, u if lu == lv else _det(lv, PolyInt))
+        if self.ring is C2Poly:
+            u, v = self._data
+            du = _det(u)
+            return _c2(du, du if u is v else _det(v))
+        return _det(self)
 
     def adjugate(self) -> "Mat":
         """adj(A) with A * adj(A) = det(A) * Id, in closed form up to 2x2.
@@ -945,15 +984,17 @@ class Mat:
         inverse_unimodular) instead."""
         if not self.is_square():
             raise ShapeError("adjugate of a non-square matrix")
-        n, ent = self.rows, self.entries
+        n = self.rows
         if n > 2:
             raise ShapeError("the adjugate is formed up to 2x2 only")
-        if n == 0:
-            return self
-        if n == 1:
-            return Mat._raw(((self.ring.one(),),), self.ring, 1)
-        (a, b), (c, d) = ent
-        return Mat._raw(((d, -b), (-c, a)), self.ring, 2)
+        if n < 2:
+            return self if n == 0 else Mat.identity(1, self.ring)
+        if self.ring is C2Poly:
+            return _legwise(Mat.adjugate, self)
+        (a, b), (c, d) = self._data
+        if self.ring is PolyInt:
+            b, c = -b, -c
+        return _map_data(self, ((d, b), (c, a)))
 
     def inverse_unimodular(self) -> "Mat":
         """Inverse of a matrix whose determinant is a ring unit (PrecondError
@@ -962,17 +1003,11 @@ class Mat:
         each leg."""
         if not self.is_square() or self.rows <= 2:
             return self.adjugate() * self.det().unit_inverse()
-        ident, ent = Mat.identity(self.rows, self.ring).entries, self.entries
+        ident = Mat.identity(self.rows, PolyF2 if self.ring is PolyF2 else PolyInt)
         try:
-            if self.ring is not C2Poly:
-                return _solve(ent, ident, self.ring, self.rows)
-            one = _legs(ident, "u")
-            lu, lv = _legs(ent, "u"), _legs(ent, "v")
-            u = _solve(lu, one, PolyInt, self.rows).entries
-            v = u if lu == lv else _solve(lv, one, PolyInt, self.rows).entries
+            return _legwise(_solve, self, ident)
         except NonDivisibleError:  # the determinant is not a unit
             raise PrecondError("the determinant is not a unit") from None
-        return Mat._raw(_from_legs(u, v), C2Poly, self.rows)
 
     def is_unimodular(self) -> bool:
         return self.is_square() and self.det().is_unit()
@@ -984,64 +1019,175 @@ class Mat:
         return f"Mat[{self.ring.TAG}]{format_matrix(self)}"
 
 
-def _legs(rows, name: str):
-    """Row tuples of one leg ("u" or "v") of Z[C2][x] row tuples."""
-    if name == "u":
-        return tuple([tuple([e.u for e in r]) for r in rows])
-    return tuple([tuple([e.v for e in r]) for r in rows])
+_SET_RING, _SET_ROWS, _SET_COLS, _SET_DATA, _SET_K, _SET_BOUND, _SET_LENGTH = (
+    getattr(Mat, s).__set__ for s in Mat.__slots__
+)
 
 
-def _from_legs(u, v):
-    """Z[C2][x] row tuples from the row tuples of their two legs."""
-    return tuple(tuple(map(_c2, ru, rv)) for ru, rv in zip(u, v))
+def _new(ring, rows, cols, data, k=0, bound=0, length=0, m=None) -> Mat:
+    """The matrix with these fields (set on m if it is given)."""
+    m = object.__new__(Mat) if m is None else m
+    _SET_RING(m, ring)
+    _SET_ROWS(m, rows)
+    _SET_COLS(m, cols)
+    _SET_DATA(m, data)
+    _SET_K(m, k)
+    _SET_BOUND(m, bound)
+    _SET_LENGTH(m, length)
+    return m
 
 
-def _zx_matmul(a, b, cols):
-    """Row tuples of the product of Z[x] matrices given by their row tuples
-    (b has `cols` columns).
-
-    Up to inner dimension ENTRYWISE_MAX_INNER each entry sums its products
-    of nonzero factors in one coefficient list; wider products use
-    Kronecker substitution, whose packing costs more than a short sum."""
-    if len(b) > ENTRYWISE_MAX_INNER:
-        return _kronecker_matmul(a, b)
-    bcols = list(zip(*[[p.coeffs for p in r] for r in b])) if b else [()] * cols
-    zero = PolyInt(())
-    out = []
-    for r in a:
-        rc = [p.coeffs for p in r]
-        row = []
-        for col in bcols:
-            acc = []
-            for x, y in zip(rc, col):
-                if x and y:
-                    acc += [0] * (len(x) + len(y) - 1 - len(acc))
-                    _add_product(acc, x, y)
-            while acc and not acc[-1]:
-                acc.pop()
-            row.append(PolyInt._raw(tuple(acc)) if acc else zero)
-        out.append(tuple(row))
-    return tuple(out)
+def _fill(m, rows, ring, cols) -> Mat:
+    """Set m to the matrix with the canonical entries rows."""
+    n = len(rows)
+    if ring is PolyF2:
+        return _new(ring, n, cols, tuple(tuple([p.bits for p in r]) for r in rows), m=m)
+    if ring is PolyInt:
+        return _new(ring, n, cols, *_packed([[p.coeffs for p in r] for r in rows]), m)
+    u = v = _new(PolyInt, n, cols, *_packed([[e.u.coeffs for e in r] for r in rows]))
+    if any(e.u is not e.v for r in rows for e in r):
+        v = _new(PolyInt, n, cols, *_packed([[e.v.coeffs for e in r] for r in rows]))
+    return _new(ring, n, cols, (u, v), m=m)
 
 
-def _kronecker_matmul(a, b):
-    """Row tuples of the product of Z[x] matrices given by their row tuples
-    (b has at least one row).
+def _packed(crows, k: int = 0):
+    """(data, k, bound, length) of the Z[x] matrix with rows of coefficient
+    tuples crows, at the narrowest slot width of at least k (and of at
+    least MIN_SLOT_BITS) its coefficients allow."""
+    flat = [*_chain(crows)]
+    coeffs = [*_chain(flat)]
+    bound = max(max(coeffs), -min(coeffs)) if coeffs else 0
+    k = max(k, MIN_SLOT_BITS, bound.bit_length() + 1)
+    # a constant is its own value at every width
+    data = tuple([tuple([_pack(cs, k) if len(cs) > 1 else cs[0] if cs else 0 for cs in r]) for r in crows])
+    return data, k, bound, max(map(len, flat)) if flat else 0
 
-    Every entry of both factors is packed once, at one slot width for the
-    whole product; each dot product is accumulated as one Python int and
-    unpacked once.
-    """
-    polys = [p.coeffs for r in a for p in r], [p.coeffs for r in b for p in r]
-    la, lb = (max(map(len, ps), default=0) for ps in polys)
-    ma, mb = (max((abs(c) for cs in ps for c in cs), default=0) for ps in polys)
-    k = _slot_bits(len(b), la, lb, ma, mb)
-    pb = list(zip(*[[_pack(p.coeffs, k) for p in r] for r in b]))
-    out = []
-    for r in a:
-        pr = [_pack(p.coeffs, k) for p in r]
-        out.append(tuple(PolyInt._raw(_unpack(sum(map(operator.mul, pr, col)), k)) for col in pb))
-    return tuple(out)
+
+def _coeff_rows(m: Mat):
+    """The coefficient tuples of the entries of a Z[x] matrix, by rows."""
+    return [[_unpack(z, m.k) for z in r] for r in m._data]
+
+
+def _at_width(m: Mat, k: int):
+    """(data, bound, length) of the Z[x] matrix m at slot width k >= m.k.
+    Zero and constant entries have the same value at every width (and F2[x]
+    matrices have k = 0); others are repacked, so their bound and length
+    come out exact."""
+    if k == m.k or m.length <= 1:
+        return m._data, m.bound, m.length
+    data, _, bound, length = _packed(_coeff_rows(m), k)
+    return data, bound, length
+
+
+def _width(bound: int, k: int) -> int:
+    """k if a result with coefficient bound `bound` fits it, else a wider
+    slot width: at least doubled, so that chains of products repack
+    rarely."""
+    return k if bound.bit_length() < k else max(bound.bit_length() + 1, 2 * k)
+
+
+def _map_data(m: Mat, data) -> Mat:
+    """A matrix of m's shape, ring and bounds holding data."""
+    return _new(m.ring, m.rows, m.cols, data, m.k, m.bound, m.length)
+
+
+def _c2mat(u: Mat, v: Mat) -> Mat:
+    return _new(C2Poly, u.rows, u.cols, (u, v))
+
+
+def _legs(a):
+    """The two legs of a Z[C2][x] matrix or element; anything else twice."""
+    if isinstance(a, Mat) and a.ring is C2Poly:
+        return a._data
+    return (a.u, a.v) if isinstance(a, C2Poly) else (a, a)
+
+
+def _legwise(fn, m: Mat, *args):
+    """fn(m, *args) on a Z[x] or F2[x] matrix m.  Over Z[C2][x], fn on each
+    leg, with the matching leg of each Z[C2][x] matrix or element among
+    args; computed once when all of those are T-free."""
+    if m.ring is not C2Poly:
+        return fn(m, *args)
+    legs = [_legs(a) for a in (m, *args)]
+    u = fn(*[leg[0] for leg in legs])
+    if all(leg[0] is leg[1] for leg in legs):
+        return _c2mat(u, u)
+    return _c2mat(u, fn(*[leg[1] for leg in legs]))
+
+
+def _zx_add(a: Mat, b: Mat, op) -> Mat:
+    """a + b or a - b (op) over Z[x]."""
+    k = _width(a.bound + b.bound, max(a.k, b.k))
+    (da, ba, la), (db, bb, lb) = _at_width(a, k), _at_width(b, k)
+    data = tuple(tuple(map(op, ra, rb)) for ra, rb in zip(da, db))
+    return _new(PolyInt, a.rows, a.cols, data, k, ba + bb, max(la, lb))
+
+
+def _zx_mul(a: Mat, b: Mat) -> Mat:
+    """a * b over Z[x]: each entry is one integer dot product."""
+    k = _width(a.cols * min(a.length, b.length) * a.bound * b.bound, max(a.k, b.k))
+    (da, ba, la), (db, bb, lb) = _at_width(a, k), _at_width(b, k)
+    cols = tuple(zip(*db)) if db else ((),) * b.cols
+    data = tuple(tuple([sum(map(operator.mul, r, c)) for c in cols]) for r in da)
+    length = la + lb - 1 if la and lb else 0
+    return _new(PolyInt, a.rows, b.cols, data, k, a.cols * min(la, lb) * ba * bb, length)
+
+
+def _scale(m: Mat, s) -> Mat:
+    """m * s for an element s of m's ring, Z[x] or F2[x]."""
+    if m.ring is PolyF2:
+        return _map_data(m, tuple(tuple([clmul(z, s.bits) for z in r]) for r in m._data))
+    cs = s.coeffs
+    top = max(map(abs, cs), default=0)
+    k = _width(min(m.length, len(cs)) * m.bound * top, m.k)
+    data, bound, length = _at_width(m, k)
+    z = _pack(cs, k)
+    return _new(
+        PolyInt, m.rows, m.cols, tuple(tuple([e * z for e in r]) for r in data),
+        k, min(length, len(cs)) * bound * top, length + len(cs) - 1 if length and cs else 0,
+    )
+
+
+def _from_blocks(grid) -> Mat:
+    """Mat.from_blocks over Z[x] (at the widest slot width of the blocks)
+    or F2[x]."""
+    k = max(b.k for row in grid for b in row)
+    packed = [[_at_width(b, k) for b in row] for row in grid]
+    data = tuple(sum(r, ()) for row in packed for r in zip(*(p[0] for p in row)))
+    bound = max(p[1] for row in packed for p in row)
+    length = max(p[2] for row in packed for p in row)
+    return _new(grid[0][0].ring, len(data), sum(b.cols for b in grid[0]), data, k, bound, length)
+
+
+def _block_diag(*blocks) -> Mat:
+    """Mat.block_diag over Z[x] (at the widest slot width of the blocks)
+    or F2[x]."""
+    k, n = max(b.k for b in blocks), sum(b.cols for b in blocks)
+    out, j, bound, length = [], 0, 0, 0
+    for b in blocks:
+        data, bb, bl = _at_width(b, k)
+        out.extend((0,) * j + r + (0,) * (n - j - b.cols) for r in data)
+        bound, length, j = max(bound, bb), max(length, bl), j + b.cols
+    return _new(blocks[0].ring, len(out), n, tuple(out), k, bound, length)
+
+
+def _slot_parities(w: int, k: int) -> int:
+    """The bits i*k of w > 0, as the bitmask with bit i."""
+    s = format(w, "b")
+    return int(s[(len(s) - 1) % k::k], 2)
+
+
+def pullback_matrix(u: Mat, v: Mat) -> Mat:
+    """The Z[C2][x] matrix with legs u (T -> -1) and v (T -> +1): the
+    inverse of (i_minus, i_plus) on pairs of Z[x] matrices that agree
+    mod 2 (NotInImageError otherwise)."""
+    if u.ring is not PolyInt or v.ring is not PolyInt:
+        raise RingTagError("the legs of a Z[C2][x] matrix are Z[x] matrices")
+    odd = [(i, j) for i, r in enumerate((u - v).mod2().bits) for j, e in enumerate(r) if e]
+    if odd:
+        raise NotInImageError(f"({u[odd[0]]}, {v[odd[0]]}) at {odd[0]} do not agree mod 2")
+    return _c2mat(u, v)
+
 
 
 def f2_matmul_bits(a, b, cols):
@@ -1090,14 +1236,14 @@ def f2_matmul_bits(a, b, cols):
 # when its value is, and only the results are unpacked.
 
 
-def _zx_pack_rows(rows):
-    """(k, int rows): Z[x] row tuples packed at x = 2^k, k from the minor
-    bound above."""
+def _zx_pack_rows(crows):
+    """(k, int rows): Z[x] rows of coefficient tuples packed at x = 2^k, k
+    from the minor bound above."""
     bound = 1
-    for r in rows:
-        bound *= max(1, sum([abs(c) for p in r for c in p.coeffs]))
+    for r in crows:
+        bound *= max(1, sum([abs(c) for cs in r for c in cs]))
     k = bound.bit_length() + 1
-    return k, [[_pack(p.coeffs, k) for p in r] for r in rows]
+    return k, [[_pack(cs, k) for cs in r] for r in crows]
 
 
 def _zx_row(ri, rk, k, prev):
@@ -1153,38 +1299,43 @@ def _eliminate(m, n, jordan, row_update):
     return sign, prev
 
 
-def _det(rows, ring):
-    """Determinant of a square Z[x] or F2[x] matrix given by its row tuples."""
-    if ring is PolyF2:
-        res = _eliminate([[p.bits for p in r] for r in rows], len(rows), False, _f2_row)
+def _det(m: Mat):
+    """Determinant of a square Z[x] or F2[x] matrix."""
+    n = m.rows
+    if n <= 1:
+        return m[0, 0] if n else m.ring.one()
+    if m.ring is PolyF2:
+        res = _eliminate([list(r) for r in m._data], n, False, _f2_row)
         return PolyF2(res[1]) if res else PolyF2(0)
-    k, m = _zx_pack_rows(rows)
-    res = _eliminate(m, len(m), False, _zx_row)
+    if n == 2 and (2 * m.length * m.bound**2).bit_length() < m.k:
+        (a, b), (c, d) = m._data
+        return PolyInt._raw(_unpack(a * d - b * c, m.k))
+    k, rows = _zx_pack_rows(_coeff_rows(m))
+    res = _eliminate(rows, n, False, _zx_row)
     return PolyInt._raw(_unpack(res[0] * res[1], k)) if res else PolyInt(())
 
 
-def _solve(a, b, ring, cols):
-    """X with A * X = B over Z[x] or F2[x] (A square, both given by row
-    tuples, B with `cols` columns), by fraction-free Gauss-Jordan on
-    [A | B]: d * X is read off the right block and divided by d.
-    PrecondError if A is singular, NonDivisibleError if X is not over the
-    ring."""
-    n = len(a)
-    rows = [ra + rb for ra, rb in zip(a, b)]
-    if ring is PolyF2:
-        m, row_update, unpack = [[p.bits for p in r] for r in rows], _f2_row, PolyF2
+def _solve(a: Mat, b: Mat) -> Mat:
+    """X with A * X = B over Z[x] or F2[x] (A square), by fraction-free
+    Gauss-Jordan on [A | B]: d * X is read off the right block and divided
+    by d.  PrecondError if A is singular, NonDivisibleError if X is not
+    over the ring."""
+    n = a.rows
+    if a.ring is PolyF2:
+        m = [list(ra + rb) for ra, rb in zip(a._data, b._data)]
+        row_update, read = _f2_row, PolyF2
     else:
-        k, m = _zx_pack_rows(rows)
+        k, m = _zx_pack_rows([ra + rb for ra, rb in zip(_coeff_rows(a), _coeff_rows(b))])
         row_update = _zx_row
 
-        def unpack(z):
+        def read(z):
             return PolyInt._raw(_unpack(z, k))
 
     res = _eliminate(m, n, True, row_update)
     if res is None:
         raise PrecondError("singular matrix")
-    d = unpack(res[1])
-    return Mat._raw(tuple(tuple(unpack(z).exact_div(d) for z in r[n:]) for r in m), ring, cols)
+    d = read(res[1])
+    return Mat._raw(tuple(tuple(read(z).exact_div(d) for z in r[n:]) for r in m), a.ring, b.cols)
 
 
 def solve_right(a: Mat, b: Mat) -> Mat:
@@ -1201,7 +1352,7 @@ def solve_right(a: Mat, b: Mat) -> Mat:
         raise ShapeError("solve_right needs a square left-hand side")
     if a.rows != b.rows:
         raise ShapeError("solve_right shape mismatch")
-    return _solve(a.entries, b.entries, PolyInt, b.cols)
+    return _solve(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import sys
 from pathlib import Path
 
@@ -115,3 +116,29 @@ def gauss_jordan_solve(a, b):
     if n == 0:
         return Mat.zeros(0, b.cols, PolyInt)
     return Mat([[e.exact_div(prev) for e in r[n:]] for r in m], PolyInt)
+
+
+# -- the object-level matrix oracle: rows of ring elements with the rings'
+# own arithmetic, the representation a Mat held before its Z[x] entries
+# were packed into integers
+
+
+def obj_rows(m):
+    return [list(r) for r in m.entries]
+
+
+def obj_add(a, b, op=operator.add):
+    return [[op(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def obj_neg(a):
+    return [[-x for x in r] for r in a]
+
+
+def obj_transpose(a, cols):
+    return [list(c) for c in zip(*a)] if a else [[] for _ in range(cols)]
+
+
+def obj_mul(a, b, cols, zero):
+    """a * b for rows a and b of ring elements, b with `cols` columns."""
+    return [[sum((x * rb[j] for x, rb in zip(ra, b)), zero) for j in range(cols)] for ra in a]

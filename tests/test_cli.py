@@ -309,6 +309,29 @@ def test_usage_error_exit_code():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--max-deg", "--machine-deg-triples", "--machine-deg-pairs"])
+@pytest.mark.parametrize("value", ["-1", "-3", "two"])
+def test_verify_rejects_a_bad_sweep_degree_as_a_usage_error(flag, value):
+    """A negative or non-integer sweep degree exits 2 before any output,
+    never 1 (a failed verification) or 0 on a shrunken sweep."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["verify", flag, value])
+    assert exc.value.code == 2
+    assert out.getvalue() == ""
+    assert flag in err.getvalue()
+
+
+def test_verify_defaults_are_the_sweep_config():
+    from unilc2.cli import build_parser
+    from unilc2.registry import SweepConfig
+
+    args = build_parser().parse_args(["verify"])
+    cfg = SweepConfig()
+    assert (args.max_deg, tuple(args.coeff_set), args.machine_deg_triples, args.machine_deg_pairs) == (
+        cfg.max_deg, cfg.coeffs, cfg.machine_deg_triples, cfg.machine_deg_pairs)
+
+
 def test_word_grammar_roundtrip():
     from conftest import zx
     from unilc2.cli import _parse_word

@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,53 @@ from unilc2.complexes import (
 )
 from unilc2.formations import SplitFormation, direct_sum, is_graph, make_M, negate
 from unilc2.forms import ArfClass, arf, arf_normalize
+from unilc2 import rings
 from unilc2.rings import C2Poly, Mat, PolyInt, format_matrix, parse_matrix
+
+
+# -- packed matrices through a machine run
+
+
+def test_machine_run_packs_each_entry_once(monkeypatch):
+    """During a degree-2 relation-1 run a Z[x] entry is packed once, when
+    its matrix is built from coefficients or an elimination packs its
+    operands at their minor bound, and unpacked once for each read (or
+    elimination input and result): no sum, product, transpose or mod-2
+    reduction repacks or unpacks anything."""
+    f, ncd, expected = relation_fixture(1, zx("2*x+x^2"), zx("1+2*x^2"), zx("x+2*x^2"))
+    n = Counter()
+
+    def spy(owner, name, key, weight=lambda *args: 1):
+        fn = getattr(owner, name)
+
+        def wrapped(*args):
+            n[key] += weight(*args)
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    def z(m, count):  # count the entries of a Z[x] matrix (legs count themselves)
+        return count if m.ring is PolyInt else 0
+
+    spy(rings, "_pack", "pack")
+    spy(rings, "_unpack", "unpack")
+    spy(rings, "_packed", "built", lambda crows, k=0: sum(map(len, crows)))
+    spy(rings, "_zx_pack_rows", "built", lambda crows: sum(map(len, crows)))
+    spy(rings, "_at_width", "repacks", lambda m, k: int(k != m.k and m.length > 1))
+    spy(Mat, "__getitem__", "read", lambda m, rc: z(m, 1))
+    spy(rings, "_det", "read", lambda m: z(m, m.rows**2 + 1))
+    spy(rings, "_solve", "read", lambda a, b: z(a, a.rows * (a.cols + b.cols) + b.rows * b.cols + 1))
+    entries = Mat.entries.fget
+
+    def counted_entries(m):
+        n["read"] += z(m, m.rows * m.cols)
+        return entries(m)
+
+    monkeypatch.setattr(Mat, "entries", property(counted_entries))
+    assert run_machine(f, ncd).arf == expected
+    assert n["repacks"] == 0
+    assert n["pack"] <= n["built"] and n["unpack"] <= n["read"]
+    assert n["pack"] + n["unpack"] < 400, n  # about 1755 when each product packed its factors
 
 
 # -- dictionary

@@ -7,13 +7,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bareiss_det, cofactor_adjugate, f2, gauss_jordan_solve, int_polys, zx
+from conftest import (
+    bareiss_det,
+    cofactor_adjugate,
+    f2,
+    gauss_jordan_solve,
+    int_polys,
+    obj_add,
+    obj_mul,
+    obj_neg,
+    obj_rows,
+    obj_transpose,
+    zx,
+)
 
 from unilc2.complexes import relation_fixture
 from unilc2.rings import (
     C2Poly,
-    ENTRYWISE_MAX_INNER,
     MAX_EXPONENT,
+    MIN_SLOT_BITS,
     Mat,
     NEG_INF,
     NonDivisibleError,
@@ -26,8 +38,6 @@ from unilc2.rings import (
     SCHOOLBOOK_MAX_LEN,
     ShapeError,
     _f2_row,
-    _kronecker_matmul,
-    _zx_matmul,
     _zx_row,
     apply_i,
     apply_j,
@@ -1057,27 +1067,120 @@ def test_c2_det_against_the_oracle(rows):
     assert parts(m.det()) == oracle_det(rows)
 
 
+# -- packed Z[x] and Z[C2][x] matrices against the object-level oracle
+#
+# Coefficients reach 2^64 and sit at the narrowest slot width's bound and
+# one past it; "top" factors have every coefficient equal to one value, so
+# that each product coefficient reaches inner * min(L1, L2) * B1 * B2.
+
+TOP = 2 ** (MIN_SLOT_BITS - 1) - 1  # the largest coefficient at the narrowest width
+EDGE = [TOP, TOP + 1, 2**64, 1]
+edge_coeffs = st.one_of(st.integers(-(2**64), 2**64), st.sampled_from(EDGE + [-c for c in EDGE]))
+zx_entries = st.lists(edge_coeffs, max_size=5).map(PolyInt)
+
+
 @st.composite
-def narrow_zx_pairs(draw):
-    """Z[x] factors of inner dimension 1 or 2 (r, c <= 6) with entries of
-    length up to 12, so both product kernels of PolyInt run, coefficients
-    up to 2^64 and zero entries."""
-    r, n, c = draw(st.integers(1, 6)), draw(st.integers(1, ENTRYWISE_MAX_INNER)), draw(st.integers(1, 6))
-    entry = st.one_of(
-        st.lists(st.integers(-(2**64), 2**64), max_size=12).map(PolyInt),
-        st.just(PolyInt(())),
-        st.just(PolyInt((2**64,) * 12)),
-    )
-    a = tuple(tuple(draw(entry) for _ in range(n)) for _ in range(r))
-    b = tuple(tuple(draw(entry) for _ in range(c)) for _ in range(n))
-    return a, b
+def zx_rows(draw, r, c, entry=zx_entries):
+    """r rows of c entries; sometimes zero rows, or every entry one "top"
+    polynomial of equal coefficients."""
+    kind = draw(st.sampled_from(["dense", "zero-row", "top"]))
+    if kind == "top":
+        top = PolyInt([draw(st.sampled_from(EDGE + [-TOP]))] * draw(st.integers(1, 5)))
+        return [[top] * c for _ in range(r)]
+    rows = [[draw(entry) for _ in range(c)] for _ in range(r)]
+    if kind == "zero-row" and r:
+        rows[draw(st.integers(0, r - 1))] = [PolyInt(())] * c
+    return rows
+
+
+def holds_its_bounds(m):
+    """The packing invariant: every coefficient within the bound, every
+    entry within the length, and the bound below 2^(k-1)."""
+    legs = (m.i_minus(), m.i_plus()) if m.ring is C2Poly else (m,)
+    for leg in legs:
+        cs = [e.coeffs for r in leg.entries for e in r]
+        assert leg.bound < 2 ** (leg.k - 1)
+        assert max((abs(c) for e in cs for c in e), default=0) <= leg.bound
+        assert max(map(len, cs), default=0) <= leg.length
+    return True
+
+
+shapes = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
 
 
 @settings(max_examples=200, deadline=None)
-@given(narrow_zx_pairs())
-def test_zx_narrow_product_against_kronecker(pair):
-    a, b = pair
-    want = _kronecker_matmul(a, b)
-    assert _zx_matmul(a, b, len(b[0])) == want
-    assert (Mat(a, PolyInt) * Mat(b, PolyInt)).entries == want
-    assert all(is_canonical(e) for row in want for e in row)
+@given(shapes.flatmap(lambda s: st.tuples(
+    st.just(s), zx_rows(s[0], s[1]), zx_rows(s[0], s[1]), zx_rows(s[1], s[2]))))
+def test_zx_matrix_arithmetic_against_the_object_oracle(case):
+    (r, n, c), ra, rb, rd = case
+    a, b = (Mat(x, PolyInt) if r else Mat.zeros(0, n, PolyInt) for x in (ra, rb))
+    d = Mat(rd, PolyInt) if n else Mat.zeros(0, c, PolyInt)
+    zero = PolyInt(())
+    for got, want in (
+        (a + b, obj_add(ra, rb)),
+        (a - b, obj_add(ra, rb, operator.sub)),
+        (-a, obj_neg(ra)),
+        (a.conj_t(), obj_transpose(ra, n)),
+        (a * d, obj_mul(ra, rd, c, zero)),
+        (a.conj_t() * b, obj_mul(obj_transpose(ra, n), rb, n, zero)),
+        (a * zx("-x+3"), [[e * zx("-x+3") for e in row] for row in ra]),
+    ):
+        assert obj_rows(got) == want
+        assert holds_its_bounds(got)
+    assert obj_rows(a.mod2()) == [[e.mod2() for e in row] for row in ra]
+    wide = a + a * d * d.conj_t() - a * d * d.conj_t()  # the same, wider k when the bound needs it
+    assert wide == a and hash(wide) == hash(a) and obj_rows(wide) == ra
+    assert (a + b == a) == (obj_rows(b) == [[zero] * n for _ in range(r)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(shapes.flatmap(lambda s: st.tuples(
+    st.just(s), *(st.lists(st.lists(c2_pairs(max_len=4, bound=2**64), min_size=w, max_size=w),
+                           min_size=h, max_size=h) for h, w in ((s[0], s[1]), (s[0], s[1]), (s[1], s[2]))))))
+def test_c2_matrix_arithmetic_against_the_object_oracle(case):
+    """The same over Z[C2][x], where the legs must also agree mod 2 after
+    every operation."""
+    (r, n, c), *pairs = case
+    ra, rb, rd = ([[C2Poly.from_parts(*e) for e in row] for row in p] for p in pairs)
+    a, b = (Mat(x, C2Poly) if r else Mat.zeros(0, n, C2Poly) for x in (ra, rb))
+    d = Mat(rd, C2Poly) if n else Mat.zeros(0, c, C2Poly)
+    zero = C2Poly.zero()
+    t = parse_poly("x-T", C2Poly)
+    for got, want in (
+        (a + b, obj_add(ra, rb)),
+        (a - b, obj_add(ra, rb, operator.sub)),
+        (-a, obj_neg(ra)),
+        (a.conj_t(), obj_transpose(ra, n)),
+        (a * d, obj_mul(ra, rd, c, zero)),
+        (a * t, [[e * t for e in row] for row in ra]),
+    ):
+        assert obj_rows(got) == want
+        assert holds_its_bounds(got)
+        assert (got.i_minus() - got.i_plus()).mod2().is_zero()
+        assert obj_rows(got.i_minus()) == [[apply_i(-1, e) for e in row] for row in want]
+    assert obj_rows(a.mod2()) == [[apply_k(e) for e in row] for row in ra]
+    assert hash(a + b - b) == hash(a) and a + b - b == a
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([-1, 0, 1]), st.sampled_from([1, -1]), st.integers(1, 4), st.integers(0, 3))
+def test_equality_and_hash_at_the_slot_bound(delta, sign, length, i):
+    """Coefficients at the narrowest width's bound (TOP) and one past it
+    pack at different widths; equal matrices stay equal, with equal hashes,
+    whatever width they are held at, and a difference of one in one
+    coefficient is seen."""
+    top = PolyInt([sign * (TOP + delta)] * length)
+    m = Mat([[top, zx("1")], [zx("-x"), top]], PolyInt)
+    assert m.k == MIN_SLOT_BITS + (delta == 1)
+    big = Mat.scalar(2, PolyInt((2**200,)), PolyInt)
+    wide = m + big - big
+    assert wide.k > m.k
+    assert wide == m and m == wide and hash(wide) == hash(m)
+    assert obj_rows(wide) == obj_rows(m)
+    j = min(i, length - 1)
+    bumped = PolyInt([c + (k == j) for k, c in enumerate(top.coeffs)])
+    nudged = Mat([[bumped, zx("1")], [zx("-x"), top]], PolyInt)
+    assert nudged != m and nudged != wide and wide != nudged
+    assert (nudged - m) == Mat([[PolyInt.x_power(j), zx("0")], [zx("0"), zx("0")]], PolyInt)
+    c2 = m.to_c2()
+    assert c2 == (wide + Mat.zeros(2, 2, PolyInt)).to_c2() and hash(c2) == hash(wide.to_c2())
