@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .forms import (
     ArfClass,
     QuadraticForm,
+    SingularFormError,
     arf,
     arf_normalize,
     from_pairing_and_vector,
@@ -353,12 +354,10 @@ def instant_obstruction(u: UnionComplex) -> Obstruction:
     n = u.rank
     zero_n = Mat.zeros(n, n, PolyF2)
     ident = Mat.identity(n, PolyF2)
-    dpsi0 = Mat(
-        [[u.psi0_1[i, j] for j in range(n)] for i in range(n)], PolyF2
-    )  # = chi^T mod 2 = -dpsi0 = dpsi0 over F2
-    f1m = Mat(
-        [[u.d_f2[i, j] for j in range(n)] for i in range(n)], PolyF2
-    )
+    # the top-left blocks of psi0_1 and d_F^2: dpsi0 = chi^T mod 2 (= -dpsi0
+    # over F2) and f1 mod 2
+    dpsi0 = Mat.from_bits([r[:n] for r in u.psi0_1.bits[:n]], n)
+    f1m = Mat.from_bits(u.d_f2.bits[:n], n)
     big = QuadraticForm(
         Mat.from_blocks(
             [
@@ -370,11 +369,16 @@ def instant_obstruction(u: UnionComplex) -> Obstruction:
         1,
     )
     reduced = QuadraticForm(dpsi0, 1)
-    if not reduced.is_nonsingular():
+    # the reduction standardises the pairing by a polynomial change of
+    # basis u (u^T lambda u = J), which forces det lambda to be a unit; so
+    # it fails exactly when the form is singular
+    try:
+        reduced_arf = arf(reduced)
+    except SingularFormError as exc:
         raise StageError(
             "obstruction", "reduced obstruction form is singular", dpsi0
-        )
-    big_arf, reduced_arf = arf(big), arf(reduced)
+        ) from exc
+    big_arf = arf(big)
     if big_arf != reduced_arf:
         raise StageError(
             "obstruction", "big and reduced obstruction forms disagree", dpsi0

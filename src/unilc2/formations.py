@@ -92,16 +92,20 @@ def _require_pg_in_xzx(p: PolyInt, g: PolyInt):
         raise PrecondError("p*g must have zero constant coefficient")
 
 
+# mu = 2*Id of the rank-2 generators over Z[C2][x] (a Mat is immutable)
+_TWO_ID = Mat.scalar(2, 2, C2Poly)
+
+
 def make_M(p: PolyInt, g: PolyInt) -> SplitFormation:
     """Rank-2 generator over Z[C2][x] with parameters p, g (p*g in x*Z[x]):
     gamma = theta = [[p,1],[1,(1-T)g]], mu = 2*Id."""
     _require_pg_in_xzx(p, g)
-    pc = C2Poly.from_polyint(p)
-    one = C2Poly.one()
-    gg = ONE_MINUS_T * C2Poly.from_polyint(g)
-    gamma = Mat._raw(((pc, one), (one, gg)), C2Poly, 2)
-    mu = Mat.scalar(2, C2Poly.from_int(2), C2Poly)
-    return SplitFormation(gamma, mu, gamma, -1)
+    # the legs of gamma, which agree mod 2: (1 - T) g is 2g at T -> -1 and
+    # 0 at T -> +1
+    pc = p.coeffs
+    minus = Mat.from_coeffs(((pc, (1,)), ((1,), tuple([2 * c for c in g.coeffs]))), 2)
+    gamma = Mat.from_legs(minus, Mat.from_coeffs(((pc, (1,)), ((1,), ())), 2))
+    return SplitFormation(gamma, _TWO_ID, gamma, -1)
 
 
 def make_Q(q: PolyInt) -> SplitFormation:

@@ -21,7 +21,9 @@ from .rings import (
     ShapeError,
     cl_divmod,
     clmul,
-    f2_matmul_bits,
+    f2_bit_length,
+    f2_dot,
+    f2_pack,
     format_poly,
 )
 
@@ -247,7 +249,8 @@ def symplectic_reduce(form: QuadraticForm) -> SymplecticBasis:
     The reduction runs on the bitmask rows of the matrices (Mat.bits) with
     the carry-less arithmetic of rings; PolyF2 objects are built only for
     the quadratic values.
-    Every column operation is recorded in the result's ops.
+    Every column operation is recorded in the result's ops, and the result
+    is checked, u^T lambda u = J, by one packed pass (_is_standard_gram).
     """
     if form.ring is not PolyF2:
         raise RingTagError("symplectic reduction works over F2[x]")
@@ -308,12 +311,40 @@ def symplectic_reduce(form: QuadraticForm) -> SymplecticBasis:
         # already 0 for j > t+1, so only <e_{t+1}, e_j> needs clearing
         for j in range(t + 2, n):
             add_col(j, t, g[t + 1][j])
-    urows = [list(r) for r in zip(*ucols)]
-    moved = f2_matmul_bits(f2_matmul_bits(ucols, lam, n), urows, n)
-    if moved != [[int(j == i ^ 1) for j in range(n)] for i in range(n)]:
+    urows = list(zip(*ucols))
+    if not _is_standard_gram(urows, lam):
         raise SingularFormError("internal error: reduction did not standardise")
-    um = Mat.from_bits(urows, n)
-    return SymplecticBasis(um, tuple(map(PolyF2, q)), tuple(ops))
+    return SymplecticBasis(Mat.from_bits(urows, n), tuple(map(PolyF2, q)), tuple(ops))
+
+
+# The check u^T lam u = J runs as one packed matrix-vector pass (Kronecker
+# substitution, as for the F2[x] products of rings): row r of u is packed
+# once, as U_r with entry j in slot j; LU_s = sum_r lam[s][r] U_r is then
+# row s of lam u, packed, and sum_s u[s][i] LU_s is row i of u^T lam u.
+# XOR has no carries, so each slot holds its entry exactly as long as the
+# slot is wider than the entries' degrees, and row i equals J's row i
+# exactly when it is the single bit of slot i ^ 1.
+
+
+def _gram_slot_bits(urows, lam) -> int:
+    """The slot width of the pass: the most bits an entry of u^T lam u can
+    have, as deg(u^T lam u) <= 2 deg u + deg lam."""
+    return max(2 * f2_bit_length(urows) + f2_bit_length(lam) - 2, 1)
+
+
+def _packed_gram(urows, lam, w: int) -> list:
+    """The rows of u^T lam u (u and lam given by rows of bitmasks), each
+    packed into one int at slot width w."""
+    packed = [f2_pack(r, w) for r in urows]
+    lu = [f2_dot(r, packed) for r in lam]
+    return [f2_dot(c, lu) for c in zip(*urows)]
+
+
+def _is_standard_gram(urows, lam) -> bool:
+    """Whether u^T lam u is the standard symplectic matrix J, read off the
+    packed rows without unpacking an entry."""
+    w = _gram_slot_bits(urows, lam)
+    return _packed_gram(urows, lam, w) == [1 << ((i ^ 1) * w) for i in range(len(urows))]
 
 
 def arf(form: QuadraticForm) -> ArfClass:

@@ -773,6 +773,19 @@ class Mat:
         return _new(PolyF2, len(rows), cols, tuple(map(tuple, rows)))
 
     @classmethod
+    def from_coeffs(cls, crows, cols: int) -> "Mat":
+        """The Z[x] matrix with rows of coefficient tuples (PolyInt.coeffs:
+        lowest first, no trailing zeros)."""
+        return _new(PolyInt, len(crows), cols, *_packed(crows))
+
+    @classmethod
+    def from_legs(cls, u: "Mat", v: "Mat") -> "Mat":
+        """The Z[C2][x] matrix with legs u (T -> -1) and v (T -> +1), Z[x]
+        matrices that the caller knows agree mod 2 (pullback_matrix checks
+        it)."""
+        return _c2mat(u, v)
+
+    @classmethod
     def identity(cls, n: int, ring) -> "Mat":
         return cls.scalar(n, ring.one(), ring)
 
@@ -1189,34 +1202,47 @@ def pullback_matrix(u: Mat, v: Mat) -> Mat:
     return _c2mat(u, v)
 
 
+def f2_bit_length(rows) -> int:
+    """The bit length of the longest entry in rows of bitmasks (0 when
+    there are no entries)."""
+    return max(map(max, rows)).bit_length() if rows and rows[0] else 0
+
+
+def f2_pack(row, w: int) -> int:
+    """A row of bitmasks, none longer than w bits, as one int whose slot j
+    (bits j*w to j*w + w - 1) holds entry j."""
+    z = 0
+    for v in reversed(row):
+        z = (z << w) | v
+    return z
+
+
+def f2_dot(row, packed) -> int:
+    """The XOR of the carry-less products row[k] * packed[k]."""
+    acc = 0
+    for v, z in zip(row, packed):
+        if v:
+            acc ^= clmul(v, z)
+    return acc
+
 
 def f2_matmul_bits(a, b, cols):
     """Rows of the product of F2[x] matrices given by rows of bitmasks (b
     has `cols` columns), as lists of bitmasks.
 
-    Each row of b is packed into one int, slot j holding entry j's bits.  A
-    product of an entry of a and one of b has at most la + lb - 1 bits (la,
-    lb the longest entries), so at that slot width a shifted row never
-    spills into the next slot, and XOR has no carries: row i of the product
-    is the XOR of the carry-less products a[i][k] * (packed row k of b).
-    Each output entry is unpacked once.
+    Each row of b is packed into one int (f2_pack).  A product of an entry
+    of a and one of b has at most la + lb - 1 bits (la, lb the longest
+    entries), so at that slot width a shifted row never spills into the
+    next slot, and XOR has no carries: row i of the product is the XOR of
+    the carry-less products a[i][k] * (packed row k of b).  Each output
+    entry is unpacked once.
     """
-    la = max((v for r in a for v in r), default=0).bit_length()
-    lb = max((v for r in b for v in r), default=0).bit_length()
-    w = max(la + lb - 1, 1)
-    packed = []
-    for r in b:
-        z = 0
-        for v in reversed(r):
-            z = (z << w) | v
-        packed.append(z)
+    w = max(f2_bit_length(a) + f2_bit_length(b) - 1, 1)
+    packed = [f2_pack(r, w) for r in b]
     mask = (1 << w) - 1
     out = []
     for r in a:
-        acc = 0
-        for v, z in zip(r, packed):
-            if v:
-                acc ^= clmul(v, z)
+        acc = f2_dot(r, packed)
         row = []
         for _ in range(cols):
             row.append(acc & mask)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from collections import Counter
 
@@ -23,7 +24,7 @@ from unilc2.complexes import (
     run_relation,
 )
 from unilc2.formations import SplitFormation, direct_sum, is_graph, make_M, negate
-from unilc2.forms import ArfClass, arf, arf_normalize
+from unilc2.forms import ArfClass, SingularFormError, arf, arf_normalize
 from unilc2 import rings
 from unilc2.rings import C2Poly, Mat, PolyInt, format_matrix, parse_matrix
 
@@ -254,6 +255,25 @@ def test_obstruction_reduces_to_chi_transpose():
     assert obs.big_arf == obs.reduced_arf
     assert obs.big.rank == 3 * obs.reduced.rank
     assert obs.reduced.is_nonsingular()
+
+
+def test_obstruction_rejects_a_singular_reduced_form():
+    """A union complex whose top-left block of psi0_1 (the reduced form) is
+    singular fails the obstruction stage; the singularity is read off the
+    symplectic reduction."""
+    f, ncd, _ = fixture(1, zx("x"), zx("1"), zx("x"))
+    c = formation_to_complex(f)
+    u = build_union(c, build_psi_hat(c, ncd), build_null_cobordism(c, ncd))
+    n = u.rank
+    rows = [list(r) for r in u.psi0_1.bits]
+    for i in range(n):  # e_0 then pairs to zero with the whole block
+        rows[0][i] = rows[i][0] = 0
+    broken = dataclasses.replace(u, psi0_1=Mat.from_bits(rows, 3 * n))
+    with pytest.raises(StageError) as err:
+        instant_obstruction(broken)
+    assert err.value.stage == "obstruction"
+    assert "reduced obstruction form is singular" in str(err.value)
+    assert isinstance(err.value.__cause__, SingularFormError)
 
 
 # -- the full machine

@@ -11,6 +11,9 @@ from unilc2.forms import (
     QuadraticForm,
     SingularFormError,
     SymplecticBasis,
+    _gram_slot_bits,
+    _is_standard_gram,
+    _packed_gram,
     arf,
     arf_normalize,
     direct_sum,
@@ -22,7 +25,16 @@ from unilc2.forms import (
     symplectic_reduce,
     witt_equal,
 )
-from unilc2.rings import Mat, PolyF2, PrecondError, RingTagError, f2_divmod, parse_matrix
+from unilc2.rings import (
+    Mat,
+    PolyF2,
+    PrecondError,
+    RingTagError,
+    clmul,
+    f2_bit_length,
+    f2_divmod,
+    parse_matrix,
+)
 
 
 def rand_unimodular(rng, n):
@@ -406,3 +418,81 @@ def test_reduce_six_by_six_fixture():
     assert basis.u.conj_t() * lam * basis.u == standard_symplectic(6)
     assert len(basis.pairs) == 3
     assert arf(form).to_poly() == f2("x")
+
+
+# -- the packed u^T lam u = J check
+
+
+@st.composite
+def standard_gram_pairs(draw):
+    """(u, lam) as bit rows with u^T lam u = J, at even ranks 0-20: u is a
+    product of elementary matrices E = Id + f e_(src,tgt), each its own
+    inverse over F2[x], so u^-1 is built alongside and lam = u^-T J u^-1."""
+    n = 2 * draw(st.integers(0, 10))
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [r[:] for r in u]
+    if n:
+        ops = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 255))
+        for src, tgt, f in draw(st.lists(ops, max_size=2 * n)):
+            if src != tgt:
+                for r in u:  # u <- u E: column tgt gains f * column src
+                    r[tgt] ^= clmul(f, r[src])
+                # u^-1 <- E u^-1: row src gains f * row tgt
+                inv[src] = [a ^ clmul(f, b) for a, b in zip(inv[src], inv[tgt])]
+    inv_m = Mat.from_bits(inv, n)
+    lam = inv_m.conj_t() * standard_symplectic(n) * inv_m
+    return u, [list(r) for r in lam.bits]
+
+
+def polyf2_gram(u, lam):
+    """Oracle: u^T lam u entry by entry on PolyF2 objects, as bit rows."""
+    n = len(u)
+    up = [[PolyF2(v) for v in r] for r in u]
+    lp = [[PolyF2(v) for v in r] for r in lam]
+    zero = PolyF2.zero()
+    ul = [[sum((up[s][i] * lp[s][r] for s in range(n)), zero) for r in range(n)] for i in range(n)]
+    return [[sum((ul[i][r] * up[r][j] for r in range(n)), zero).bits for j in range(n)] for i in range(n)]
+
+
+def unpack_slots(rows, w, n):
+    mask = (1 << w) - 1
+    return [[z >> (j * w) & mask for j in range(n)] for z in rows]
+
+
+@settings(max_examples=120, deadline=None)
+@given(standard_gram_pairs(), st.data())
+def test_packed_gram_check_against_the_dense_product(pair, data):
+    """The packed check accepts exactly when the dense u^T lam u is J.  The
+    pairs drawn are accepted ones and one-bit mutations of them: of lam
+    (always rejected, as u^T (x^b e_rc) u is the outer product of two
+    nonzero rows of u), of u (a transvection inside a pair can keep J, so
+    only agreement with the oracle is asserted), and a top mutation that
+    puts an entry of u^T lam u at exactly the slot bound's bit length."""
+    u, lam = pair
+    n = len(u)
+    j_rows = [[int(j == i ^ 1) for j in range(n)] for i in range(n)]
+    assert polyf2_gram(u, lam) == j_rows and _is_standard_gram(u, lam)
+    kind = data.draw(st.sampled_from(["u", "lam", "top"])) if n else None
+    if kind == "top":
+        # lam[r][r] gains x^b one above lam's top bit, where u[r][i] has
+        # u's top degree: entry (i, i) gains x^b u[r][i]^2, of bit length
+        # 2 bitlen(u) + bitlen(lam') - 2
+        r, i = max(((r, i) for r in range(n) for i in range(n)), key=lambda ri: u[ri[0]][ri[1]])
+        lam[r][r] ^= 1 << f2_bit_length(lam)
+    elif kind is not None:
+        m = u if kind == "u" else lam
+        r, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        m[r][c] ^= 1 << data.draw(st.integers(0, f2_bit_length(m)))
+    dense = polyf2_gram(u, lam)
+    assert _is_standard_gram(u, lam) == (dense == j_rows)
+    if kind in ("lam", "top"):
+        assert not _is_standard_gram(u, lam)
+    w = _gram_slot_bits(u, lam)
+    assert unpack_slots(_packed_gram(u, lam, w), w, n) == dense
+    if kind == "top":
+        assert f2_bit_length(dense) == w
+    if w > 1:
+        # one bit narrower, an entry of full bit length spills into the
+        # next slot: the packed rows no longer hold the product
+        narrow = unpack_slots(_packed_gram(u, lam, w - 1), w - 1, n)
+        assert (narrow == dense) == (f2_bit_length(dense) < w)
