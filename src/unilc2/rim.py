@@ -8,9 +8,10 @@ symmetrization).  The construction runs in three recorded steps:
   1. the boundary formation of the lifted form over one Z[x] leg, paired
      with the hyperbolic data over the other leg, glued over phi';
   2. a change of coordinates on the second lagrangian that re-glues the
-     pair over the identity (this needs a unimodular integer lift of the
-     inverse of phi', read off the symplectic reduction of phi': its
-     elementary column operations are lifted one by one);
+     pair over the identity (this needs a unimodular integer lift of
+     phi'^{-1}; the one symplectic reduction of phi' gives u with
+     u^T phi' u = J, so phi'^{-1} = u J u^T with no Gauss-Jordan inverse,
+     and its elementary column operations, lifted one by one, lift u);
   3. entry-wise assembly of each matched pair of integer matrices into a
      single matrix over Z[C2][x] through the fibre-product isomorphism.
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .forms import QuadraticForm, symplectic_reduce
+from .forms import QuadraticForm, SingularFormError, SymplecticBasis, symplectic_reduce
 from .formations import SplitFormation
 from .rings import (
     AlgebraError,
@@ -50,12 +51,21 @@ class AssemblyError(AlgebraError):
 
 
 def _chi_prime(form: QuadraticForm):
-    """(chi', phi'^{-1}) with chi' = phi'^{-1} psi' phi'^{-1} over F2[x];
-    PrecondError unless phi' is unimodular."""
+    """(chi', phi'^{-1}, basis) with chi' = phi'^{-1} psi' phi'^{-1} over
+    F2[x], read off the form's symplectic reduction (basis: u with u^T phi'
+    u = J, so phi'^{-1} = u J u^T); PrecondError unless phi' is
+    unimodular."""
     if form.ring is not PolyF2 or form.epsilon != 1:
         raise PrecondError("the boundary takes (+1)-forms over F2[x]")
-    inv = form.symmetrization().inverse_unimodular()
-    return inv * form.psi * inv, inv
+    try:
+        basis = symplectic_reduce(form)
+    except SingularFormError as exc:
+        raise PrecondError("the symmetrization is not unimodular") from exc
+    n = form.rank
+    # u J is u with the columns of each pair exchanged
+    u_j = Mat.from_bits([[r[j ^ 1] for j in range(n)] for r in basis.u.bits], n)
+    inv = u_j * basis.u.conj_t()
+    return inv * form.psi * inv, inv, basis
 
 
 def compute_chi_prime(form: QuadraticForm) -> Mat:
@@ -64,10 +74,9 @@ def compute_chi_prime(form: QuadraticForm) -> Mat:
 
 
 def default_lift(m: Mat) -> Mat:
-    """Coefficient-wise integer lift of an F2[x] matrix (bits 0/1 kept)."""
-    if m.ring is not PolyF2:
-        raise RingTagError("default_lift expects an F2[x] matrix")
-    return Mat._raw(tuple(tuple(PolyInt._raw(e.coeffs) for e in r) for r in m.entries), PolyInt, m.cols)
+    """Coefficient-wise integer lift of an F2[x] matrix (bits 0/1 kept);
+    RingTagError for any other ring."""
+    return m.lift_bits()
 
 
 def canonical_P_lifts(q: PolyInt):
@@ -83,14 +92,17 @@ def canonical_P_lifts(q: PolyInt):
 class BoundaryInput:
     """A form over F2[x] plus integer lifts of psi' and chi'.
 
-    An omitted lift_chi is the coefficient-wise lift of chi'.  phi_inv, the
-    inverse of the symmetrization phi', is derived once here: it gives chi'
-    for the lift check and the re-coordination in boundary_steps.
+    An omitted lift_chi is the coefficient-wise lift of chi'.  The form's
+    symplectic reduction runs once here, as basis (u with u^T phi' u = J),
+    and phi_inv = u J u^T is read off it, with no Gauss-Jordan inverse: it
+    gives chi' for the lift check, and both give the re-coordination in
+    boundary_steps.
     """
 
     form: QuadraticForm
     lift_psi: Mat
     lift_chi: Mat | None = None
+    basis: SymplecticBasis = field(init=False, repr=False, compare=False)
     phi_inv: Mat = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -99,11 +111,12 @@ class BoundaryInput:
             raise RingTagError("lifts must have entries in Z[x]")
         if self.lift_psi.mod2() != self.form.psi:
             raise LiftError("lift_psi does not reduce to the input form")
-        chi_prime, inv = _chi_prime(self.form)
+        chi_prime, inv, basis = _chi_prime(self.form)
         if chi is None:
             object.__setattr__(self, "lift_chi", default_lift(chi_prime))
         elif chi.mod2() != chi_prime:
             raise LiftError("lift_chi does not reduce to chi'")
+        object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "phi_inv", inv)
 
     @classmethod
@@ -131,20 +144,21 @@ class BoundarySteps:
     result: SplitFormation
 
 
-def _unimodular_lift(form: QuadraticForm, phi_inv: Mat) -> Mat:
+def _unimodular_lift(basis: SymplecticBasis, phi_inv: Mat) -> Mat:
     """A lift of phi_inv = phi'^{-1} over Z[x] with determinant +-1.
 
-    symplectic_reduce finds u with u^T phi' u = J, J exchanging the two
-    columns of each pair, so phi'^{-1} = u J u^T.  Its column operations,
-    replayed on Id with each multiplier lifted coefficient-wise, build a
-    lift U of u; every operation is elementary, so det U = +-1, and
+    The symplectic reduction's basis u has u^T phi' u = J, J exchanging
+    the two columns of each pair, so phi'^{-1} = u J u^T.  Its column
+    operations, replayed on Id with each multiplier lifted coefficient-wise,
+    build a lift U of u; every operation is elementary, so det U = +-1, and
     U J U^T lifts phi'^{-1} with determinant +-1.  The result is checked
-    against phi_inv, which was inverted independently of u.
+    against phi_inv: the replayed Z[x] operations must reduce to u J u^T,
+    which the reduction's exact check u^T phi' u = J proves is phi'^{-1}.
     """
-    n = form.rank
+    n = basis.u.rows
     one, zero = PolyInt.one(), PolyInt.zero()
     cols = [[one if i == j else zero for i in range(n)] for j in range(n)]
-    for op in symplectic_reduce(form).ops:
+    for op in basis.ops:
         if op[0] == "swap":
             _, i, j = op
             cols[i], cols[j] = cols[j], cols[i]
@@ -191,7 +205,7 @@ def boundary_steps(inp: BoundaryInput) -> BoundarySteps:
     )
     # re-coordinate the second lagrangian by a unimodular lift of the
     # inverse symmetrization, so that every pair glues over the identity
-    phi_tilde = _unimodular_lift(inp.form, inp.phi_inv)
+    phi_tilde = _unimodular_lift(inp.basis, inp.phi_inv)
     step2 = GluedPair(
         gamma=(gamma_b * phi_tilde, zero),
         mu=(phi * phi_tilde, ident),

@@ -324,7 +324,7 @@ def clmul(a: int, b: int) -> int:
     out = 0
     while a:
         low = a & -a
-        out ^= b * low  # b shifted to the set bit's position
+        out ^= b << (low.bit_length() - 1)  # b shifted to the set bit's position
         a ^= low
     return out
 
@@ -948,11 +948,17 @@ class Mat:
         k, n = m.k, m.length
         if n <= 1:
             return Mat.from_bits([[z & 1 for z in r] for r in m._data], m.cols)
-        # 2^(k-1) added to every slot leaves no borrows, so the parity of
-        # coefficient i is bit i*k
-        offset = ((1 << (k * n)) - 1) // ((1 << k) - 1) << (k - 1)
+        offset = _parity_offset(k, n)
         rows = [[_slot_parities(z + offset, k) if z else 0 for z in r] for r in m._data]
         return Mat.from_bits(rows, m.cols)
+
+    def lift_bits(self) -> "Mat":
+        """The Z[x] matrix with the 0/1 coefficients of this F2[x] matrix:
+        a bitmask's value at x = 2^k is its bits spread k apart."""
+        gap, data = "0" * (MIN_SLOT_BITS - 1), self.bits
+        rows = tuple(tuple([b if b < 2 else int(gap.join(format(b, "b")), 2) for b in r]) for r in data)
+        n = f2_bit_length(data)
+        return _new(PolyInt, self.rows, self.cols, rows, MIN_SLOT_BITS, min(n, 1), n)
 
     def i_minus(self) -> "Mat":
         return self._leg(0)
@@ -1184,6 +1190,13 @@ def _block_diag(*blocks) -> Mat:
     return _new(blocks[0].ring, len(out), n, tuple(out), k, bound, length)
 
 
+def _parity_offset(k: int, n: int) -> int:
+    """2^(k-1) in each of n slots of k bits.  Added to a value of a Z[x]
+    entry of length <= n at slot width k it leaves no borrows, so the parity
+    of coefficient i is then bit i*k."""
+    return ((1 << (k * n)) - 1) // ((1 << k) - 1) << (k - 1)
+
+
 def _slot_parities(w: int, k: int) -> int:
     """The bits i*k of w > 0, as the bitmask with bit i."""
     s = format(w, "b")
@@ -1196,8 +1209,14 @@ def pullback_matrix(u: Mat, v: Mat) -> Mat:
     mod 2 (NotInImageError otherwise)."""
     if u.ring is not PolyInt or v.ring is not PolyInt:
         raise RingTagError("the legs of a Z[C2][x] matrix are Z[x] matrices")
-    odd = [(i, j) for i, r in enumerate((u - v).mod2().bits) for j, e in enumerate(r) if e]
-    if odd:
+    # u = v mod 2 when every coefficient of u - v is even: read off the
+    # packed values as in mod2, without unpacking (a constant entry's test
+    # is z & 1)
+    d = u - v
+    offset = _parity_offset(d.k, max(d.length, 1))
+    ones = offset >> (d.k - 1)
+    if any([(z + offset) & ones for r in d._data for z in r]):
+        odd = [(i, j) for i, r in enumerate(d.mod2().bits) for j, e in enumerate(r) if e]
         raise NotInImageError(f"({u[odd[0]]}, {v[odd[0]]}) at {odd[0]} do not agree mod 2")
     return _c2mat(u, v)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import cofactor_adjugate, f2, zx
 
 from unilc2.formations import is_contractible, is_graph, make_Q
-from unilc2.forms import QuadraticForm, direct_sum, hyperbolic, make_P
+from unilc2.forms import QuadraticForm, direct_sum, hyperbolic, make_P, symplectic_reduce
 from unilc2.rim import (
     AssemblyError,
     BoundaryInput,
@@ -152,7 +153,7 @@ def test_unimodular_lift_of_elementary_product():
     assert all(not phi_inv[i, i] for i in range(4)) and phi_inv == phi_inv.conj_t()
     assert phi_inv.det() == f2("1")
     assert not default_lift(phi_inv).det().is_unit()
-    lift = _unimodular_lift(form, phi_inv)
+    lift = _unimodular_lift(symplectic_reduce(form), phi_inv)
     assert lift.mod2() == phi_inv
     assert lift.det().is_unit()
 
@@ -239,10 +240,97 @@ def test_chi_prime_against_adjugate_on_dense_forms():
 @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 6, 8]))
 def test_unimodular_lift_on_dense_forms(seed, rank):
     inp = BoundaryInput.with_default_lifts(dense_boundary_form(random.Random(seed), rank))
-    lift = _unimodular_lift(inp.form, inp.phi_inv)
+    lift = _unimodular_lift(inp.basis, inp.phi_inv)
     assert lift.mod2() == inp.phi_inv
     assert lift.det().is_unit()
     assert boundary(inp).hessian_holds()
     if rank == 2:
         # a rank-2 unimodular alternating pairing is J: no column operations
         assert lift == default_lift(inp.phi_inv)
+
+
+# -- phi'^{-1} = u J u^T from the one symplectic reduction
+
+
+boundary_forms = st.one_of(
+    st.tuples(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 6, 8])).map(
+        lambda sr: dense_boundary_form(random.Random(sr[0]), sr[1])
+    ),
+    st.integers(1, 4).map(hyperbolic),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(boundary_forms)
+def test_phi_inv_from_the_reduction_against_gauss_jordan(form):
+    inp = BoundaryInput.with_default_lifts(form)
+    phi = form.symmetrization()
+    assert inp.phi_inv == phi.inverse_unimodular()
+    assert phi * inp.phi_inv == Mat.identity(form.rank, PolyF2)
+    assert compute_chi_prime(form) == inp.phi_inv * form.psi * inp.phi_inv
+    if form.rank == 2:
+        # a rank-2 unimodular alternating pairing is J: no column operations
+        assert inp.basis.ops == ()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[x,1;1,0]",  # phi' = [0,0;0,0]
+        "[0,x;0,0]",  # phi' = [0,x;x,0], det x^2
+        "[0,1+x;0,0]",  # det 1 + x^2
+        "[0,1,0;0,0,0;0,0,0]",  # odd rank
+        "[1]",  # rank 1
+        "[0,1,0,0;0,0,0,0;0,0,0,x;0,0,0,0]",  # second pair's pairing x
+    ],
+)
+def test_singular_or_odd_rank_symmetrization_is_a_precondition_error(text):
+    form = QuadraticForm(parse_matrix(text, PolyF2), 1)
+    with pytest.raises(PrecondError):
+        compute_chi_prime(form)
+    with pytest.raises(PrecondError):
+        BoundaryInput.with_default_lifts(form)
+
+
+def test_dropped_operation_fails_the_lift_check():
+    """The replay is checked against phi'^{-1}: a basis missing one of its
+    recorded operations, an add or a swap, no longer lifts it."""
+    inp = BoundaryInput.with_default_lifts(QuadraticForm(parse_matrix(GENERIC_PSI, PolyF2), 1))
+    ops = inp.basis.ops
+    kinds = {op[0] for op in ops}
+    assert kinds == {"add", "swap"}
+    assert _unimodular_lift(inp.basis, inp.phi_inv).mod2() == inp.phi_inv
+    for kind in ("add", "swap"):
+        i = next(i for i, op in enumerate(ops) if op[0] == kind)
+        broken = dataclasses.replace(inp.basis, ops=ops[:i] + ops[i + 1:])
+        with pytest.raises(AssemblyError):
+            _unimodular_lift(broken, inp.phi_inv)
+
+
+# -- the coefficient-wise lift read off bitmasks
+
+
+def object_lift(m):
+    """The coefficient-wise lift built from ring objects."""
+    return Mat._raw(tuple(tuple(PolyInt._raw(e.coeffs) for e in r) for r in m.entries), PolyInt, m.cols)
+
+
+f2_bits = st.one_of(st.sampled_from([0, 1]), st.integers(0, 2**8), st.integers(2**64, 2**130))
+
+
+@st.composite
+def f2_matrices(draw):
+    """F2[x] matrices of every shape up to 4 x 4, 0 x 0 and n x 0 included,
+    with entries 0 and 1, short ones and ones of degree >= 64."""
+    r, c = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    return Mat.from_bits([[draw(f2_bits) for _ in range(c)] for _ in range(r)], c)
+
+
+@given(f2_matrices())
+def test_default_lift_against_the_object_lift(m):
+    lifted, want = default_lift(m), object_lift(m)
+    assert (lifted.rows, lifted.cols) == (m.rows, m.cols)
+    assert lifted == want
+    assert hash(lifted) == hash(want)
+    assert lifted.entries == want.entries
+    assert lifted.mod2() == m

@@ -48,6 +48,7 @@ from unilc2.rings import (
     parse_matrix,
     parse_poly,
     pullback_inverse,
+    pullback_matrix,
     pullback_pair,
     solve_right,
 )
@@ -198,6 +199,74 @@ def test_pullback_is_ring_iso(a, b, k):
     assert pullback_inverse(ua * ub, va * vb) == a * b
     with pytest.raises(NotInImageError):
         pullback_inverse(ua, va + PolyInt.x_power(k))
+
+
+# -- the mod-2 agreement of pullback_matrix, read off packed values
+
+# coefficients at the slot bound of the narrowest width, 2^(MIN_SLOT_BITS-1)
+SLOT_EDGE = 2 ** (MIN_SLOT_BITS - 1)
+leg_coeffs = {
+    "wide": st.integers(-(2**70), 2**70),
+    "small": st.integers(-5, 5),
+    "slot-bound": st.sampled_from([SLOT_EDGE - 1, SLOT_EDGE - 2, SLOT_EDGE - 3, 2, 1, 0]).flatmap(
+        lambda c: st.sampled_from([c, -c])
+    ),
+}
+
+
+@st.composite
+def leg_pairs(draw):
+    """(u, v) Z[x] matrices of one shape, coefficients as coeff_rows: v is
+    u minus an even matrix, then perhaps changed by one odd coefficient
+    (anywhere, or in the top slot), or v is drawn on its own."""
+    r, c = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    coeff = leg_coeffs[draw(st.sampled_from(sorted(leg_coeffs)))]
+    top = draw(st.sampled_from([1, 1, 4]))  # 1: constants only
+    entry = st.lists(coeff, max_size=top)
+    u = [[draw(entry) for _ in range(c)] for _ in range(r)]
+    w = [[draw(st.lists(coeff, max_size=top)) for _ in range(c)] for _ in range(r)]
+    v = [[list(a) + [0] * (top - len(a)) for a in row] for row in u]
+    for vr, wr in zip(v, w):
+        for a, b in zip(vr, wr):
+            for i, x in enumerate(b):
+                a[i] -= 2 * x
+    kind = draw(st.sampled_from(["even", "odd", "odd-top", "independent"]))
+    if kind == "independent":
+        v = [[draw(entry) for _ in range(c)] for _ in range(r)]
+    elif kind != "even" and r and c:
+        i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, c - 1))
+        slot = top - 1 if kind == "odd-top" else draw(st.integers(0, top - 1))
+        v[i][j][slot] += draw(st.sampled_from([1, -1, 2**64 + 1]))
+
+    def mat(rows):
+        return Mat.from_coeffs([[PolyInt(e).coeffs for e in row] for row in rows], c)
+
+    return mat(u), mat(v)
+
+
+def first_odd_entry(u, v):
+    """The first entry, row by row, at which u - v has an odd coefficient."""
+    for i, (ru, rv) in enumerate(zip(u.entries, v.entries)):
+        for j, (a, b) in enumerate(zip(ru, rv)):
+            if any(x % 2 for x in (a - b).coeffs):
+                return i, j
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(leg_pairs())
+def test_pullback_matrix_accepts_exactly_the_pairs_equal_mod_2(pair):
+    u, v = pair
+    agree = (u - v).mod2().is_zero()
+    assert agree == (first_odd_entry(u, v) is None)
+    if agree:
+        m = pullback_matrix(u, v)
+        assert (m.i_minus(), m.i_plus()) == (u, v)
+        return
+    with pytest.raises(NotInImageError) as exc:
+        pullback_matrix(u, v)
+    i, j = first_odd_entry(u, v)
+    assert str(exc.value) == f"({u[i, j]}, {v[i, j]}) at {(i, j)} do not agree mod 2"
 
 
 # -- subtraction and canonical results
