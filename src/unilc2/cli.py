@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import complexes, formations, forms, rim, witt
-from .registry import SweepConfig, run_registry
+from .registry import MAX_SWEEP, SweepConfig, run_registry, select
 from .rings import (
     AlgebraError,
     C2Poly,
@@ -60,14 +60,29 @@ def _dump(directory: str, name: str, mat: Mat):
 # subcommands
 
 
-def cmd_verify(args) -> int:
-    cfg = SweepConfig(
+def _sweep_config(args) -> SweepConfig:
+    return SweepConfig(
         max_deg=args.max_deg,
         coeffs=tuple(args.coeff_set),
         machine_deg_triples=args.machine_deg_triples,
         machine_deg_pairs=args.machine_deg_pairs,
     )
-    report = run_registry(cfg, pattern=args.filter)
+
+
+def _verify_usage_error(args) -> str | None:
+    """What makes a verify command line a usage error, if anything: a
+    filter that selects no check, or a sweep of more than MAX_SWEEP
+    candidates (checked before the sweep is built)."""
+    if not select(args.filter):
+        return f"--filter {args.filter!r} matches no check id"
+    for flag, count in _sweep_config(args).sweep_sizes().items():
+        if count > MAX_SWEEP:
+            return f"{flag} over --coeff-set sweeps {count} candidates, above the cap {MAX_SWEEP}"
+    return None
+
+
+def cmd_verify(args) -> int:
+    report = run_registry(_sweep_config(args), pattern=args.filter)
     for line in report.human_lines():
         print(line)
     if args.summary:
@@ -364,6 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "verify" and (problem := _verify_usage_error(args)):
+        parser.error(problem)
     try:
         return args.fn(args)
     except (AlgebraError, OSError, UnicodeDecodeError) as exc:

@@ -222,56 +222,40 @@ def build_psi_hat(
 
 @dataclass(frozen=True)
 class NullCobordism:
-    """Explicit null-cobordism over Z[x]: target complex D, chain map f and
-    the quadratic chain delta-psi."""
+    """Explicit null-cobordism over Z[x]: target differential d_D, chain map
+    component f1 and quadratic block dpsi0, the parts the union reads (f0 =
+    Id and the other delta-psi blocks enter no check, so are not built)."""
 
     d_d: Mat        # differential D_1 -> D_0
-    f0: Mat         # C_0 -> D_0 (always Id)
     f1: Mat         # C_1 -> D_1
     dpsi0: Mat      # D^1 -> D_1
-    dpsi1: Mat      # D^0 -> D_1
-    dpsi1t: Mat     # D^1 -> D_0
-    dpsi2: Mat      # D^0 -> D_0 (always 0)
 
 
 def build_null_cobordism(
     c: QuadComplex1, n: NullCobordismData, _a: Mat | None = None
 ) -> NullCobordism:
     """D_1 = P^*, D_0 = C_0, d_D = (pi^{-1}d^*)^*, f = (Id, pi^*),
-    delta-psi = (-chi^*, -chi d_D^*, psi0t pi, 0), all over Z[x]."""
+    dpsi0 = -chi^*, all over Z[x]; checks the chain map d_C = d_D f1."""
     a = _a if _a is not None else _pi_inv_d(c, n)
     ci = c.i_minus() if c.ring is C2Poly else c
     d_d = a.conj_t()
-    f0 = Mat.identity(c.rank, PolyInt)
     f1 = n.pi.conj_t()
-    if f0 * ci.d != d_d * f1:
+    if ci.d != d_d * f1:
         raise StageError("null-cobordism", "f is not a chain map", f1)
-    dpsi0 = -n.chi.conj_t()
-    return NullCobordism(
-        d_d=d_d,
-        f0=f0,
-        f1=f1,
-        dpsi0=dpsi0,
-        dpsi1=dpsi0.conj_t() * d_d.conj_t(),  # -chi d_D^*
-        dpsi1t=ci.psi0t * n.pi,
-        dpsi2=Mat.zeros(c.rank, c.rank, PolyInt),
-    )
+    return NullCobordism(d_d=d_d, f1=f1, dpsi0=-n.chi.conj_t())
 
 
 @dataclass(frozen=True)
 class UnionComplex:
     """2-dimensional quadratic complex over F2[x] glued from the two
-    null-cobordisms; module ranks (n, 3n, n)."""
+    null-cobordisms; module ranks (n, 3n, n).  Only what the machine reads
+    is built: the differentials (checked, and dumped) and the obstruction
+    block dpsi0 = chi^* mod 2 of psi0; no other quadratic block is read."""
 
     rank: int
     d_f2: Mat       # F_2 -> F_1
     d_f1: Mat       # F_1 -> F_0
-    psi0_2: Mat     # F^0 -> F_2
-    psi0_1: Mat     # F^1 -> F_1
-    psi0_0: Mat     # F^2 -> F_0
-    psi1_1: Mat     # F^0 -> F_1
-    psi1_0: Mat     # F^1 -> F_0
-    psi2_0: Mat     # F^0 -> F_0
+    dpsi0: Mat      # the D^1 -> D_1 block of psi0: F^1 -> F_1
 
 
 def build_union(
@@ -280,11 +264,11 @@ def build_union(
     """Glue the explicit null-cobordism against the graph-formation side.
 
     Requires the T -> +1 evaluation of the input to be a graph formation.
-    All blocks are reduced to F2[x]; the closed forms are
+    All blocks are reduced to F2[x]; the differentials are
 
         d_F^2 = (-f1; d_C; -Id),   d_F^1 = (d_D, f0, 0)
 
-    with the six quadratic blocks as constructed below.
+    with f0 = Id; d o d = 0 is checked.
     """
     if c.ring is not C2Poly:
         raise RingTagError("the union glues a Z[C2][x] input")
@@ -295,39 +279,12 @@ def build_union(
             "union", "T -> +1 evaluation is not a graph formation", plus.gamma
         )
     n = c.rank
-    zero_n = Mat.zeros(n, n, PolyF2)
     ident = Mat.identity(n, PolyF2)
-    f1m = bundle.f1.mod2()
-    d_cm = psi_hat.d.mod2()          # = 0 mod 2
-    d_dm = bundle.d_d.mod2()
-    psi0m = psi_hat.psi0.mod2()
-    psi0tm = psi_hat.psi0t.mod2()
-    psi1m = psi_hat.psi1.mod2()
-    chi_t = bundle.dpsi0.mod2()      # = chi^* mod 2, as -X = X mod 2
-    chi_a = bundle.dpsi1.mod2()      # = chi (pi^{-1}d^*) mod 2
-    psi0t_pi = bundle.dpsi1t.mod2()
-    d_f2 = Mat.from_blocks([[f1m], [d_cm], [ident]])
-    d_f1 = Mat.from_blocks([[d_dm, ident, zero_n]])
+    d_f2 = Mat.from_blocks([[bundle.f1.mod2()], [psi_hat.d.mod2()], [ident]])
+    d_f1 = Mat.from_blocks([[bundle.d_d.mod2(), ident, Mat.zeros(n, n, PolyF2)]])
     if not (d_f1 * d_f2).is_zero():
         raise StageError("union", "d o d is nonzero", d_f1 * d_f2)
-    psi0_1 = Mat.from_blocks(
-        [
-            [chi_t, zero_n, zero_n],
-            [psi0tm * f1m.conj_t(), psi1m.conj_t(), zero_n],
-            [zero_n, psi0m, zero_n],
-        ]
-    )
-    return UnionComplex(
-        rank=n,
-        d_f2=d_f2,
-        d_f1=d_f1,
-        psi0_2=psi0m,  # -psi0 f0^* mod 2, with f0 = Id
-        psi0_1=psi0_1,
-        psi0_0=zero_n,
-        psi1_1=Mat.from_blocks([[chi_a], [psi1m], [zero_n]]),
-        psi1_0=Mat.from_blocks([[psi0t_pi, zero_n, zero_n]]),
-        psi2_0=zero_n,
-    )
+    return UnionComplex(n, d_f2, d_f1, bundle.dpsi0.mod2())  # -chi^* = chi^* mod 2
 
 
 @dataclass(frozen=True)
@@ -354,10 +311,8 @@ def instant_obstruction(u: UnionComplex) -> Obstruction:
     n = u.rank
     zero_n = Mat.zeros(n, n, PolyF2)
     ident = Mat.identity(n, PolyF2)
-    # the top-left blocks of psi0_1 and d_F^2: dpsi0 = chi^T mod 2 (= -dpsi0
-    # over F2) and f1 mod 2
-    dpsi0 = Mat.from_bits([r[:n] for r in u.psi0_1.bits[:n]], n)
-    f1m = Mat.from_bits(u.d_f2.bits[:n], n)
+    dpsi0 = u.dpsi0
+    f1m = Mat.from_bits(u.d_f2.bits[:n], n)  # the top block of d_F^2
     big = QuadraticForm(
         Mat.from_blocks(
             [

@@ -162,11 +162,11 @@ def make_P(q: PolyF2, g: PolyF2) -> QuadraticForm:
     return QuadraticForm(Mat([[q, one], [zero, g]], PolyF2), 1)
 
 
-def hyperbolic(r: int, ring=PolyF2, epsilon: int = 1) -> QuadraticForm:
-    """Standard hyperbolic form on F + F*: psi = [[0, Id],[0, 0]]."""
-    ident = Mat.identity(r, ring)
-    zero = Mat.zeros(r, r, ring)
-    return QuadraticForm(Mat.from_blocks([[zero, ident], [zero, zero]]), epsilon)
+def hyperbolic(r: int) -> QuadraticForm:
+    """Standard hyperbolic form on F + F* over F2[x]: psi = [[0, Id],[0, 0]]."""
+    ident = Mat.identity(r, PolyF2)
+    zero = Mat.zeros(r, r, PolyF2)
+    return QuadraticForm(Mat.from_blocks([[zero, ident], [zero, zero]]), 1)
 
 
 def direct_sum(a: QuadraticForm, b: QuadraticForm) -> QuadraticForm:

@@ -6,7 +6,8 @@ verifies, and a callable taking a SweepConfig and returning (ok, detail).
 The sweep bounds are configuration defaults (degrees <= 3, coefficients
 {0,1,2}, preconditions respected); the machine checks run on a documented
 smaller slice because a full-degree sweep of chain-level pipelines is far
-outside the time budget.  All bounds are overridable from the CLI.
+outside the time budget.  All bounds are overridable from the CLI, up to
+MAX_SWEEP candidates per sweep.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from .rings import (
     pullback_pair,
 )
 
+MAX_SWEEP = 10**6  # most candidates (pairs or triples) one sweep may enumerate
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -47,6 +50,19 @@ class SweepConfig:
         md = self.max_deg if max_deg is None else max_deg
         cs = self.coeffs if coeffs is None else coeffs
         return [PolyInt(t) for t in itertools.product(cs, repeat=md + 1)]
+
+    def sweep_sizes(self) -> dict:
+        """Candidates each sized sweep enumerates, by the flag setting its
+        degree: pairs for the identity sweeps (whose fixed degree-2 pairs
+        count too) and the machine pairs, triples for machine additivity."""
+        def count(deg, arity):
+            return (len(self.coeffs) ** (deg + 1)) ** arity
+
+        return {
+            "--max-deg": count(max(self.max_deg, 2), 2),
+            "--machine-deg-pairs": count(self.machine_deg_pairs, 2),
+            "--machine-deg-triples": count(self.machine_deg_triples, 3),
+        }
 
     def pg_pairs(self, max_deg=None):
         """All (p, g) with p*g having zero constant coefficient."""
@@ -717,11 +733,14 @@ class VerificationReport:
         yield f"overall={'pass' if self.ok else 'fail'}"
 
 
+def select(pattern: str | None = None) -> list:
+    """The checks whose ids match the glob pattern; all of them for None."""
+    return [c for c in REGISTRY if pattern is None or fnmatch.fnmatch(c.id, pattern)]
+
+
 def run_registry(cfg: SweepConfig | None = None, pattern: str | None = None) -> VerificationReport:
     cfg = cfg or SweepConfig()
-    selected = [
-        c for c in REGISTRY if pattern is None or fnmatch.fnmatch(c.id, pattern)
-    ]
+    selected = select(pattern)
 
     def run(check: Check):
         t0 = time.perf_counter()

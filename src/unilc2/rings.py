@@ -33,11 +33,6 @@ from dataclasses import dataclass
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
-# A PolyInt product with an operand of at most this many coefficients runs
-# the schoolbook loop; longer pairs go through Kronecker substitution, which
-# wins from length 8 on (measured crossover).
-SCHOOLBOOK_MAX_LEN = 7
-
 # Input size caps, checked before anything is built.
 MAX_EXPONENT = 1024  # largest x-exponent parse_poly accepts or subs_power makes
 MAX_DIM = 64  # most rows, and most columns, parse_matrix accepts
@@ -86,10 +81,6 @@ def _strip(coeffs):
 # coefficients: a sum of `inner` products of length-la and length-lb
 # polynomials has coefficients of size at most
 # inner * min(la, lb) * max|a| * max|b|.
-
-
-def _slot_bits(inner, la, lb, ma, mb) -> int:
-    return (inner * min(la, lb) * ma * mb).bit_length() + 1
 
 
 def _pack(coeffs, k: int) -> int:
@@ -206,7 +197,10 @@ class PolyInt:
         if not a or not b:
             return PolyInt(())
         out = [0] * (len(a) + len(b) - 1)
-        _add_product(out, a, b)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    out[i + j] += ai * bj
         # the top coefficient is a product of two nonzero leading coefficients
         return PolyInt._raw(tuple(out))
 
@@ -277,21 +271,6 @@ class PolyInt:
 
     def __repr__(self):
         return f"PolyInt({format_poly(self)})"
-
-
-def _add_product(out: list, a: tuple, b: tuple):
-    """out += a * b for nonempty coefficient tuples (out has room): the
-    schoolbook loop, or Kronecker substitution when both are longer than
-    SCHOOLBOOK_MAX_LEN."""
-    if len(a) > SCHOOLBOOK_MAX_LEN and len(b) > SCHOOLBOOK_MAX_LEN:
-        k = _slot_bits(1, len(a), len(b), max(map(abs, a)), max(map(abs, b)))
-        for i, c in enumerate(_unpack(_pack(a, k) * _pack(b, k), k)):
-            out[i] += c
-        return
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
 
 
 def _check_subs_power(n: int, degree: int) -> int:

@@ -322,6 +322,54 @@ def test_verify_rejects_a_bad_sweep_degree_as_a_usage_error(flag, value):
     assert flag in err.getvalue()
 
 
+def test_verify_filter_matching_no_check_is_a_usage_error(tmp_path):
+    """A filter that selects nothing (here a typo) exits 2 before any
+    output and writes no summary, never a vacuous pass."""
+    summary = tmp_path / "sum.txt"
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["verify", "--filter", "machine.additivty", "--summary", str(summary)])
+    assert exc.value.code == 2
+    assert out.getvalue() == ""
+    assert "--filter" in err.getvalue()
+    assert not summary.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["--max-deg", "40"], "--max-deg"), (["--coeff-set", *map(str, range(20))], "--max-deg")],
+)
+def test_verify_rejects_an_oversized_sweep_as_a_usage_error(monkeypatch, tmp_path, argv, flag):
+    """A sweep of more than MAX_SWEEP candidates exits 2 before any output
+    and before the sweep is built (building it would fail the test here
+    instead of exhausting memory)."""
+    from unilc2.registry import SweepConfig
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the oversized sweep was built")
+
+    monkeypatch.setattr(SweepConfig, "polys", no_sweep)
+    summary = tmp_path / "sum.txt"
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["verify", *argv, "--filter", "rings.duality-unit-sweep", "--summary", str(summary)])
+    assert exc.value.code == 2
+    assert out.getvalue() == ""
+    assert flag in err.getvalue() and "cap" in err.getvalue()
+    assert not summary.exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [[], ["--max-deg", "4"], ["--machine-deg-pairs", "3"], ["--machine-deg-triples", "3"]]
+)
+def test_verify_accepts_sweeps_within_the_cap(argv):
+    from unilc2.cli import _sweep_config, build_parser
+    from unilc2.registry import MAX_SWEEP
+
+    sizes = _sweep_config(build_parser().parse_args(["verify", *argv])).sweep_sizes()
+    assert max(sizes.values()) <= MAX_SWEEP
+
+
 def test_verify_defaults_are_the_sweep_config():
     from unilc2.cli import build_parser
     from unilc2.registry import SweepConfig

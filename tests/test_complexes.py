@@ -74,6 +74,30 @@ def test_machine_run_packs_each_entry_once(monkeypatch):
     assert n["pack"] + n["unpack"] < 400, n  # about 1755 when each product packed its factors
 
 
+def test_machine_run_builds_only_what_it_reads(monkeypatch):
+    """A degree-2 relation-1 run makes 9 Z[x] matrix products, 1 F2[x]
+    product (d o d of the union), 4 mod-2 reductions and 3 block matrices:
+    no null-cobordism or union block that nothing reads is built."""
+    f, ncd, expected = relation_fixture(1, zx("2*x+x^2"), zx("1+2*x^2"), zx("x+2*x^2"))
+    n = Counter()
+
+    def spy(name, key_of):
+        fn = getattr(Mat, name)
+
+        def wrapped(*args):
+            n[key_of(*args)] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(Mat, name, wrapped)
+
+    spy("__mul__", lambda a, b: f"mul {a.ring.__name__}" if isinstance(b, Mat) else "scale")
+    spy("mod2", lambda m: "mod2")
+    spy("from_blocks", lambda blocks: "from_blocks")
+    assert run_machine(f, ncd).arf == expected
+    counts = {k: n[k] for k in ("mul PolyInt", "mul PolyF2", "mod2", "from_blocks")}
+    assert counts == {"mul PolyInt": 9, "mul PolyF2": 1, "mod2": 4, "from_blocks": 3}, n
+
+
 # -- dictionary
 
 
@@ -220,11 +244,8 @@ def test_null_cobordism_chain_map():
         f, ncd, _ = fixture(k, p, g, p2)
         c = formation_to_complex(f)
         bundle = build_null_cobordism(c, ncd)
-        assert bundle.f0 == Mat.identity(c.rank, PolyInt)
-        assert bundle.f0 * c.i_minus().d == bundle.d_d * bundle.f1
+        assert c.i_minus().d == bundle.d_d * bundle.f1
         assert bundle.dpsi0 == -ncd.chi.conj_t()
-        assert bundle.dpsi1 == -(ncd.chi * bundle.d_d.conj_t())
-        assert bundle.dpsi2.is_zero()
 
 
 # -- union and obstruction
@@ -237,8 +258,6 @@ def test_union_differentials():
     bundle = build_null_cobordism(c, ncd)
     u = build_union(c, hat, bundle)
     assert (u.d_f1 * u.d_f2).is_zero()
-    assert u.psi2_0.is_zero()
-    assert u.psi0_0.is_zero()
     n = u.rank
     # the top block of d_F^2 is the chain map component, mod 2
     top = Mat([[u.d_f2[i, j] for j in range(n)] for i in range(n)], u.d_f2.ring)
@@ -258,17 +277,17 @@ def test_obstruction_reduces_to_chi_transpose():
 
 
 def test_obstruction_rejects_a_singular_reduced_form():
-    """A union complex whose top-left block of psi0_1 (the reduced form) is
+    """A union complex whose obstruction block dpsi0 (the reduced form) is
     singular fails the obstruction stage; the singularity is read off the
     symplectic reduction."""
     f, ncd, _ = fixture(1, zx("x"), zx("1"), zx("x"))
     c = formation_to_complex(f)
     u = build_union(c, build_psi_hat(c, ncd), build_null_cobordism(c, ncd))
     n = u.rank
-    rows = [list(r) for r in u.psi0_1.bits]
+    rows = [list(r) for r in u.dpsi0.bits]
     for i in range(n):  # e_0 then pairs to zero with the whole block
         rows[0][i] = rows[i][0] = 0
-    broken = dataclasses.replace(u, psi0_1=Mat.from_bits(rows, 3 * n))
+    broken = dataclasses.replace(u, dpsi0=Mat.from_bits(rows, n))
     with pytest.raises(StageError) as err:
         instant_obstruction(broken)
     assert err.value.stage == "obstruction"
