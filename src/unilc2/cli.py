@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import complexes, formations, forms, rim, witt
-from .registry import MAX_SWEEP, SweepConfig, run_registry, select
+from .registry import SWEEP_CAPS, SweepConfig, run_registry, select
 from .rings import (
     AlgebraError,
     C2Poly,
@@ -71,13 +71,13 @@ def _sweep_config(args) -> SweepConfig:
 
 def _verify_usage_error(args) -> str | None:
     """What makes a verify command line a usage error, if anything: a
-    filter that selects no check, or a sweep of more than MAX_SWEEP
-    candidates (checked before the sweep is built)."""
+    filter that selects no check, or a sweep of more candidates than its
+    cap in SWEEP_CAPS (checked before the sweep is built)."""
     if not select(args.filter):
         return f"--filter {args.filter!r} matches no check id"
     for flag, count in _sweep_config(args).sweep_sizes().items():
-        if count > MAX_SWEEP:
-            return f"{flag} over --coeff-set sweeps {count} candidates, above the cap {MAX_SWEEP}"
+        if count > SWEEP_CAPS[flag]:
+            return f"{flag} over --coeff-set sweeps {count} candidates, above the cap {SWEEP_CAPS[flag]}"
     return None
 
 

@@ -234,6 +234,22 @@ def standard_symplectic(n: int) -> Mat:
     )
 
 
+# u is held by columns, each packed into one int as the F2[x] products of
+# rings are (Kronecker substitution): slot i of column j, w bits wide,
+# holds u[i][j].  A recorded operation u_tgt += f u_src is then one
+# carry-less product, ucols[tgt] ^= clmul(f, ucols[src]); it stays slot by
+# slot while no product f * u[i][src] outgrows w bits, so each column's
+# longest entry is tracked, and all columns are repacked wider before an
+# operation that could spill.
+FIRST_SLOT_BITS = 64  # the slot width u's packed columns start at
+
+
+def _unpack_cols(ucols, n: int, w: int) -> list:
+    """The rows of bitmasks of the n x n matrix with these packed columns."""
+    mask = (1 << w) - 1
+    return [tuple([c >> (i * w) & mask for c in ucols]) for i in range(n)]
+
+
 def symplectic_reduce(form: QuadraticForm) -> SymplecticBasis:
     """Symplectic Gram-Schmidt over the principal ideal domain F2[x].
 
@@ -246,9 +262,9 @@ def symplectic_reduce(form: QuadraticForm) -> SymplecticBasis:
     The quadratic values q[j] = mu(u_j) ride along with the congruences:
     in characteristic 2, mu(a + f*b) = mu(a) + f^2 mu(b) + f lambda(a, b).
 
-    The reduction runs on the bitmask rows of the matrices (Mat.bits) with
-    the carry-less arithmetic of rings; PolyF2 objects are built only for
-    the quadratic values.
+    The pairing runs on bitmask rows with the carry-less arithmetic of
+    rings, and u on packed columns (above), unpacked once at the end;
+    PolyF2 objects are built only for the quadratic values.
     Every column operation is recorded in the result's ops, and the result
     is checked, u^T lambda u = J, by one packed pass (_is_standard_gram).
     """
@@ -261,57 +277,77 @@ def symplectic_reduce(form: QuadraticForm) -> SymplecticBasis:
     lam = [[psi[i][j] ^ psi[j][i] for j in range(n)] for i in range(n)]
     if any(lam[i][i] for i in range(n)):
         raise PrecondError("pairing must be alternating (zero diagonal)")
-    g = [list(r) for r in lam]  # the pairing in the current basis (symmetric)
-    ucols = [[int(i == j) for i in range(n)] for j in range(n)]  # the basis, by columns
+    # the pairing in the current basis (symmetric); while pair t is built
+    # only its live block, indices >= t, is kept up to date
+    g = [list(r) for r in lam]
     q = [psi[j][j] for j in range(n)]
     ops = []
+    w = FIRST_SLOT_BITS
+    ucols = [1 << (j * w) for j in range(n)]
+    ulen = [1] * n  # a bound on the bit length of each column's entries
 
-    def add_col(tgt, src, f):
-        # u_tgt += f * u_src, and the matching congruence on g and q: row
-        # and column tgt of g gain f times those of src (g[src][src] and
-        # the new g[tgt][tgt] are 0)
-        if not f:
-            return
+    def add_u(tgt, src, f):
+        # u_tgt += f * u_src, recorded; the caller updates g and q
+        nonlocal w
         ops.append(("add", tgt, src, f))
-        q[tgt] ^= clmul(clmul(f, f), q[src]) ^ clmul(f, g[tgt][src])
-        ucols[tgt] = [a ^ clmul(f, b) if b else a for a, b in zip(ucols[tgt], ucols[src])]
-        row = [a ^ clmul(f, b) if b else a for a, b in zip(g[tgt], g[src])]
-        row[tgt] = 0
-        g[tgt] = row
-        for r, v in zip(g, row):
-            r[tgt] = v
-
-    def swap(i, j):
-        ops.append(("swap", i, j))
-        q[i], q[j] = q[j], q[i]
-        ucols[i], ucols[j] = ucols[j], ucols[i]
-        g[i], g[j] = g[j], g[i]
-        for r in g:
-            r[i], r[j] = r[j], r[i]
+        need = ulen[src] + f.bit_length() - 1
+        if need > w:
+            wider = max(2 * w, need)
+            ucols[:] = [f2_pack(c, wider) for c in zip(*_unpack_cols(ucols, n, w))]
+            w = wider
+        ucols[tgt] ^= clmul(f, ucols[src])
+        ulen[tgt] = max(ulen[tgt], need)
 
     for t in range(0, n, 2):
         # Euclid on row t: afterwards <e_t, e_piv> is the row's gcd and
         # every other pairing of e_t vanishes
+        gt = g[t]
+        live = g[t:]
         while True:
-            gt = g[t]
             nz = [j for j in range(t + 1, n) if gt[j]]
             if not nz:
                 raise SingularFormError("pairing is not unimodular")
-            piv = min(nz, key=lambda j: (gt[j].bit_length(), j))
+            piv = min(nz, key=lambda j: gt[j].bit_length())  # the first of least degree
             if len(nz) == 1:
                 break
             for j in nz:
-                if j != piv:
-                    add_col(j, piv, cl_divmod(g[t][j], g[t][piv])[0])
-        if g[t][piv] != 1:
+                if j == piv:
+                    continue
+                f = cl_divmod(gt[j], gt[piv])[0]
+                add_u(j, piv, f)
+                q[j] ^= clmul(clmul(f, f), q[piv]) ^ clmul(f, g[j][piv])
+                # row and column j of the live block gain f times those of
+                # piv (g[piv][piv] and the new g[j][j] are 0)
+                row = [a ^ clmul(f, b) if b else a for a, b in zip(g[j][t:], g[piv][t:])]
+                row[j - t] = 0
+                g[j][t:] = row
+                for r, v in zip(live, row):
+                    r[j] = v
+        if gt[piv] != 1:
             raise SingularFormError("pairing is not unimodular")
         if piv != t + 1:
-            swap(t + 1, piv)
+            i, j = t + 1, piv
+            ops.append(("swap", i, j))
+            q[i], q[j] = q[j], q[i]
+            ucols[i], ucols[j] = ucols[j], ucols[i]
+            ulen[i], ulen[j] = ulen[j], ulen[i]
+            g[i], g[j] = g[j], g[i]
+            for r in g[t:]:
+                r[i], r[j] = r[j], r[i]
         # decouple the rest from the new pair (t, t+1); <e_t, e_j> is
-        # already 0 for j > t+1, so only <e_{t+1}, e_j> needs clearing
+        # already 0 for j > t+1, so only <e_{t+1}, e_j> needs clearing.
+        # Row t of g is now e_{t+1}^*, so u_j += f u_t changes g only in
+        # g[j][t+1] (and g[t+1][j]), which it clears, and mu(u_j) gains
+        # f^2 mu(u_t) alone.  No later step reads row or column t+1, and
+        # each multiplier g[t+1][j] is read before its own operation, so g
+        # is left as it is.
+        gf = g[t + 1]
         for j in range(t + 2, n):
-            add_col(j, t, g[t + 1][j])
-    urows = list(zip(*ucols))
+            f = gf[j]
+            if f:
+                add_u(j, t, f)
+                q[j] ^= clmul(clmul(f, f), q[t])
+    urows = _unpack_cols(ucols, n, w)
     if not _is_standard_gram(urows, lam):
         raise SingularFormError("internal error: reduction did not standardise")
     return SymplecticBasis(Mat.from_bits(urows, n), tuple(map(PolyF2, q)), tuple(ops))

@@ -7,7 +7,7 @@ The sweep bounds are configuration defaults (degrees <= 3, coefficients
 {0,1,2}, preconditions respected); the machine checks run on a documented
 smaller slice because a full-degree sweep of chain-level pipelines is far
 outside the time budget.  All bounds are overridable from the CLI, up to
-MAX_SWEEP candidates per sweep.
+the cap SWEEP_CAPS sets for each sweep.
 """
 
 from __future__ import annotations
@@ -33,7 +33,17 @@ from .rings import (
     pullback_pair,
 )
 
-MAX_SWEEP = 10**6  # most candidates (pairs or triples) one sweep may enumerate
+MAX_SWEEP = 10**6  # most pairs the identity sweeps (--max-deg) may enumerate
+# Most candidates one gluing-machine sweep may enumerate.  Each candidate
+# that passes the precondition is a whole machine run, so this bounds the
+# run time too: the default 19 683 degree-2 triples take 20-25 s, and
+# degree-3 triples (531 441) would take over ten minutes.
+MAX_MACHINE_SWEEP = 20_000
+SWEEP_CAPS = {
+    "--max-deg": MAX_SWEEP,
+    "--machine-deg-pairs": MAX_MACHINE_SWEEP,
+    "--machine-deg-triples": MAX_MACHINE_SWEEP,
+}
 
 
 @dataclass(frozen=True)
@@ -53,8 +63,9 @@ class SweepConfig:
 
     def sweep_sizes(self) -> dict:
         """Candidates each sized sweep enumerates, by the flag setting its
-        degree: pairs for the identity sweeps (whose fixed degree-2 pairs
-        count too) and the machine pairs, triples for machine additivity."""
+        degree (the keys of SWEEP_CAPS): pairs for the identity sweeps
+        (whose fixed degree-2 pairs count too) and the machine pairs,
+        triples for machine additivity."""
         def count(deg, arity):
             return (len(self.coeffs) ** (deg + 1)) ** arity
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from .forms import QuadraticForm, SingularFormError, SymplecticBasis, symplectic_reduce
 from .formations import SplitFormation
 from .rings import (
+    MIN_SLOT_BITS,
     AlgebraError,
     Mat,
     NotInImageError,
@@ -38,6 +39,7 @@ from .rings import (
     PrecondError,
     RingTagError,
     ShapeError,
+    _new,
     pullback_matrix,
 )
 
@@ -154,21 +156,56 @@ def _unimodular_lift(basis: SymplecticBasis, phi_inv: Mat) -> Mat:
     U J U^T lifts phi'^{-1} with determinant +-1.  The result is checked
     against phi_inv: the replayed Z[x] operations must reduce to u J u^T,
     which the reduction's exact check u^T phi' u = J proves is phi'^{-1}.
+
+    Every lifted multiplier has 0/1 coefficients and every operation adds,
+    so no coefficient of U is negative and none cancels.  A first pass over
+    the operations therefore bounds each column's coefficients and gives its
+    longest entry exactly, and the replay runs on packed columns: column j
+    is one int whose slot i, k * L bits wide, holds U[i][j] at x = 2^k (k
+    wider than every coefficient, L the longest entry), so u_tgt += f u_src
+    is one multiply-add by f(2^k).  The slots are the packed entries of the
+    two factors U J and U^T.
     """
     n = basis.u.rows
-    one, zero = PolyInt.one(), PolyInt.zero()
-    cols = [[one if i == j else zero for i in range(n)] for j in range(n)]
+    bound, length = [1] * n, [1] * n
+    for op in basis.ops:
+        if op[0] == "swap":
+            _, i, j = op
+            bound[i], bound[j] = bound[j], bound[i]
+            length[i], length[j] = length[j], length[i]
+        else:
+            # a coefficient of f * b sums at most min(#terms of f, len b)
+            # coefficients of b
+            _, tgt, src, f = op
+            bound[tgt] += min(f.bit_count(), length[src]) * bound[src]
+            length[tgt] = max(length[tgt], length[src] + f.bit_length() - 1)
+    longest = max(length, default=0)
+    k = max(MIN_SLOT_BITS, max(bound, default=0).bit_length() + 1)
+    s = k * longest
+    gap = "0" * (k - 1)  # f(2^k) is f's bits spread k apart, as in Mat.lift_bits
+    cols = [1 << (j * s) for j in range(n)]
     for op in basis.ops:
         if op[0] == "swap":
             _, i, j = op
             cols[i], cols[j] = cols[j], cols[i]
         else:
             _, tgt, src, f = op
-            fl = PolyInt._raw(PolyF2(f).coeffs)
-            cols[tgt] = [a + fl * b if b else a for a, b in zip(cols[tgt], cols[src])]
-    # U J is U with the columns of each pair exchanged; U^T has rows cols
-    u_j = tuple(tuple(cols[j ^ 1][i] for j in range(n)) for i in range(n))
-    lift = Mat._raw(u_j, PolyInt, n) * Mat._raw(tuple(map(tuple, cols)), PolyInt, n)
+            cols[tgt] += int(gap.join(format(f, "b")), 2) * cols[src]
+    # the factors' bound, within a factor 2 of their largest coefficient:
+    # the OR of all coefficients, folded slot by slot out of the columns
+    acc, slots = 0, n * longest
+    for c in cols:
+        acc |= c
+    while slots > 1:
+        half = (slots + 1) // 2
+        acc = acc & ((1 << half * k) - 1) | acc >> half * k
+        slots = half
+    top = (1 << acc.bit_length()) - 1
+    # U^T has rows cols; U J is U with the columns of each pair exchanged
+    mask = (1 << s) - 1
+    ut = tuple([tuple([c >> (i * s) & mask for i in range(n)]) for c in cols])
+    u_j = tuple(zip(*[ut[j ^ 1] for j in range(n)]))
+    lift = _new(PolyInt, n, n, u_j, k, top, longest) * _new(PolyInt, n, n, ut, k, top, longest)
     if lift.mod2() != phi_inv or not lift.det().is_unit():
         raise AssemblyError("unimodular lift construction failed")
     return lift

@@ -337,12 +337,18 @@ def test_verify_filter_matching_no_check_is_a_usage_error(tmp_path):
 
 @pytest.mark.parametrize(
     "argv, flag",
-    [(["--max-deg", "40"], "--max-deg"), (["--coeff-set", *map(str, range(20))], "--max-deg")],
+    [
+        (["--max-deg", "40"], "--max-deg"),
+        (["--coeff-set", *map(str, range(20))], "--max-deg"),
+        # 531 441 triples: under MAX_SWEEP, but over the machine sweeps' cap
+        (["--machine-deg-triples", "3"], "--machine-deg-triples"),
+        (["--machine-deg-pairs", "4"], "--machine-deg-pairs"),
+    ],
 )
 def test_verify_rejects_an_oversized_sweep_as_a_usage_error(monkeypatch, tmp_path, argv, flag):
-    """A sweep of more than MAX_SWEEP candidates exits 2 before any output
+    """A sweep of more candidates than its cap exits 2 before any output
     and before the sweep is built (building it would fail the test here
-    instead of exhausting memory)."""
+    instead of exhausting memory or running for minutes)."""
     from unilc2.registry import SweepConfig
 
     def no_sweep(*args, **kwargs):
@@ -360,14 +366,27 @@ def test_verify_rejects_an_oversized_sweep_as_a_usage_error(monkeypatch, tmp_pat
 
 
 @pytest.mark.parametrize(
-    "argv", [[], ["--max-deg", "4"], ["--machine-deg-pairs", "3"], ["--machine-deg-triples", "3"]]
+    "argv",
+    [
+        [],
+        ["--max-deg", "4"],
+        ["--machine-deg-pairs", "3"],
+        ["--machine-deg-triples", "3", "--coeff-set", "0", "1"],
+    ],
 )
 def test_verify_accepts_sweeps_within_the_cap(argv):
-    from unilc2.cli import _sweep_config, build_parser
-    from unilc2.registry import MAX_SWEEP
+    """The defaults (19 683 degree-2 triples), the degree-3 pairs (6 561)
+    and degree-3 triples over two coefficients (4 096) are within the
+    caps."""
+    from unilc2.cli import _sweep_config, _verify_usage_error, build_parser
+    from unilc2.registry import MAX_MACHINE_SWEEP, SWEEP_CAPS
 
-    sizes = _sweep_config(build_parser().parse_args(["verify", *argv])).sweep_sizes()
-    assert max(sizes.values()) <= MAX_SWEEP
+    args = build_parser().parse_args(["verify", *argv])
+    sizes = _sweep_config(args).sweep_sizes()
+    assert all(count <= SWEEP_CAPS[flag] for flag, count in sizes.items())
+    assert _verify_usage_error(args) is None
+    if not argv:
+        assert sizes["--machine-deg-triples"] == 19683 <= MAX_MACHINE_SWEEP
 
 
 def test_verify_defaults_are_the_sweep_config():

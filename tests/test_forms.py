@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import f2
 
 from unilc2.forms import (
+    FIRST_SLOT_BITS,
     ArfClass,
     QuadraticForm,
     SingularFormError,
@@ -386,6 +388,44 @@ def _reduction(reduce, form):
 @given(st.one_of(transported_block_sums().map(lambda case: case[1]), perturbed_block_sums()))
 def test_reduce_against_the_polyf2_oracle(form):
     assert _reduction(symplectic_reduce, form) == _reduction(polyf2_symplectic_reduce, form)
+
+
+def lu_transport(rng, n, d):
+    """L * U over F2[x]: unit triangular factors whose off-diagonal entries
+    are drawn row by row, L first, as rng.getrandbits(d + 1)."""
+    one, zero = PolyF2.one(), PolyF2.zero()
+    lo = [[one if i == j else PolyF2(rng.getrandbits(d + 1)) if i > j else zero for j in range(n)]
+          for i in range(n)]
+    up = [[one if i == j else PolyF2(rng.getrandbits(d + 1)) if i < j else zero for j in range(n)]
+          for i in range(n)]
+    return Mat(lo, PolyF2) * Mat(up, PolyF2)
+
+
+def test_reduce_with_repacked_columns_against_the_polyf2_oracle():
+    """The rank-12 hyperbolic form moved by L * U with degree-8 entries: u's
+    entries reach degree 384, more than four times the first slot width of
+    its packed columns, so they are repacked wider several times, and the
+    reduction still equals the PolyF2 oracle's."""
+    form = hyperbolic(6).transport(lu_transport(random.Random(1), 12, 8))
+    assert f2_bit_length(symplectic_reduce(form).u.bits) > 4 * FIRST_SLOT_BITS
+    assert _reduction(symplectic_reduce, form) == _reduction(polyf2_symplectic_reduce, form)
+
+
+def test_rank_24_degree_8_transport_within_budget():
+    """Twelve make_P blocks (rank 24) moved by L * U with degree-8 entries,
+    where u reaches degree 1650: arf took 0.57 s on a 2-core VM
+    (CPython 3.11) and is held to 10 s."""
+    rng = random.Random(24)
+    blocks = [(rng.getrandbits(4), rng.getrandbits(4)) for _ in range(12)]
+    form = make_P(PolyF2(blocks[0][0]), PolyF2(blocks[0][1]))
+    for q, g in blocks[1:]:
+        form = direct_sum(form, make_P(PolyF2(q), PolyF2(g)))
+    moved = form.transport(lu_transport(rng, 24, 8))
+    start = time.perf_counter()
+    cls = arf(moved)
+    elapsed = time.perf_counter() - start
+    assert cls.to_poly().bits == block_class_bits(blocks)
+    assert elapsed < 10
 
 
 @pytest.mark.parametrize(

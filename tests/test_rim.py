@@ -5,10 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cofactor_adjugate, f2, zx
+from conftest import cofactor_adjugate, f2, obj_mul, zx
 
 from unilc2.formations import is_contractible, is_graph, make_Q
-from unilc2.forms import QuadraticForm, direct_sum, hyperbolic, make_P, symplectic_reduce
+from unilc2.forms import (
+    QuadraticForm,
+    SymplecticBasis,
+    direct_sum,
+    hyperbolic,
+    make_P,
+    symplectic_reduce,
+)
 from unilc2.rim import (
     AssemblyError,
     BoundaryInput,
@@ -22,7 +29,7 @@ from unilc2.rim import (
     _assemble,
     _unimodular_lift,
 )
-from unilc2.rings import Mat, PolyF2, PolyInt, PrecondError, parse_matrix
+from unilc2.rings import Mat, PolyF2, PolyInt, PrecondError, clmul, parse_matrix
 
 
 def test_chi_prime_of_the_family():
@@ -305,6 +312,93 @@ def test_dropped_operation_fails_the_lift_check():
         broken = dataclasses.replace(inp.basis, ops=ops[:i] + ops[i + 1:])
         with pytest.raises(AssemblyError):
             _unimodular_lift(broken, inp.phi_inv)
+
+
+# -- the packed replay against the object-level one
+
+
+def polyint_lift(basis):
+    """Oracle: U J U^T as rows of PolyInt objects, U the basis's column
+    operations replayed on Id entry by entry with each multiplier lifted
+    coefficient-wise (the replay the packed columns replaced)."""
+    n = basis.u.rows
+    one, zero = PolyInt.one(), PolyInt.zero()
+    cols = [[one if i == j else zero for i in range(n)] for j in range(n)]
+    for op in basis.ops:
+        if op[0] == "swap":
+            _, i, j = op
+            cols[i], cols[j] = cols[j], cols[i]
+        else:
+            _, tgt, src, f = op
+            fl = PolyInt(PolyF2(f).coeffs)
+            cols[tgt] = [a + fl * b for a, b in zip(cols[tgt], cols[src])]
+    # U J is U with the columns of each pair exchanged; U^T has rows cols
+    u_j = [[cols[j ^ 1][i] for j in range(n)] for i in range(n)]
+    return obj_mul(u_j, cols, n, zero)
+
+
+@st.composite
+def recorded_bases(draw):
+    """(basis, phi_inv) at ranks 2-8: ops drawn as adds, with multipliers of
+    degree < 3 or of degree 64-80, and swaps; u is their replay over F2[x],
+    and phi_inv = u J u^T, the matrix the lift must reduce to."""
+    n = 2 * draw(st.integers(1, 4))
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    multipliers = st.one_of(st.integers(1, 7), st.integers(2**64, 2**81 - 1))
+    ops = []
+    for tgt, src, f, swap in draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), multipliers, st.booleans()),
+        max_size=2 * n,
+    )):
+        if tgt == src:
+            continue
+        if swap:
+            ops.append(("swap", tgt, src))
+            cols[tgt], cols[src] = cols[src], cols[tgt]
+        else:
+            ops.append(("add", tgt, src, f))
+            cols[tgt] = [a ^ clmul(f, b) for a, b in zip(cols[tgt], cols[src])]
+    u = Mat.from_bits([list(r) for r in zip(*cols)], n)
+    u_j = Mat.from_bits([[cols[j ^ 1][i] for j in range(n)] for i in range(n)], n)
+    return SymplecticBasis(u, (), tuple(ops)), u_j * u.conj_t()
+
+
+def reduced_basis(seed_rank):
+    """(basis, phi_inv) of the boundary input of a dense form."""
+    inp = BoundaryInput.with_default_lifts(dense_boundary_form(random.Random(seed_rank[0]), seed_rank[1]))
+    return inp.basis, inp.phi_inv
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    recorded_bases(),
+    st.tuples(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 6, 8])).map(reduced_basis),
+))
+def test_packed_lift_against_the_polyint_replay(case):
+    basis, phi_inv = case
+    lift, want = _unimodular_lift(basis, phi_inv), polyint_lift(basis)
+    assert lift == Mat(want, PolyInt)
+    assert [list(r) for r in lift.entries] == want
+    # the packed matrix's coefficient bound, which sizes the products it
+    # takes part in, holds
+    assert lift.bound >= max([abs(c) for r in want for e in r for c in e.coeffs], default=0)
+
+
+def test_packed_lift_with_coefficients_past_the_first_slot_width():
+    """Eighty alternating operations with multiplier 1 + x on a rank-2 basis
+    push U's coefficients past 2^64, so the slots are packed wider than
+    MIN_SLOT_BITS, and the bound of the packed factors must hold for
+    their product to come out exact."""
+    ops = tuple(("add", i % 2, 1 - i % 2, 0b11) for i in range(80))
+    cols = [[1, 0], [0, 1]]
+    for _, tgt, src, f in ops:
+        cols[tgt] = [a ^ clmul(f, b) for a, b in zip(cols[tgt], cols[src])]
+    u = Mat.from_bits([list(r) for r in zip(*cols)], 2)
+    u_j = Mat.from_bits([[cols[j ^ 1][i] for j in range(2)] for i in range(2)], 2)
+    basis = SymplecticBasis(u, (), ops)
+    want = polyint_lift(basis)
+    assert max(c for r in want for e in r for c in e.coeffs) > 2**64
+    assert [list(r) for r in _unimodular_lift(basis, u_j * u.conj_t()).entries] == want
 
 
 # -- the coefficient-wise lift read off bitmasks
