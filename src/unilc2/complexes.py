@@ -10,8 +10,8 @@ returns its Arf class:
 Complexes here always have modules C_1 = C_0 and differential 2*Id; the
 identities that involve pi^{-1} are computed by exact fraction-free
 elimination over Z[x] and every stage re-checks the matrix identity it
-relies on.  The stages that work over Z[x] accept the T -> -1 evaluation of
-the complex in place of the complex, so a run evaluates it once.
+relies on.  The stages that work over Z[x] read the T -> -1 legs of the
+Z[C2][x] complex.
 """
 
 from __future__ import annotations
@@ -28,10 +28,9 @@ from .forms import (
     standard_symplectic,
 )
 from .formations import SplitFormation, direct_sum as formation_sum, is_graph, make_M
-from .formations import negate as formation_negate
+from .formations import i_plus as formation_i_plus, negate as formation_negate
 from .rings import (
     AlgebraError,
-    C2Poly,
     Mat,
     PolyF2,
     PolyInt,
@@ -55,22 +54,23 @@ class StageError(AlgebraError):
 class QuadComplex1:
     """1-dimensional (-1)-quadratic complex with C_1 = C_0, d = 2*Id.
 
-    Cycle components: psi0: C^0 -> C_1, psi0t: C^1 -> C_0, psi1: C^0 -> C_0.
-    The ring is Z[C2][x] for inputs and Z[x] for evaluated complexes.
+    Cycle components: psi0t: C^1 -> C_0, psi1: C^0 -> C_0.  The third
+    component psi0: C^0 -> C_1 is not stored: the split-formation
+    dictionary makes it 0 and the cycle correction keeps it 0.  The ring is
+    Z[C2][x] for the machine's input and Z[x] for the corrected cycle.
     """
 
-    __slots__ = ("rank", "d", "psi0", "psi0t", "psi1")
+    __slots__ = ("rank", "d", "psi0t", "psi1")
 
-    def __init__(self, d: Mat, psi0: Mat, psi0t: Mat, psi1: Mat):
+    def __init__(self, d: Mat, psi0t: Mat, psi1: Mat):
         n = d.rows
-        for m in (d, psi0, psi0t, psi1):
+        for m in (d, psi0t, psi1):
             if not (m.is_square() and m.rows == n):
                 raise ShapeError("all complex components must be n x n")
             if m.ring is not d.ring:
                 raise RingTagError("complex components over different rings")
         object.__setattr__(self, "rank", n)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "psi0", psi0)
         object.__setattr__(self, "psi0t", psi0t)
         object.__setattr__(self, "psi1", psi1)
 
@@ -82,37 +82,20 @@ class QuadComplex1:
         return self.d.ring
 
     def cycle_holds(self) -> bool:
-        """psi1 + psi1^* = -(d psi0 + psi0t d^*), checked as the vanishing
-        of the sum of both sides."""
-        lhs = self.psi1 + self.psi1.conj_t()
-        return (lhs + self.d * self.psi0 + self.psi0t * self.d.conj_t()).is_zero()
-
-    def i_minus(self) -> "QuadComplex1":
-        return QuadComplex1(
-            self.d.i_minus(),
-            self.psi0.i_minus(),
-            self.psi0t.i_minus(),
-            self.psi1.i_minus(),
-        )
-
-    def i_plus(self) -> "QuadComplex1":
-        return QuadComplex1(
-            self.d.i_plus(),
-            self.psi0.i_plus(),
-            self.psi0t.i_plus(),
-            self.psi1.i_plus(),
-        )
+        """psi1 + psi1^* = -psi0t d^*, checked as the vanishing of the sum
+        of both sides."""
+        return (self.psi1 + self.psi1.conj_t() + self.psi0t * self.d.conj_t()).is_zero()
 
 
-def _mu_signs(f: SplitFormation) -> list:
-    """The signs s_i of mu = diag(2 s_1, ..., 2 s_n); PrecondError for any
-    other mu."""
+def _split_mu(f: SplitFormation) -> tuple:
+    """2*Id and the signs s_i of mu = diag(2 s_1, ..., 2 s_n); PrecondError
+    for any other mu, and over F2[x], where 2 = 0."""
     n = f.g_rank
-    two = C2Poly.from_int(2) if f.ring is C2Poly else PolyInt((2,))
-    signs = [1 if f.mu[i, i] == two else -1 for i in range(n)]
-    if f.mu != Mat.scalar(n, two, f.ring).signed(signs, [1] * n):
+    two_id = Mat.scalar(n, 2, f.ring)
+    signs = [1 if f.mu[i, i] == two_id[i, i] else -1 for i in range(n)]
+    if f.ring is PolyF2 or f.mu != two_id.signed(signs, [1] * n):
         raise PrecondError("mu must be diagonal with entries +-2")
-    return signs
+    return two_id, signs
 
 
 def formation_to_complex(f: SplitFormation) -> QuadComplex1:
@@ -122,32 +105,26 @@ def formation_to_complex(f: SplitFormation) -> QuadComplex1:
     beta = diag(+-1) of G makes mu beta = 2*Id, flips the matching columns
     of gamma and conjugates theta, which is the representative the
     null-cobordism witnesses are written against.  Dictionary (after that
-    base change): d = (mu beta)^* = 2*Id, psi0 = 0, psi0t = (gamma beta)^*,
-    psi1 = -beta theta beta, whose sign is folded into the row signs.
+    base change): d = (mu beta)^* = 2*Id, psi0 = 0 (not stored),
+    psi0t = (gamma beta)^*, psi1 = -beta theta beta, whose sign is folded
+    into the row signs.
     """
     if f.epsilon != -1:
         raise PrecondError("the dictionary is for (-1)-formations")
     if f.f_rank != f.g_rank:
         raise PrecondError("square formations only (F and G of equal rank)")
-    signs = _mu_signs(f)
+    two_id, signs = _split_mu(f)
     ones = [1] * f.f_rank
     return QuadComplex1(
-        f.mu.signed(ones, signs).conj_t(),
-        Mat.zeros(f.g_rank, f.g_rank, f.ring),
+        two_id,
         f.gamma.signed(ones, signs).conj_t(),
         f.theta.signed([-s for s in signs], signs),
     )
 
 
 def complex_to_formation(c: QuadComplex1) -> SplitFormation:
-    """Inverse dictionary: gamma = psi0t^* - psi0, mu = d^*,
-    theta = -(psi1 + d psi0)."""
-    return SplitFormation(
-        c.psi0t.conj_t() - c.psi0,
-        c.d.conj_t(),
-        -(c.psi1 + c.d * c.psi0),
-        -1,
-    )
+    """Inverse dictionary: gamma = psi0t^*, mu = d^*, theta = -psi1."""
+    return SplitFormation(c.psi0t.conj_t(), c.d.conj_t(), -c.psi1, -1)
 
 
 @dataclass(frozen=True)
@@ -171,11 +148,11 @@ class NullCobordismData:
 
 
 def _pi_inv_d(c: QuadComplex1, n: NullCobordismData) -> Mat:
-    """The composite pi^{-1} d^* over Z[x], by exact fraction-free
-    elimination (solve_right)."""
+    """The composite pi^{-1} d^* over Z[x] (d at T -> -1), by exact
+    fraction-free elimination (solve_right)."""
     if n.p_rank != c.rank:
         raise ShapeError("pi size differs from the complex rank")
-    d_star = c.d.conj_t().i_minus() if c.ring is C2Poly else c.d.conj_t()
+    d_star = c.d.i_minus().conj_t()
     try:
         return solve_right(n.pi, d_star)
     except AlgebraError as exc:
@@ -185,13 +162,11 @@ def _pi_inv_d(c: QuadComplex1, n: NullCobordismData) -> Mat:
 def check_desymmetrization(
     c: QuadComplex1, n: NullCobordismData, _a: Mat | None = None
 ) -> bool:
-    """(pi^{-1} d^*)^* (chi + chi^*) = (psi0t - psi0^*) pi over Z[x]
-    (components evaluated at T -> -1)."""
+    """(pi^{-1} d^*)^* (chi + chi^*) = psi0t pi over Z[x] (d and psi0t
+    at T -> -1)."""
     a = _a if _a is not None else _pi_inv_d(c, n)
-    lhs = a.conj_t() * (n.chi + n.chi.conj_t())
-    ci = c.i_minus() if c.ring is C2Poly else c
-    rhs = (ci.psi0t - ci.psi0.conj_t()) * n.pi
-    return lhs == rhs
+    rhs = c.psi0t.i_minus() * n.pi
+    return a.conj_t() * (n.chi + n.chi.conj_t()) == rhs
 
 
 def build_psi_hat(
@@ -210,14 +185,14 @@ def build_psi_hat(
             "the de-symmetrization identity fails entry-wise",
             n.chi,
         )
-    ci = c.i_minus() if c.ring is C2Poly else c
-    psi1_hat = a.conj_t() * n.chi * a - ci.psi0t * ci.d.conj_t()
-    diff = psi1_hat - ci.psi1
+    d, psi0t = c.d.i_minus(), c.psi0t.i_minus()
+    psi1_hat = a.conj_t() * n.chi * a - psi0t * d.conj_t()
+    diff = psi1_hat - c.psi1.i_minus()
     if not (diff.conj_t() + diff).is_zero():
         raise StageError(
             "psi-hat", "corrected cycle does not differ by a skew matrix", diff
         )
-    return QuadComplex1(ci.d, ci.psi0, ci.psi0t, psi1_hat)
+    return QuadComplex1(d, psi0t, psi1_hat)
 
 
 @dataclass(frozen=True)
@@ -237,10 +212,9 @@ def build_null_cobordism(
     """D_1 = P^*, D_0 = C_0, d_D = (pi^{-1}d^*)^*, f = (Id, pi^*),
     dpsi0 = -chi^*, all over Z[x]; checks the chain map d_C = d_D f1."""
     a = _a if _a is not None else _pi_inv_d(c, n)
-    ci = c.i_minus() if c.ring is C2Poly else c
     d_d = a.conj_t()
     f1 = n.pi.conj_t()
-    if ci.d != d_d * f1:
+    if c.d.i_minus() != d_d * f1:
         raise StageError("null-cobordism", "f is not a chain map", f1)
     return NullCobordism(d_d=d_d, f1=f1, dpsi0=-n.chi.conj_t())
 
@@ -270,10 +244,8 @@ def build_union(
 
     with f0 = Id; d o d = 0 is checked.
     """
-    if c.ring is not C2Poly:
-        raise RingTagError("the union glues a Z[C2][x] input")
-    # the dictionary commutes with T -> +1, so evaluate first
-    plus = complex_to_formation(c.i_plus())
+    # a Z[x] input has no T -> +1 evaluation: Mat.i_plus raises RingTagError
+    plus = formation_i_plus(complex_to_formation(c))
     if not is_graph(plus):
         raise StageError(
             "union", "T -> +1 evaluation is not a graph formation", plus.gamma
@@ -341,6 +313,18 @@ def instant_obstruction(u: UnionComplex) -> Obstruction:
     return Obstruction(big, reduced, big_arf, reduced_arf)
 
 
+# the stages of run_machine, in order; a run that returns passed them all
+STAGES = (
+    "complex",
+    "desymmetrization",
+    "psi-hat",
+    "null-cobordism",
+    "union",
+    "obstruction",
+    "arf",
+)
+
+
 @dataclass(frozen=True)
 class MachineResult:
     """The Arf class, the stage names, and each stage's output."""
@@ -360,30 +344,21 @@ def run_machine(f: SplitFormation, n: NullCobordismData) -> MachineResult:
     Stage order: formation -> complex, de-symmetrization check, cycle
     correction, null-cobordism, union, instant obstruction, Arf.
     """
-    stages = []
     c = formation_to_complex(f)
     if not c.cycle_holds():
         raise StageError("complex", "cycle condition fails", c.psi1)
-    stages.append("complex")
-    ci = c.i_minus()
-    a = _pi_inv_d(ci, n)
-    if not check_desymmetrization(ci, n, _a=a):
+    a = _pi_inv_d(c, n)
+    if not check_desymmetrization(c, n, _a=a):
         raise StageError(
             "desymmetrization",
             "the de-symmetrization identity fails entry-wise",
             n.chi,
         )
-    stages.append("desymmetrization")
-    psi_hat = build_psi_hat(ci, n, _a=a)
-    stages.append("psi-hat")
-    bundle = build_null_cobordism(ci, n, _a=a)
-    stages.append("null-cobordism")
+    psi_hat = build_psi_hat(c, n, _a=a)
+    bundle = build_null_cobordism(c, n, _a=a)
     union = build_union(c, psi_hat, bundle)
-    stages.append("union")
     obs = instant_obstruction(union)
-    stages.append("obstruction")
-    stages.append("arf")
-    return MachineResult(obs.reduced_arf, tuple(stages), c, psi_hat, bundle, union, obs)
+    return MachineResult(obs.reduced_arf, STAGES, c, psi_hat, bundle, union, obs)
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +368,6 @@ def run_machine(f: SplitFormation, n: NullCobordismData) -> MachineResult:
 
 def _zx(*vals) -> list:
     return [v if isinstance(v, PolyInt) else PolyInt((v,)) for v in vals]
-
-
-RELATION_NAMES = {
-    1: "additivity",
-    2: "symmetry",
-    3: "square-associativity",
-    4: "square-root",
-}
 
 
 def relation_fixture(k: int, p: PolyInt, g: PolyInt, p2: PolyInt | None = None):

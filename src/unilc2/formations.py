@@ -20,6 +20,7 @@ from .rings import (
     C2Poly,
     Mat,
     ONE_MINUS_T,
+    PolyF2,
     PolyInt,
     PrecondError,
     RingTagError,
@@ -150,18 +151,8 @@ def i_plus(f: SplitFormation) -> SplitFormation:
 
 
 def _is_two_id(mu: Mat) -> bool:
-    if not mu.is_square():
-        return False
-    two = (
-        C2Poly.from_int(2)
-        if mu.ring is C2Poly
-        else PolyInt((2,))
-        if mu.ring is PolyInt
-        else None
-    )
-    if two is None:
-        return False
-    return mu == Mat.scalar(mu.rows, two, mu.ring)
+    # no mu is 2*Id over F2[x], where 2 = 0
+    return mu.ring is not PolyF2 and mu.is_square() and mu == Mat.scalar(mu.rows, 2, mu.ring)
 
 
 def verify_poincare(f: SplitFormation) -> bool:

@@ -117,6 +117,16 @@ def test_formation_check_malformed_file_is_a_domain_error(capsys, tmp_path, text
     assert captured.err.startswith("error: ")
 
 
+def test_formation_check_f2_has_no_two_id_shape(capsys, tmp_path):
+    """2 = 0 in F2[x], so an F2[x] formation with mu = 0 is not the
+    exponent-two shape mu = 2*Id, and its duality check is unsupported."""
+    path = tmp_path / "f2.formation"
+    path.write_text("ring=F2[x]\ngamma=[x,1;1,0]\nmu=[0,0;0,0]\ntheta=[x,1;1,0]\n")
+    code, out = run(capsys, "formation", "check", str(path))
+    assert code == 0
+    assert "duality: unsupported shape" in out
+
+
 def test_exponent_at_the_cap_is_accepted(capsys):
     code, _ = run(capsys, "arf", "--psi", f"[x^{MAX_EXPONENT},1;0,1]")
     assert code == 0

@@ -10,6 +10,7 @@ from conftest import int_polys, pg_sweep, zx
 
 from unilc2.complexes import (
     NullCobordismData,
+    QuadComplex1,
     StageError,
     alpha_pullback_check,
     build_null_cobordism,
@@ -26,7 +27,16 @@ from unilc2.complexes import (
 from unilc2.formations import SplitFormation, direct_sum, is_graph, make_M, negate
 from unilc2.forms import ArfClass, SingularFormError, arf, arf_normalize
 from unilc2 import rings
-from unilc2.rings import C2Poly, Mat, PolyInt, format_matrix, parse_matrix
+from unilc2.rings import (
+    C2Poly,
+    Mat,
+    PolyF2,
+    PolyInt,
+    PrecondError,
+    RingTagError,
+    format_matrix,
+    parse_matrix,
+)
 
 
 # -- packed matrices through a machine run
@@ -75,7 +85,7 @@ def test_machine_run_packs_each_entry_once(monkeypatch):
 
 
 def test_machine_run_builds_only_what_it_reads(monkeypatch):
-    """A degree-2 relation-1 run makes 9 Z[x] matrix products, 1 F2[x]
+    """A degree-2 relation-1 run makes 8 Z[x] matrix products, 1 F2[x]
     product (d o d of the union), 4 mod-2 reductions and 3 block matrices:
     no null-cobordism or union block that nothing reads is built."""
     f, ncd, expected = relation_fixture(1, zx("2*x+x^2"), zx("1+2*x^2"), zx("x+2*x^2"))
@@ -95,7 +105,7 @@ def test_machine_run_builds_only_what_it_reads(monkeypatch):
     spy("from_blocks", lambda blocks: "from_blocks")
     assert run_machine(f, ncd).arf == expected
     counts = {k: n[k] for k in ("mul PolyInt", "mul PolyF2", "mod2", "from_blocks")}
-    assert counts == {"mul PolyInt": 9, "mul PolyF2": 1, "mod2": 4, "from_blocks": 3}, n
+    assert counts == {"mul PolyInt": 8, "mul PolyF2": 1, "mod2": 4, "from_blocks": 3}, n
 
 
 # -- dictionary
@@ -105,7 +115,6 @@ def test_formation_to_complex_shape():
     c = formation_to_complex(make_M(zx("x"), zx("1")))
     assert c.rank == 2
     assert c.d == Mat.scalar(2, c.ring.from_int(2), c.ring)
-    assert c.psi0.is_zero()
     assert c.cycle_holds()
 
 
@@ -157,7 +166,6 @@ def test_normalize_mu_signs_against_diag_product(summands):
     want = SplitFormation(f.gamma * beta, f.mu * beta, beta.conj_t() * f.theta * beta, -1)
     c = formation_to_complex(f)
     assert c.d == want.mu.conj_t() == Mat.scalar(n, two, C2Poly)
-    assert c.psi0.is_zero()
     assert c.psi0t == want.gamma.conj_t()
     assert c.psi1 == -want.theta
     assert complex_to_formation(c) == want
@@ -165,10 +173,13 @@ def test_normalize_mu_signs_against_diag_product(summands):
 
 def test_dictionary_rejects_other_mu_shapes():
     from unilc2.formations import make_Q
-    from unilc2.rings import PrecondError
 
     with pytest.raises(PrecondError):
         formation_to_complex(make_Q(zx("x")))
+    # over F2[x], where 2 = 0, mu = 0 is not the shape mu = diag(+-2)
+    zero = Mat.zeros(2, 2, PolyF2)
+    with pytest.raises(PrecondError):
+        formation_to_complex(SplitFormation(Mat.identity(2, PolyF2), zero, zero, -1))
 
 
 # -- de-symmetrization fixtures
@@ -221,20 +232,17 @@ def test_psi_hat_skew_difference():
         f, ncd, _ = fixture(k, p, g, p2)
         c = formation_to_complex(f)
         hat = build_psi_hat(c, ncd)
-        diff = hat.psi1 - c.i_minus().psi1
+        diff = hat.psi1 - c.psi1.i_minus()
         assert diff.conj_t() == -diff
         assert all(not diff[i, i] for i in range(diff.rows))
 
 
 def test_psi_hat_degenerate_zero_witness():
     # chi = 0 with psi0t = 0 forces psi1_hat = 0
-    from unilc2.complexes import QuadComplex1
-
     n = 2
-    d = Mat.scalar(n, PolyInt((2,)), PolyInt)
-    zero = Mat.zeros(n, n, PolyInt)
-    c = QuadComplex1(d, zero, zero, zero)
-    ncd = NullCobordismData(Mat.identity(n, PolyInt), zero)
+    zero = Mat.zeros(n, n, C2Poly)
+    c = QuadComplex1(Mat.scalar(n, 2, C2Poly), zero, zero)
+    ncd = NullCobordismData(Mat.identity(n, PolyInt), Mat.zeros(n, n, PolyInt))
     hat = build_psi_hat(c, ncd)
     assert hat.psi1.is_zero()
 
@@ -244,7 +252,7 @@ def test_null_cobordism_chain_map():
         f, ncd, _ = fixture(k, p, g, p2)
         c = formation_to_complex(f)
         bundle = build_null_cobordism(c, ncd)
-        assert c.i_minus().d == bundle.d_d * bundle.f1
+        assert c.d.i_minus() == bundle.d_d * bundle.f1
         assert bundle.dpsi0 == -ncd.chi.conj_t()
 
 
@@ -316,14 +324,18 @@ def test_machine_zero_relations():
     assert run_relation(4, zx("x"), zx("x"))[0].arf == ArfClass.zero()
 
 
-def test_stages_accept_the_evaluated_complex():
+def test_stages_reject_the_evaluated_complex():
+    """The stages take the Z[C2][x] complex and read its legs; its T -> -1
+    evaluation over Z[x] has no legs."""
     f, ncd, _ = fixture(1, zx("x"), zx("1+x"), zx("2*x"))
     c = formation_to_complex(f)
-    ci = c.i_minus()
-    assert check_desymmetrization(ci, ncd)
+    ci = QuadComplex1(c.d.i_minus(), c.psi0t.i_minus(), c.psi1.i_minus())
     hat = build_psi_hat(c, ncd)
-    assert build_psi_hat(ci, ncd).psi1 == hat.psi1
-    assert build_null_cobordism(ci, ncd) == build_null_cobordism(c, ncd)
+    for stage in (check_desymmetrization, build_psi_hat, build_null_cobordism):
+        with pytest.raises(RingTagError):
+            stage(ci, ncd)
+    with pytest.raises(RingTagError):
+        build_union(ci, hat, build_null_cobordism(c, ncd))
     res = run_machine(f, ncd)
     assert res.complex.psi1 == c.psi1
     assert res.psi_hat.psi1 == hat.psi1
@@ -410,6 +422,37 @@ def test_machine_rejects_broken_witness():
     with pytest.raises(StageError) as err:
         run_machine(f, NullCobordismData(ncd.pi, Mat(rows, PolyInt)))
     assert err.value.stage == "desymmetrization"
+
+
+MUTATION_FIXTURES = [(1, "x", "1", "x"), (2, "x", "1", None), (3, "x", "1", None), (4, "x", "x", None)]
+
+
+def _bumped(m, i, j, delta):
+    rows = [list(r) for r in m.entries]
+    rows[i][j] = rows[i][j] + PolyInt((delta,))
+    return Mat(rows, PolyInt)
+
+
+def test_machine_rejects_every_single_entry_witness_mutation():
+    """Adding +1, -1 or +2 to any one entry of pi or of chi breaks the
+    de-symmetrization identity (or makes pi singular) for relations 1-4:
+    504 mutations, each refused at the de-symmetrization stage."""
+    tried = 0
+    for k, p, g, p2 in MUTATION_FIXTURES:
+        f, ncd, _ = fixture(k, zx(p), zx(g), zx(p2) if p2 else None)
+        n = ncd.p_rank
+        for i in range(n):
+            for j in range(n):
+                for delta in (1, -1, 2):
+                    for bad in (
+                        NullCobordismData(_bumped(ncd.pi, i, j, delta), ncd.chi),
+                        NullCobordismData(ncd.pi, _bumped(ncd.chi, i, j, delta)),
+                    ):
+                        with pytest.raises(StageError) as err:
+                            run_machine(f, bad)
+                        assert err.value.stage == "desymmetrization", (k, i, j, delta)
+                        tried += 1
+    assert tried == 504
 
 
 # -- base change fixture
