@@ -69,6 +69,16 @@ def _sweep_config(args) -> SweepConfig:
     )
 
 
+def _machine_usage_error(args) -> str | None:
+    """--p2 is relation 1's second parameter: required there, and a usage
+    error with any other relation."""
+    if args.relation == 1 and args.p2 is None:
+        return "relation 1 needs --p2"
+    if args.relation != 1 and args.p2 is not None:
+        return f"--p2 belongs to relation 1, not relation {args.relation}"
+    return None
+
+
 def _verify_usage_error(args) -> str | None:
     """What makes a verify command line a usage error, if anything: a
     filter that selects no check, or a sweep of more candidates than its
@@ -189,9 +199,7 @@ def cmd_formation(args) -> int:
 def cmd_machine(args) -> int:
     p = _poly_int(args.p)
     g = _poly_int(args.g)
-    p2 = _poly_int(args.p2) if args.p2 else None
-    if args.relation == 1 and p2 is None:
-        raise AlgebraError("relation 1 needs --p2")
+    p2 = _poly_int(args.p2) if args.relation == 1 else None
     f, ncd, expected = complexes.relation_fixture(args.relation, p, g, p2)
     if args.dump:
         _dump(args.dump, "pi", ncd.pi)
@@ -379,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and (problem := _verify_usage_error(args)):
+    usage_error = {"verify": _verify_usage_error, "machine": _machine_usage_error}.get(args.command)
+    if usage_error and (problem := usage_error(args)):
         parser.error(problem)
     try:
         return args.fn(args)

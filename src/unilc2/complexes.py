@@ -8,9 +8,9 @@ returns its Arf class:
     -> null-cobordism -> union complex -> instant obstruction -> Arf
 
 Complexes here always have modules C_1 = C_0 and differential 2*Id; the
-identities that involve pi^{-1} are computed by exact fraction-free
-elimination over Z[x] and every stage re-checks the matrix identity it
-relies on.  The stages that work over Z[x] read the T -> -1 legs of the
+composite pi^{-1} d^* is the witness's own closed form, checked by one
+product, or else computed by exact fraction-free elimination over Z[x],
+and every stage re-checks the matrix identity it relies on.  The stages that work over Z[x] read the T -> -1 legs of the
 Z[C2][x] complex.
 """
 
@@ -31,6 +31,7 @@ from .formations import SplitFormation, direct_sum as formation_sum, is_graph, m
 from .formations import i_plus as formation_i_plus, negate as formation_negate
 from .rings import (
     AlgebraError,
+    C2Poly,
     Mat,
     PolyF2,
     PolyInt,
@@ -90,10 +91,14 @@ class QuadComplex1:
 def _split_mu(f: SplitFormation) -> tuple:
     """2*Id and the signs s_i of mu = diag(2 s_1, ..., 2 s_n); PrecondError
     for any other mu, and over F2[x], where 2 = 0."""
+    if f.ring is PolyF2:
+        raise PrecondError("mu must be diagonal with entries +-2")
     n = f.g_rank
     two_id = Mat.scalar(n, 2, f.ring)
-    signs = [1 if f.mu[i, i] == two_id[i, i] else -1 for i in range(n)]
-    if f.ring is PolyF2 or f.mu != two_id.signed(signs, [1] * n):
+    # a constant is its own packed value, so the T -> -1 diagonal reads +-2
+    minus = f.mu.i_minus() if f.ring is C2Poly else f.mu
+    signs = [1 if row[i] == 2 else -1 for i, row in enumerate(minus._data)]
+    if f.mu != two_id.signed(signs, [1] * n):
         raise PrecondError("mu must be diagonal with entries +-2")
     return two_id, signs
 
@@ -129,18 +134,23 @@ def complex_to_formation(c: QuadComplex1) -> SplitFormation:
 
 @dataclass(frozen=True)
 class NullCobordismData:
-    """Witness (pi, chi) for the null-cobordism builder; entries over Z[x]."""
+    """Witness (pi, chi) for the null-cobordism builder, entries over Z[x],
+    and optionally its composite pi_inv_d = pi^{-1} d^* (d = 2*Id at
+    T -> -1), which the machine then checks by one product instead of
+    solving for it."""
 
     pi: Mat
     chi: Mat
+    pi_inv_d: Mat | None = None
 
     def __post_init__(self):
-        if self.pi.ring is not PolyInt or self.chi.ring is not PolyInt:
-            raise RingTagError("pi and chi must have entries in Z[x]")
-        if not (self.pi.is_square() and self.chi.is_square()):
-            raise ShapeError("pi and chi must be square")
-        if self.pi.rows != self.chi.rows:
-            raise ShapeError("pi and chi sizes differ")
+        mats = (self.pi, self.chi) + (() if self.pi_inv_d is None else (self.pi_inv_d,))
+        if any(m.ring is not PolyInt for m in mats):
+            raise RingTagError("pi, chi and pi_inv_d must have entries in Z[x]")
+        if not all(m.is_square() for m in mats):
+            raise ShapeError("pi, chi and pi_inv_d must be square")
+        if any(m.rows != self.pi.rows for m in mats):
+            raise ShapeError("pi, chi and pi_inv_d sizes differ")
 
     @property
     def p_rank(self) -> int:
@@ -148,11 +158,20 @@ class NullCobordismData:
 
 
 def _pi_inv_d(c: QuadComplex1, n: NullCobordismData) -> Mat:
-    """The composite pi^{-1} d^* over Z[x] (d at T -> -1), by exact
-    fraction-free elimination (solve_right)."""
+    """The composite pi^{-1} d^* over Z[x] (d at T -> -1).
+
+    A witness's own composite a is returned once pi a = d^* holds: then
+    det pi det a = det d^* = 2^n is nonzero, so a is pi^{-1} d^*.  Without
+    one the composite is solved for by exact fraction-free elimination
+    (solve_right)."""
     if n.p_rank != c.rank:
         raise ShapeError("pi size differs from the complex rank")
     d_star = c.d.i_minus().conj_t()
+    a = n.pi_inv_d
+    if a is not None:
+        if n.pi * a != d_star:
+            raise StageError("desymmetrization", "invalid pi: pi * pi_inv_d is not d^*", n.pi)
+        return a
     try:
         return solve_right(n.pi, d_star)
     except AlgebraError as exc:
@@ -366,12 +385,44 @@ def run_machine(f: SplitFormation, n: NullCobordismData) -> MachineResult:
 # relations, as closed-form matrices in the parameters.
 
 
-def _zx(*vals) -> list:
-    return [v if isinstance(v, PolyInt) else PolyInt((v,)) for v in vals]
+def _zx_mat(rows) -> Mat:
+    """The Z[x] matrix with these rows, built packed: each entry is an
+    integer or a PolyInt."""
+    crows = [[e.coeffs if isinstance(e, PolyInt) else (e,) if e else () for e in r] for r in rows]
+    return Mat.from_coeffs(crows, len(crows[0]))
+
+
+_X = PolyInt.x_power(1)
+# the constant pi of relations 1-3 and its composite pi^{-1} d^* (d^* = 2*Id)
+_R1_PI = _zx_mat(
+    [
+        (0, 1, 0, 2, 0, 0),
+        (1, 0, 1, 0, 2, 0),
+        (0, 1, 0, 0, 0, 2),
+        (1, 0, 0, 0, 0, 0),
+        (0, 1, 0, 0, 0, 0),
+        (0, 0, 1, 0, 0, 0),
+    ]
+)
+_R1_PI_INV_D = _zx_mat(
+    [
+        (0, 0, 0, 2, 0, 0),
+        (0, 0, 0, 0, 2, 0),
+        (0, 0, 0, 0, 0, 2),
+        (1, 0, 0, 0, -1, 0),
+        (0, 1, 0, -1, 0, -1),
+        (0, 0, 1, 0, -1, 0),
+    ]
+)
+_R2_PI = _zx_mat([(1, 0, 2, 0), (0, 1, 0, 2), (0, 1, 0, 0), (1, 0, 0, 0)])
+_R2_PI_INV_D = _zx_mat([(0, 0, 0, 2), (0, 0, 2, 0), (1, 0, 0, -1), (0, 1, -1, 0)])
+_R3_PI = _zx_mat([(1, 0, 0, 0), (0, _X, 0, 2), (_X, 0, 2, 0), (0, 1, 0, 0)])
+_R3_PI_INV_D = _zx_mat([(2, 0, 0, 0), (0, 0, 0, 2), (-_X, 0, 1, 0), (0, 1, 0, -_X)])
 
 
 def relation_fixture(k: int, p: PolyInt, g: PolyInt, p2: PolyInt | None = None):
-    """Formation sum, witness (pi, chi) and expected Arf class for relation k.
+    """Formation sum, witness (pi, chi, pi^{-1} d^*) and expected Arf class
+    for relation k.
 
     1: M(p,g) + M(p2,g) - M(p+p2,g), expected class [p*p2*g^2]
     2: M(2p,g) - M(2g,p), expected 0
@@ -379,87 +430,50 @@ def relation_fixture(k: int, p: PolyInt, g: PolyInt, p2: PolyInt | None = None):
     4: M(2 p^2 g, g) - M(2p, g), expected 0
     """
     fsum, negate = formation_sum, formation_negate
-    two = PolyInt((2,))
-    x = PolyInt.x_power(1)
     if k == 1:
         if p2 is None:
             raise PrecondError("relation 1 needs both p parameters")
         f = fsum(fsum(make_M(p, g), make_M(p2, g)), negate(make_M(p + p2, g)))
-        tg = two * g
-        pi = Mat(
+        tg = 2 * g
+        chi = _zx_mat(
             [
-                _zx(0, 1, 0, 2, 0, 0),
-                _zx(1, 0, 1, 0, 2, 0),
-                _zx(0, 1, 0, 0, 0, 2),
-                _zx(1, 0, 0, 0, 0, 0),
-                _zx(0, 1, 0, 0, 0, 0),
-                _zx(0, 0, 1, 0, 0, 0),
-            ],
-            PolyInt,
-        )
-        chi = Mat(
-            [
-                [g, PolyInt((1,)), g, PolyInt((1,)), tg, PolyInt((1,))],
-                _zx(0, 0, 0, p, 1, p2),
-                [PolyInt(()), PolyInt(()), PolyInt(()), PolyInt((1,)), tg, PolyInt(())],
-                _zx(0, 0, 0, p, 2, 0),
-                [PolyInt(()), PolyInt(()), PolyInt(()), PolyInt(()), tg, PolyInt(())],
-                _zx(0, 0, 0, 0, 0, p2),
-            ],
-            PolyInt,
+                (g, 1, g, 1, tg, 1),
+                (0, 0, 0, p, 1, p2),
+                (0, 0, 0, 1, tg, 0),
+                (0, 0, 0, p, 2, 0),
+                (0, 0, 0, 0, tg, 0),
+                (0, 0, 0, 0, 0, p2),
+            ]
         )
         expected = arf_normalize((p * p2 * g * g).mod2())
-        return f, NullCobordismData(pi, chi), expected
+        return f, NullCobordismData(_R1_PI, chi, _R1_PI_INV_D), expected
     if k == 2:
-        f = fsum(make_M(two * p, g), negate(make_M(two * g, p)))
-        pi = Mat(
-            [_zx(1, 0, 2, 0), _zx(0, 1, 0, 2), _zx(0, 1, 0, 0), _zx(1, 0, 0, 0)],
-            PolyInt,
+        f = fsum(make_M(2 * p, g), negate(make_M(2 * g, p)))
+        chi = _zx_mat(
+            [(0, 0, 2 * p, 1), (0, 0, 1, 2 * g), (0, 0, 2 * p, 2), (0, 0, 0, 2 * g)]
         )
-        chi = Mat(
-            [
-                _zx(0, 0, two * p, 1),
-                _zx(0, 0, 1, two * g),
-                _zx(0, 0, two * p, 2),
-                _zx(0, 0, 0, two * g),
-            ],
-            PolyInt,
-        )
-        return f, NullCobordismData(pi, chi), ArfClass.zero()
+        return f, NullCobordismData(_R2_PI, chi, _R2_PI_INV_D), ArfClass.zero()
     if k == 3:
         x2 = PolyInt.x_power(2)
         f = fsum(make_M(x2 * p, g), negate(make_M(p, x2 * g)))
-        pi = Mat(
-            [_zx(1, 0, 0, 0), _zx(0, x, 0, 2), _zx(x, 0, 2, 0), _zx(0, 1, 0, 0)],
-            PolyInt,
+        chi = _zx_mat(
+            [(0, 0, -(_X * p), 1), (0, 0, -1, 2 * _X * g), (0, 0, -p, 0), (0, 0, 0, 2 * g)]
         )
-        chi = Mat(
-            [
-                _zx(0, 0, -(x * p), 1),
-                _zx(0, 0, -1, two * x * g),
-                _zx(0, 0, -p, 0),
-                _zx(0, 0, 0, two * g),
-            ],
-            PolyInt,
-        )
-        return f, NullCobordismData(pi, chi), ArfClass.zero()
+        return f, NullCobordismData(_R3_PI, chi, _R3_PI_INV_D), ArfClass.zero()
     if k == 4:
-        f = fsum(make_M(two * p * p * g, g), negate(make_M(two * p, g)))
-        pi = Mat(
-            [_zx(1, 1, 0, 0), _zx(0, p, 2, 0), _zx(0, 1, 0, 0), _zx(p, 0, 0, 2)],
-            PolyInt,
-        )
+        f = fsum(make_M(2 * p * p * g, g), negate(make_M(2 * p, g)))
+        pi = _zx_mat([(1, 1, 0, 0), (0, p, 2, 0), (0, 1, 0, 0), (p, 0, 0, 2)])
+        pi_inv_d = _zx_mat([(2, 0, -2, 0), (0, 0, 2, 0), (0, 1, -p, 0), (-p, 0, p, 1)])
         p2g = p * p * g
-        chi = Mat(
+        chi = _zx_mat(
             [
-                _zx(0, p2g, 1, -(two * p * g)),
-                _zx(0, p2g, PolyInt((1,)) + two * p * g, -1),
-                _zx(0, 0, two * g, 0),
-                _zx(0, 0, 0, -(two * g)),
-            ],
-            PolyInt,
+                (0, p2g, 1, -2 * p * g),
+                (0, p2g, 1 + 2 * p * g, -1),
+                (0, 0, 2 * g, 0),
+                (0, 0, 0, -2 * g),
+            ]
         )
-        return f, NullCobordismData(pi, chi), ArfClass.zero()
+        return f, NullCobordismData(pi, chi, pi_inv_d), ArfClass.zero()
     raise PrecondError(f"unknown relation {k}")
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import fnmatch
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import complexes, formations, forms, rim, witt
 from .forms import arf, arf_normalize, make_P
@@ -506,9 +506,8 @@ def check_chi_slack(cfg):
                     rows[i][j] = e
                     rows[j][i] = -e
             sigma = Mat(rows, PolyInt)
-            res = complexes.run_machine(
-                f, complexes.NullCobordismData(ncd.pi, ncd.chi + sigma)
-            )
+            # the slack leaves pi, so the witness keeps its composite
+            res = complexes.run_machine(f, replace(ncd, chi=ncd.chi + sigma))
             if res.arf != base:
                 return False, f"skew slack changed the class for relation {k}"
     return True, "adding skew slack to chi never changes the final class"

@@ -1139,7 +1139,7 @@ def _scale(m: Mat, s) -> Mat:
     top = max(map(abs, cs), default=0)
     k = _width(min(m.length, len(cs)) * m.bound * top, m.k)
     data, bound, length = _at_width(m, k)
-    z = _pack(cs, k)
+    z = cs[0] if len(cs) == 1 else _pack(cs, k)  # a constant is its own value
     return _new(
         PolyInt, m.rows, m.cols, tuple(tuple([e * z for e in r]) for r in data),
         k, min(length, len(cs)) * bound * top, length + len(cs) - 1 if length and cs else 0,

@@ -80,8 +80,24 @@ def test_machine_dump(capsys, tmp_path):
 
 
 def test_machine_requires_p2(capsys):
-    code = main(["machine", "--relation", "1", "--p", "x", "--g", "1"])
-    assert code == 3
+    with pytest.raises(SystemExit) as exc:
+        main(["machine", "--relation", "1", "--p", "x", "--g", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--p2" in captured.err
+
+
+@pytest.mark.parametrize("relation", ["2", "3", "4"])
+def test_machine_p2_outside_relation_1_is_a_usage_error(capsys, relation):
+    """--p2 is relation 1's parameter; with another relation it exits 2
+    before any output, not 0 with --p2 ignored."""
+    with pytest.raises(SystemExit) as exc:
+        main(["machine", "--relation", relation, "--p", "x", "--g", "1", "--p2", "x"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--p2" in captured.err
 
 
 def test_formation_make_and_check(capsys, tmp_path):

@@ -26,7 +26,7 @@ from unilc2.complexes import (
 )
 from unilc2.formations import SplitFormation, direct_sum, is_graph, make_M, negate
 from unilc2.forms import ArfClass, SingularFormError, arf, arf_normalize
-from unilc2 import rings
+from unilc2 import complexes, rings
 from unilc2.rings import (
     C2Poly,
     Mat,
@@ -34,8 +34,10 @@ from unilc2.rings import (
     PolyInt,
     PrecondError,
     RingTagError,
+    ShapeError,
     format_matrix,
     parse_matrix,
+    solve_right,
 )
 
 
@@ -85,9 +87,11 @@ def test_machine_run_packs_each_entry_once(monkeypatch):
 
 
 def test_machine_run_builds_only_what_it_reads(monkeypatch):
-    """A degree-2 relation-1 run makes 8 Z[x] matrix products, 1 F2[x]
-    product (d o d of the union), 4 mod-2 reductions and 3 block matrices:
-    no null-cobordism or union block that nothing reads is built."""
+    """A degree-2 relation-1 run makes 9 Z[x] matrix products (one of them
+    the check pi * pi_inv_d = d^* of the witness's composite), 1 F2[x]
+    product (d o d of the union), 4 mod-2 reductions and 3 block matrices,
+    and solves no linear system: no null-cobordism or union block that
+    nothing reads is built."""
     f, ncd, expected = relation_fixture(1, zx("2*x+x^2"), zx("1+2*x^2"), zx("x+2*x^2"))
     n = Counter()
 
@@ -103,9 +107,10 @@ def test_machine_run_builds_only_what_it_reads(monkeypatch):
     spy("__mul__", lambda a, b: f"mul {a.ring.__name__}" if isinstance(b, Mat) else "scale")
     spy("mod2", lambda m: "mod2")
     spy("from_blocks", lambda blocks: "from_blocks")
+    monkeypatch.setattr(complexes, "solve_right", lambda *args: n.update(["solve_right"]))
     assert run_machine(f, ncd).arf == expected
-    counts = {k: n[k] for k in ("mul PolyInt", "mul PolyF2", "mod2", "from_blocks")}
-    assert counts == {"mul PolyInt": 8, "mul PolyF2": 1, "mod2": 4, "from_blocks": 3}, n
+    counts = {k: n[k] for k in ("mul PolyInt", "mul PolyF2", "mod2", "from_blocks", "solve_right")}
+    assert counts == {"mul PolyInt": 9, "mul PolyF2": 1, "mod2": 4, "from_blocks": 3, "solve_right": 0}, n
 
 
 # -- dictionary
@@ -453,6 +458,106 @@ def test_machine_rejects_every_single_entry_witness_mutation():
                         assert err.value.stage == "desymmetrization", (k, i, j, delta)
                         tried += 1
     assert tried == 504
+
+
+# -- the witnesses' closed-form composites pi^{-1} d^*
+
+
+def _composite_is_solved(k, p, g, p2=None, solved=None) -> bool:
+    """Whether relation_fixture accepts these parameters; if it does, its
+    composite must be what fraction-free elimination gives for its pi and
+    d^* = 2*Id (formation_to_complex's d).  `solved` caches the
+    eliminations as (pi, composite) pairs."""
+    try:
+        _, ncd, _ = relation_fixture(k, p, g, p2)
+    except PrecondError:
+        return False
+    solved = [] if solved is None else solved
+    want = next((a for pi, a in solved if pi == ncd.pi), None)
+    if want is None:
+        want = solve_right(ncd.pi, Mat.scalar(ncd.p_rank, 2, PolyInt))
+        solved.append((ncd.pi, want))
+    assert ncd.pi_inv_d == want, (k, p, g, p2)
+    return True
+
+
+def test_fixture_composites_against_solve_right_on_the_degree_2_space():
+    ps = int_polys(2)
+    accepted, solved = Counter(), []
+    for k in (1, 2, 3, 4):
+        for p in ps:
+            for g in ps:
+                for p2 in ps if k == 1 else (None,):
+                    accepted[k] += _composite_is_solved(k, p, g, p2, solved)
+    assert accepted == {1: 8019, 2: 405, 3: 729, 4: 405}
+    assert len(solved) == 3 + 27  # relations 1-3 have one pi each, relation 4 one per p
+
+
+@st.composite
+def fixture_params(draw):
+    """A relation and parameters of degree <= 4 with coefficients -5..5
+    that relation_fixture accepts: make_M needs p*g (and p2*g) in x*Z[x],
+    so g or else p and p2 have constant coefficient 0."""
+    k = draw(st.sampled_from((1, 2, 3, 4)))
+    p, g, p2 = (draw(st.lists(st.integers(-5, 5), min_size=5, max_size=5)) for _ in range(3))
+    if draw(st.booleans()):
+        g[0] = 0
+    else:
+        p[0] = p2[0] = 0
+    return k, PolyInt(p), PolyInt(g), PolyInt(p2) if k == 1 else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(fixture_params())
+def test_fixture_composites_against_solve_right_on_random_parameters(params):
+    assert _composite_is_solved(*params)
+
+
+def test_witness_composite_is_checked():
+    f, ncd, _ = fixture(4, zx("x"), zx("x"))
+    with pytest.raises(RingTagError):
+        dataclasses.replace(ncd, pi_inv_d=ncd.pi_inv_d.mod2())
+    with pytest.raises(ShapeError):
+        dataclasses.replace(ncd, pi_inv_d=Mat.identity(3, PolyInt))
+
+
+def test_fixture_runs_never_solve_and_bare_witnesses_are_solved(monkeypatch):
+    """A fixture witness's composite is checked by one product, with no
+    elimination; the same witness without it is solved for, once per run,
+    to the same result."""
+    solves = Counter()
+
+    def counted(a, b):
+        solves["n"] += 1
+        return solve_right(a, b)
+
+    monkeypatch.setattr(complexes, "solve_right", counted)
+    for k, p, g, p2 in MUTATION_FIXTURES:
+        f, ncd, expected = fixture(k, zx(p), zx(g), zx(p2) if p2 else None)
+        full = run_machine(f, ncd)
+        assert solves["n"] == 0
+        bare = run_machine(f, dataclasses.replace(ncd, pi_inv_d=None))
+        assert solves.pop("n") == 1
+        assert full.arf == bare.arf == expected
+        assert full.null_cobordism == bare.null_cobordism
+        assert full.psi_hat.psi1 == bare.psi_hat.psi1
+
+
+def test_machine_rejects_a_composite_wrong_in_one_entry():
+    tried = 0
+    for k, p, g, p2 in MUTATION_FIXTURES:
+        f, ncd, _ = fixture(k, zx(p), zx(g), zx(p2) if p2 else None)
+        n = ncd.p_rank
+        for i in range(n):
+            for j in range(n):
+                for delta in (1, -1):
+                    bad = dataclasses.replace(ncd, pi_inv_d=_bumped(ncd.pi_inv_d, i, j, delta))
+                    with pytest.raises(StageError) as err:
+                        run_machine(f, bad)
+                    assert err.value.stage == "desymmetrization", (k, i, j, delta)
+                    assert "invalid pi" in str(err.value)
+                    tried += 1
+    assert tried == 168
 
 
 # -- base change fixture
