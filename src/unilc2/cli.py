@@ -207,7 +207,7 @@ def cmd_machine(args) -> int:
         _dump(args.dump, "gamma", f.gamma)
         _dump(args.dump, "theta", f.theta)
     result = complexes.run_machine(f, ncd)
-    for stage in result.stages:
+    for stage in complexes.STAGES:
         print(f"stage {stage}: ok")
     if args.dump:
         _dump(args.dump, "psi1-hat", result.psi_hat.psi1)

@@ -9,9 +9,8 @@ returns its Arf class:
 
 Complexes here always have modules C_1 = C_0 and differential 2*Id; the
 composite pi^{-1} d^* is the witness's own closed form, checked by one
-product, or else computed by exact fraction-free elimination over Z[x],
-and every stage re-checks the matrix identity it relies on.  The stages that work over Z[x] read the T -> -1 legs of the
-Z[C2][x] complex.
+product, and every stage re-checks the matrix identity it relies on.  The
+stages that work over Z[x] read the T -> -1 legs of the Z[C2][x] complex.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .forms import (
     from_pairing_and_vector,
     standard_symplectic,
 )
-from .formations import SplitFormation, direct_sum as formation_sum, is_graph, make_M
+from .formations import SplitFormation, direct_sum as formation_sum, is_graph, make_M, two_id
 from .formations import i_plus as formation_i_plus, negate as formation_negate
 from .rings import (
     AlgebraError,
@@ -38,7 +37,7 @@ from .rings import (
     PrecondError,
     RingTagError,
     ShapeError,
-    solve_right,
+    solve_right,  # no stage solves; bench/ubench/baseline.py times it here
 )
 
 
@@ -57,21 +56,21 @@ class QuadComplex1:
 
     Cycle components: psi0t: C^1 -> C_0, psi1: C^0 -> C_0.  The third
     component psi0: C^0 -> C_1 is not stored: the split-formation
-    dictionary makes it 0 and the cycle correction keeps it 0.  The ring is
-    Z[C2][x] for the machine's input and Z[x] for the corrected cycle.
+    dictionary makes it 0 and the cycle correction keeps it 0.  Nor is d,
+    which is the same 2*Id for every complex.  The ring is Z[C2][x] for the
+    machine's input and Z[x] for the corrected cycle.
     """
 
-    __slots__ = ("rank", "d", "psi0t", "psi1")
+    __slots__ = ("rank", "psi0t", "psi1")
 
-    def __init__(self, d: Mat, psi0t: Mat, psi1: Mat):
-        n = d.rows
-        for m in (d, psi0t, psi1):
+    def __init__(self, psi0t: Mat, psi1: Mat):
+        n = psi0t.rows
+        for m in (psi0t, psi1):
             if not (m.is_square() and m.rows == n):
                 raise ShapeError("all complex components must be n x n")
-            if m.ring is not d.ring:
-                raise RingTagError("complex components over different rings")
+        if psi1.ring is not psi0t.ring:
+            raise RingTagError("complex components over different rings")
         object.__setattr__(self, "rank", n)
-        object.__setattr__(self, "d", d)
         object.__setattr__(self, "psi0t", psi0t)
         object.__setattr__(self, "psi1", psi1)
 
@@ -80,27 +79,30 @@ class QuadComplex1:
 
     @property
     def ring(self):
-        return self.d.ring
+        return self.psi0t.ring
+
+    @property
+    def d(self) -> Mat:
+        return two_id(self.rank, self.ring)
 
     def cycle_holds(self) -> bool:
-        """psi1 + psi1^* = -psi0t d^*, checked as the vanishing of the sum
-        of both sides."""
-        return (self.psi1 + self.psi1.conj_t() + self.psi0t * self.d.conj_t()).is_zero()
+        """psi1 + psi1^* = -psi0t d^* = -2 psi0t, checked as the vanishing
+        of the sum of both sides."""
+        return (self.psi1 + self.psi1.conj_t() + self.psi0t * 2).is_zero()
 
 
-def _split_mu(f: SplitFormation) -> tuple:
-    """2*Id and the signs s_i of mu = diag(2 s_1, ..., 2 s_n); PrecondError
-    for any other mu, and over F2[x], where 2 = 0."""
+def _split_mu(f: SplitFormation) -> list:
+    """The signs s_i of mu = diag(2 s_1, ..., 2 s_n); PrecondError for any
+    other mu, and over F2[x], where 2 = 0."""
     if f.ring is PolyF2:
         raise PrecondError("mu must be diagonal with entries +-2")
     n = f.g_rank
-    two_id = Mat.scalar(n, 2, f.ring)
     # a constant is its own packed value, so the T -> -1 diagonal reads +-2
     minus = f.mu.i_minus() if f.ring is C2Poly else f.mu
     signs = [1 if row[i] == 2 else -1 for i, row in enumerate(minus._data)]
-    if f.mu != two_id.signed(signs, [1] * n):
+    if f.mu != two_id(n, f.ring).signed(signs, [1] * n):
         raise PrecondError("mu must be diagonal with entries +-2")
-    return two_id, signs
+    return signs
 
 
 def formation_to_complex(f: SplitFormation) -> QuadComplex1:
@@ -118,10 +120,9 @@ def formation_to_complex(f: SplitFormation) -> QuadComplex1:
         raise PrecondError("the dictionary is for (-1)-formations")
     if f.f_rank != f.g_rank:
         raise PrecondError("square formations only (F and G of equal rank)")
-    two_id, signs = _split_mu(f)
+    signs = _split_mu(f)
     ones = [1] * f.f_rank
     return QuadComplex1(
-        two_id,
         f.gamma.signed(ones, signs).conj_t(),
         f.theta.signed([-s for s in signs], signs),
     )
@@ -134,18 +135,17 @@ def complex_to_formation(c: QuadComplex1) -> SplitFormation:
 
 @dataclass(frozen=True)
 class NullCobordismData:
-    """Witness (pi, chi) for the null-cobordism builder, entries over Z[x],
-    and optionally its composite pi_inv_d = pi^{-1} d^* (d = 2*Id at
-    T -> -1), which the machine then checks by one product instead of
-    solving for it."""
+    """Witness (pi, chi) for the null-cobordism builder and its composite
+    pi_inv_d = pi^{-1} d^* (d = 2*Id at T -> -1), all over Z[x]; the
+    machine checks the composite by one product."""
 
     pi: Mat
     chi: Mat
-    pi_inv_d: Mat | None = None
+    pi_inv_d: Mat
 
     def __post_init__(self):
-        mats = (self.pi, self.chi) + (() if self.pi_inv_d is None else (self.pi_inv_d,))
-        if any(m.ring is not PolyInt for m in mats):
+        mats = (self.pi, self.chi, self.pi_inv_d)
+        if not all(isinstance(m, Mat) and m.ring is PolyInt for m in mats):
             raise RingTagError("pi, chi and pi_inv_d must have entries in Z[x]")
         if not all(m.is_square() for m in mats):
             raise ShapeError("pi, chi and pi_inv_d must be square")
@@ -157,61 +157,42 @@ class NullCobordismData:
         return self.pi.rows
 
 
-def _pi_inv_d(c: QuadComplex1, n: NullCobordismData) -> Mat:
-    """The composite pi^{-1} d^* over Z[x] (d at T -> -1).
+def check_desymmetrization(c: QuadComplex1, n: NullCobordismData) -> bool:
+    """(pi^{-1} d^*)^* (chi + chi^*) = psi0t pi over Z[x] (psi0t at
+    T -> -1).
 
-    A witness's own composite a is returned once pi a = d^* holds: then
-    det pi det a = det d^* = 2^n is nonzero, so a is pi^{-1} d^*.  Without
-    one the composite is solved for by exact fraction-free elimination
-    (solve_right)."""
+    The witness's composite a is checked first: pi a = d^* = 2*Id gives
+    det pi det a = 2^n, nonzero, so a is pi^{-1} d^*; StageError if not."""
     if n.p_rank != c.rank:
         raise ShapeError("pi size differs from the complex rank")
-    d_star = c.d.i_minus().conj_t()
     a = n.pi_inv_d
-    if a is not None:
-        if n.pi * a != d_star:
-            raise StageError("desymmetrization", "invalid pi: pi * pi_inv_d is not d^*", n.pi)
-        return a
-    try:
-        return solve_right(n.pi, d_star)
-    except AlgebraError as exc:
-        raise StageError("desymmetrization", f"invalid pi: {exc}", n.pi) from exc
-
-
-def check_desymmetrization(
-    c: QuadComplex1, n: NullCobordismData, _a: Mat | None = None
-) -> bool:
-    """(pi^{-1} d^*)^* (chi + chi^*) = psi0t pi over Z[x] (d and psi0t
-    at T -> -1)."""
-    a = _a if _a is not None else _pi_inv_d(c, n)
+    if n.pi * a != two_id(c.rank, PolyInt):
+        raise StageError("desymmetrization", "invalid pi: pi * pi_inv_d is not d^*", n.pi)
     rhs = c.psi0t.i_minus() * n.pi
     return a.conj_t() * (n.chi + n.chi.conj_t()) == rhs
 
 
-def build_psi_hat(
-    c: QuadComplex1, n: NullCobordismData, _a: Mat | None = None
-) -> QuadComplex1:
+def build_psi_hat(c: QuadComplex1, n: NullCobordismData) -> QuadComplex1:
     """Corrected cycle with psi1_hat = (pi^{-1}d^*)^* chi (pi^{-1}d^*) - psi0t d^*,
     returned as the T -> -1 evaluation of the complex.
 
     Verifies that psi1_hat - psi1 is skew-symmetric, which over Z[x] forces
     zero diagonal, so the correction changes the cycle by an even amount.
     """
-    a = _a if _a is not None else _pi_inv_d(c, n)
-    if not check_desymmetrization(c, n, _a=a):
+    if not check_desymmetrization(c, n):
         raise StageError(
             "desymmetrization",
             "the de-symmetrization identity fails entry-wise",
             n.chi,
         )
-    d, psi0t = c.d.i_minus(), c.psi0t.i_minus()
-    psi1_hat = a.conj_t() * n.chi * a - psi0t * d.conj_t()
+    a, psi0t = n.pi_inv_d, c.psi0t.i_minus()
+    psi1_hat = a.conj_t() * n.chi * a - psi0t * 2
     diff = psi1_hat - c.psi1.i_minus()
     if not (diff.conj_t() + diff).is_zero():
         raise StageError(
             "psi-hat", "corrected cycle does not differ by a skew matrix", diff
         )
-    return QuadComplex1(d, psi0t, psi1_hat)
+    return QuadComplex1(psi0t, psi1_hat)
 
 
 @dataclass(frozen=True)
@@ -225,13 +206,10 @@ class NullCobordism:
     dpsi0: Mat      # D^1 -> D_1
 
 
-def build_null_cobordism(
-    c: QuadComplex1, n: NullCobordismData, _a: Mat | None = None
-) -> NullCobordism:
+def build_null_cobordism(c: QuadComplex1, n: NullCobordismData) -> NullCobordism:
     """D_1 = P^*, D_0 = C_0, d_D = (pi^{-1}d^*)^*, f = (Id, pi^*),
     dpsi0 = -chi^*, all over Z[x]; checks the chain map d_C = d_D f1."""
-    a = _a if _a is not None else _pi_inv_d(c, n)
-    d_d = a.conj_t()
+    d_d = n.pi_inv_d.conj_t()
     f1 = n.pi.conj_t()
     if c.d.i_minus() != d_d * f1:
         raise StageError("null-cobordism", "f is not a chain map", f1)
@@ -346,15 +324,14 @@ STAGES = (
 
 @dataclass(frozen=True)
 class MachineResult:
-    """The Arf class, the stage names, and each stage's output."""
+    """The Arf class and each stage's output."""
 
     arf: ArfClass
-    stages: tuple = ()
-    complex: QuadComplex1 | None = None
-    psi_hat: QuadComplex1 | None = None
-    null_cobordism: NullCobordism | None = None
-    union: UnionComplex | None = None
-    obstruction: Obstruction | None = None
+    complex: QuadComplex1
+    psi_hat: QuadComplex1
+    null_cobordism: NullCobordism
+    union: UnionComplex
+    obstruction: Obstruction
 
 
 def run_machine(f: SplitFormation, n: NullCobordismData) -> MachineResult:
@@ -366,18 +343,17 @@ def run_machine(f: SplitFormation, n: NullCobordismData) -> MachineResult:
     c = formation_to_complex(f)
     if not c.cycle_holds():
         raise StageError("complex", "cycle condition fails", c.psi1)
-    a = _pi_inv_d(c, n)
-    if not check_desymmetrization(c, n, _a=a):
+    if not check_desymmetrization(c, n):
         raise StageError(
             "desymmetrization",
             "the de-symmetrization identity fails entry-wise",
             n.chi,
         )
-    psi_hat = build_psi_hat(c, n, _a=a)
-    bundle = build_null_cobordism(c, n, _a=a)
+    psi_hat = build_psi_hat(c, n)
+    bundle = build_null_cobordism(c, n)
     union = build_union(c, psi_hat, bundle)
     obs = instant_obstruction(union)
-    return MachineResult(obs.reduced_arf, STAGES, c, psi_hat, bundle, union, obs)
+    return MachineResult(obs.reduced_arf, c, psi_hat, bundle, union, obs)
 
 
 # ---------------------------------------------------------------------------
@@ -487,10 +463,6 @@ def run_relation(k: int, p: PolyInt, g: PolyInt, p2: PolyInt | None = None):
 # The explicit base change that standardises the additivity obstruction form
 
 
-def _f2(p: PolyInt) -> PolyF2:
-    return p.mod2()
-
-
 def alpha_pullback_check(p1: PolyInt, p2: PolyInt, g: PolyInt) -> bool:
     """Verify the closed-form base change for the additivity relation.
 
@@ -501,7 +473,7 @@ def alpha_pullback_check(p1: PolyInt, p2: PolyInt, g: PolyInt) -> bool:
     of the Arf algorithm is checked along the way.
     """
     one, zero = PolyF2.one(), PolyF2.zero()
-    gp, p1p, p2p = _f2(g), _f2(p1), _f2(p2)
+    gp, p1p, p2p = g.mod2(), p1.mod2(), p2.mod2()
     lam = Mat(
         [
             [zero, one, gp, one, zero, one],

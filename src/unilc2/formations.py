@@ -15,6 +15,8 @@ certificates attached to them.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .rings import (
     AlgebraError,
     C2Poly,
@@ -93,8 +95,11 @@ def _require_pg_in_xzx(p: PolyInt, g: PolyInt):
         raise PrecondError("p*g must have zero constant coefficient")
 
 
-# mu = 2*Id of the rank-2 generators over Z[C2][x] (a Mat is immutable)
-_TWO_ID = Mat.scalar(2, 2, C2Poly)
+@lru_cache(maxsize=32)
+def two_id(n: int, ring) -> Mat:
+    """2*Id, n x n over ring: mu of the generators, and the differential of
+    their complexes.  Shared, since a Mat is immutable."""
+    return Mat.scalar(n, 2, ring)
 
 
 def make_M(p: PolyInt, g: PolyInt) -> SplitFormation:
@@ -106,7 +111,7 @@ def make_M(p: PolyInt, g: PolyInt) -> SplitFormation:
     pc = p.coeffs
     minus = Mat.from_coeffs(((pc, (1,)), ((1,), tuple([2 * c for c in g.coeffs]))), 2)
     gamma = Mat.from_legs(minus, Mat.from_coeffs(((pc, (1,)), ((1,), ())), 2))
-    return SplitFormation(gamma, _TWO_ID, gamma, -1)
+    return SplitFormation(gamma, two_id(2, C2Poly), gamma, -1)
 
 
 def make_Q(q: PolyInt) -> SplitFormation:
@@ -132,8 +137,7 @@ def make_N_resolution(p: PolyInt, g: PolyInt) -> SplitFormation:
     one = PolyInt.one()
     two_g = PolyInt((2,)) * g
     gamma = Mat([[p, one], [one, two_g]], PolyInt)
-    mu = Mat.scalar(2, PolyInt((2,)), PolyInt)
-    return SplitFormation(gamma, mu, gamma, -1)
+    return SplitFormation(gamma, two_id(2, PolyInt), gamma, -1)
 
 
 def i_minus(f: SplitFormation) -> SplitFormation:
@@ -152,7 +156,7 @@ def i_plus(f: SplitFormation) -> SplitFormation:
 
 def _is_two_id(mu: Mat) -> bool:
     # no mu is 2*Id over F2[x], where 2 = 0
-    return mu.ring is not PolyF2 and mu.is_square() and mu == Mat.scalar(mu.rows, 2, mu.ring)
+    return mu.ring is not PolyF2 and mu == two_id(mu.rows, mu.ring)
 
 
 def verify_poincare(f: SplitFormation) -> bool:

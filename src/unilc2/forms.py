@@ -136,10 +136,6 @@ class QuadraticForm:
     def is_nonsingular(self) -> bool:
         return self.symmetrization().det().is_unit()
 
-    def mu(self, v: Mat) -> "PolyF2 | PolyInt":
-        """Quadratic function of a column vector: v* psi v."""
-        return (v.conj_t() * self.psi * v)[0, 0]
-
     def transport(self, u: Mat) -> "QuadraticForm":
         """Base change by u (columns = new basis in old coordinates)."""
         return QuadraticForm(u.conj_t() * self.psi * u, self.epsilon)

@@ -349,17 +349,15 @@ def check_lift_plus_graph(cfg):
 
 
 def check_iso_m0(cfg):
-    ident = Mat.identity(2, C2Poly)
-    zero = C2Poly.zero()
     for p, g in cfg.pg_pairs(max_deg=2):
-        four_p = PolyInt((4,)) * p
-        nu = Mat([[C2Poly.from_polyint(p), zero], [zero, zero]], C2Poly)
-        src = formations.make_M(PolyInt.zero(), g)
-        dst = formations.make_M(four_p, g)
-        if not formations.verify_formation_iso(src, dst, ident, ident, nu):
-            return False, f"isomorphism witness fails at ({p},{g})"
-        if not formations.is_graph(src):
-            return False, f"M(0,{g}) is not a graph formation"
+        # apply_iso_M0 verifies the witness (Id, Id, [[p,0],[0,0]]) and that
+        # M(0,g) is a graph formation, or raises RuleError
+        try:
+            rest = witt.apply_iso_M0(witt.GenWord.generator(PolyInt((4,)) * p, g), p, g)
+        except witt.RuleError as exc:
+            return False, f"M(4p,g) is not discharged at ({p},{g}): {exc}"
+        if not rest.is_zero():
+            return False, f"discharging M(4p,g) leaves {rest} at ({p},{g})"
     return True, "the explicit M(0,g) -> M(4p,g) isomorphism verifies on the sweep"
 
 

@@ -134,7 +134,6 @@ class GluedPair:
     gamma: tuple
     mu: tuple
     theta: tuple
-    gluing: Mat  # over F2[x]; Id after re-coordination
 
 
 @dataclass(frozen=True)
@@ -229,7 +228,6 @@ def boundary_steps(inp: BoundaryInput) -> BoundarySteps:
     r = inp.form.rank
     psi, chi = inp.lift_psi, inp.lift_chi
     phi = psi + psi.conj_t()
-    phi_bar = inp.form.symmetrization()
     ident = Mat.identity(r, PolyInt)
     zero = Mat.zeros(r, r, PolyInt)
     gamma_b = ident - (chi + chi.conj_t()) * phi
@@ -238,7 +236,6 @@ def boundary_steps(inp: BoundaryInput) -> BoundarySteps:
         gamma=(gamma_b, zero),
         mu=(phi, ident),
         theta=(theta_b, zero),
-        gluing=phi_bar,
     )
     # re-coordinate the second lagrangian by a unimodular lift of the
     # inverse symmetrization, so that every pair glues over the identity
@@ -247,7 +244,6 @@ def boundary_steps(inp: BoundaryInput) -> BoundarySteps:
         gamma=(gamma_b * phi_tilde, zero),
         mu=(phi * phi_tilde, ident),
         theta=(phi_tilde.conj_t() * theta_b * phi_tilde, zero),
-        gluing=Mat.identity(r, PolyF2),
     )
     result = SplitFormation(
         _assemble(step2.gamma),

@@ -87,11 +87,12 @@ def test_machine_run_packs_each_entry_once(monkeypatch):
 
 
 def test_machine_run_builds_only_what_it_reads(monkeypatch):
-    """A degree-2 relation-1 run makes 9 Z[x] matrix products (one of them
-    the check pi * pi_inv_d = d^* of the witness's composite), 1 F2[x]
-    product (d o d of the union), 4 mod-2 reductions and 3 block matrices,
-    and solves no linear system: no null-cobordism or union block that
-    nothing reads is built."""
+    """A degree-2 relation-1 run makes 9 Z[x] matrix products (two of them
+    the check pi * pi_inv_d = d^* of the witness's composite, once per
+    de-symmetrization check), no Z[C2][x] product (d = 2*Id is a scaling),
+    1 F2[x] product (d o d of the union), 4 mod-2 reductions and 3 block
+    matrices, and solves no linear system: no null-cobordism or union block
+    that nothing reads is built."""
     f, ncd, expected = relation_fixture(1, zx("2*x+x^2"), zx("1+2*x^2"), zx("x+2*x^2"))
     n = Counter()
 
@@ -109,8 +110,11 @@ def test_machine_run_builds_only_what_it_reads(monkeypatch):
     spy("from_blocks", lambda blocks: "from_blocks")
     monkeypatch.setattr(complexes, "solve_right", lambda *args: n.update(["solve_right"]))
     assert run_machine(f, ncd).arf == expected
-    counts = {k: n[k] for k in ("mul PolyInt", "mul PolyF2", "mod2", "from_blocks", "solve_right")}
-    assert counts == {"mul PolyInt": 9, "mul PolyF2": 1, "mod2": 4, "from_blocks": 3, "solve_right": 0}, n
+    keys = ("mul PolyInt", "mul C2Poly", "mul PolyF2", "mod2", "from_blocks", "solve_right")
+    counts = {k: n[k] for k in keys}
+    assert counts == {
+        "mul PolyInt": 9, "mul C2Poly": 0, "mul PolyF2": 1, "mod2": 4, "from_blocks": 3, "solve_right": 0
+    }, n
 
 
 # -- dictionary
@@ -211,7 +215,7 @@ def test_desymmetrization_detects_perturbation():
     c = formation_to_complex(f)
     rows = [list(r) for r in ncd.chi.entries]
     rows[0][0] = rows[0][0] + PolyInt((1,))
-    bad = NullCobordismData(ncd.pi, Mat(rows, PolyInt))
+    bad = dataclasses.replace(ncd, chi=Mat(rows, PolyInt))
     assert not check_desymmetrization(c, bad)
 
 
@@ -220,8 +224,9 @@ def test_invalid_pi_is_flagged():
     c = formation_to_complex(f)
     bad_pi = parse_matrix("[x,0,0,0;0,1,0,2;0,1,0,0;1,0,0,0]", PolyInt)
     with pytest.raises(StageError) as err:
-        check_desymmetrization(c, NullCobordismData(bad_pi, ncd.chi))
+        check_desymmetrization(c, dataclasses.replace(ncd, pi=bad_pi))
     assert err.value.stage == "desymmetrization"
+    assert "invalid pi" in str(err.value)
 
 
 # -- psi-hat and the null-cobordism
@@ -246,8 +251,9 @@ def test_psi_hat_degenerate_zero_witness():
     # chi = 0 with psi0t = 0 forces psi1_hat = 0
     n = 2
     zero = Mat.zeros(n, n, C2Poly)
-    c = QuadComplex1(Mat.scalar(n, 2, C2Poly), zero, zero)
-    ncd = NullCobordismData(Mat.identity(n, PolyInt), Mat.zeros(n, n, PolyInt))
+    c = QuadComplex1(zero, zero)
+    two_id = Mat.scalar(n, 2, PolyInt)
+    ncd = NullCobordismData(Mat.identity(n, PolyInt), Mat.zeros(n, n, PolyInt), two_id)
     hat = build_psi_hat(c, ncd)
     assert hat.psi1.is_zero()
 
@@ -334,7 +340,7 @@ def test_stages_reject_the_evaluated_complex():
     evaluation over Z[x] has no legs."""
     f, ncd, _ = fixture(1, zx("x"), zx("1+x"), zx("2*x"))
     c = formation_to_complex(f)
-    ci = QuadComplex1(c.d.i_minus(), c.psi0t.i_minus(), c.psi1.i_minus())
+    ci = QuadComplex1(c.psi0t.i_minus(), c.psi1.i_minus())
     hat = build_psi_hat(c, ncd)
     for stage in (check_desymmetrization, build_psi_hat, build_null_cobordism):
         with pytest.raises(RingTagError):
@@ -381,8 +387,7 @@ def test_machine_golden_digest():
 
 
 def test_machine_stage_list():
-    res, _ = run_relation(2, zx("x"), zx("1"))
-    assert res.stages == (
+    assert complexes.STAGES == (
         "complex",
         "desymmetrization",
         "psi-hat",
@@ -416,7 +421,7 @@ def chi_slack(draw):
 @given(chi_slack())
 def test_machine_chi_slack_invariance(case):
     f, ncd, expected, slack = case
-    res = run_machine(f, NullCobordismData(ncd.pi, ncd.chi + slack))
+    res = run_machine(f, dataclasses.replace(ncd, chi=ncd.chi + slack))
     assert res.arf == expected
 
 
@@ -425,7 +430,7 @@ def test_machine_rejects_broken_witness():
     rows = [list(r) for r in ncd.chi.entries]
     rows[1][2] = rows[1][2] + PolyInt((1,))
     with pytest.raises(StageError) as err:
-        run_machine(f, NullCobordismData(ncd.pi, Mat(rows, PolyInt)))
+        run_machine(f, dataclasses.replace(ncd, chi=Mat(rows, PolyInt)))
     assert err.value.stage == "desymmetrization"
 
 
@@ -439,25 +444,35 @@ def _bumped(m, i, j, delta):
 
 
 def test_machine_rejects_every_single_entry_witness_mutation():
-    """Adding +1, -1 or +2 to any one entry of pi or of chi breaks the
-    de-symmetrization identity (or makes pi singular) for relations 1-4:
-    504 mutations, each refused at the de-symmetrization stage."""
-    tried = 0
+    """Adding +1, -1 or +2 to any one entry of pi or of chi, with the
+    fixture's composite kept, is refused at the de-symmetrization stage for
+    relations 1-4: 504 mutations.  The 134 mutated pi that have a composite
+    pi^{-1} d^* over Z[x] are also run with it, and the de-symmetrization
+    identity refuses each of them."""
+    tried = solved = 0
     for k, p, g, p2 in MUTATION_FIXTURES:
         f, ncd, _ = fixture(k, zx(p), zx(g), zx(p2) if p2 else None)
         n = ncd.p_rank
+        two_id = Mat.scalar(n, 2, PolyInt)
         for i in range(n):
             for j in range(n):
                 for delta in (1, -1, 2):
-                    for bad in (
-                        NullCobordismData(_bumped(ncd.pi, i, j, delta), ncd.chi),
-                        NullCobordismData(ncd.pi, _bumped(ncd.chi, i, j, delta)),
-                    ):
+                    bad_pi = _bumped(ncd.pi, i, j, delta)
+                    bads = [
+                        dataclasses.replace(ncd, pi=bad_pi),
+                        dataclasses.replace(ncd, chi=_bumped(ncd.chi, i, j, delta)),
+                    ]
+                    try:
+                        bads.append(dataclasses.replace(ncd, pi=bad_pi, pi_inv_d=solve_right(bad_pi, two_id)))
+                        solved += 1
+                    except rings.AlgebraError:
+                        pass
+                    for bad in bads:
                         with pytest.raises(StageError) as err:
                             run_machine(f, bad)
                         assert err.value.stage == "desymmetrization", (k, i, j, delta)
-                        tried += 1
-    assert tried == 504
+                    tried += 2
+    assert (tried, solved) == (504, 134)
 
 
 # -- the witnesses' closed-form composites pi^{-1} d^*
@@ -521,26 +536,29 @@ def test_witness_composite_is_checked():
         dataclasses.replace(ncd, pi_inv_d=Mat.identity(3, PolyInt))
 
 
-def test_fixture_runs_never_solve_and_bare_witnesses_are_solved(monkeypatch):
+def test_fixture_runs_never_solve_and_bare_witnesses_cannot_be_built(monkeypatch):
     """A fixture witness's composite is checked by one product, with no
-    elimination; the same witness without it is solved for, once per run,
-    to the same result."""
+    elimination; a witness without a composite cannot be built."""
     solves = Counter()
-
-    def counted(a, b):
-        solves["n"] += 1
-        return solve_right(a, b)
-
-    monkeypatch.setattr(complexes, "solve_right", counted)
+    monkeypatch.setattr(complexes, "solve_right", lambda *args: solves.update(["n"]))
     for k, p, g, p2 in MUTATION_FIXTURES:
         f, ncd, expected = fixture(k, zx(p), zx(g), zx(p2) if p2 else None)
-        full = run_machine(f, ncd)
-        assert solves["n"] == 0
-        bare = run_machine(f, dataclasses.replace(ncd, pi_inv_d=None))
-        assert solves.pop("n") == 1
-        assert full.arf == bare.arf == expected
-        assert full.null_cobordism == bare.null_cobordism
-        assert full.psi_hat.psi1 == bare.psi_hat.psi1
+        assert run_machine(f, ncd).arf == expected
+        with pytest.raises(TypeError):
+            NullCobordismData(ncd.pi, ncd.chi)
+        with pytest.raises(RingTagError):
+            dataclasses.replace(ncd, pi_inv_d=None)
+    assert solves["n"] == 0
+
+
+def test_witness_fields_must_be_zx_matrices():
+    """A field that is not a matrix is a RingTagError, not an
+    AttributeError escaping the constructor."""
+    _, ncd, _ = fixture(2, zx("x"), zx("1"))
+    for field in ("pi", "chi", "pi_inv_d"):
+        for value in (None, zx("x"), [[1]]):
+            with pytest.raises(RingTagError):
+                dataclasses.replace(ncd, **{field: value})
 
 
 def test_machine_rejects_a_composite_wrong_in_one_entry():
