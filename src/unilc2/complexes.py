@@ -26,8 +26,7 @@ from .forms import (
     from_pairing_and_vector,
     standard_symplectic,
 )
-from .formations import SplitFormation, direct_sum as formation_sum, is_graph, make_M, two_id
-from .formations import i_plus as formation_i_plus, negate as formation_negate
+from .formations import SplitFormation, is_graph, make_M_sum, two_id
 from .rings import (
     AlgebraError,
     C2Poly,
@@ -129,8 +128,8 @@ def formation_to_complex(f: SplitFormation) -> QuadComplex1:
 
 
 def complex_to_formation(c: QuadComplex1) -> SplitFormation:
-    """Inverse dictionary: gamma = psi0t^*, mu = d^*, theta = -psi1."""
-    return SplitFormation(c.psi0t.conj_t(), c.d.conj_t(), -c.psi1, -1)
+    """Inverse dictionary: gamma = psi0t^*, mu = d^* = d, theta = -psi1."""
+    return SplitFormation(c.psi0t.conj_t(), c.d, -c.psi1, -1)
 
 
 @dataclass(frozen=True)
@@ -234,25 +233,26 @@ def build_union(
 ) -> UnionComplex:
     """Glue the explicit null-cobordism against the graph-formation side.
 
-    Requires the T -> +1 evaluation of the input to be a graph formation.
-    All blocks are reduced to F2[x]; the differentials are
+    Requires the T -> +1 evaluation of the input, read off its legs, to be
+    a graph formation.  All blocks are reduced to F2[x]; the differentials are
 
         d_F^2 = (-f1; d_C; -Id),   d_F^1 = (d_D, f0, 0)
 
-    with f0 = Id; d o d = 0 is checked.
+    with f0 = Id and d_C = 2*Id = 0 (psi_hat is not read); d o d = 0 is checked.
     """
     # a Z[x] input has no T -> +1 evaluation: Mat.i_plus raises RingTagError
-    plus = formation_i_plus(complex_to_formation(c))
+    plus = complex_to_formation(QuadComplex1(c.psi0t.i_plus(), c.psi1.i_plus()))
     if not is_graph(plus):
         raise StageError(
             "union", "T -> +1 evaluation is not a graph formation", plus.gamma
         )
     n = c.rank
-    ident = Mat.identity(n, PolyF2)
-    d_f2 = Mat.from_blocks([[bundle.f1.mod2()], [psi_hat.d.mod2()], [ident]])
-    d_f1 = Mat.from_blocks([[bundle.d_d.mod2(), ident, Mat.zeros(n, n, PolyF2)]])
-    if not (d_f1 * d_f2).is_zero():
-        raise StageError("union", "d o d is nonzero", d_f1 * d_f2)
+    zero, ident = (0,) * n, tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
+    d_f2 = Mat.from_bits(bundle.f1.mod2().bits + (zero,) * n + ident, n)
+    d_f1 = Mat.from_bits([r + e + zero for r, e in zip(bundle.d_d.mod2().bits, ident)], 3 * n)
+    dd = d_f1 * d_f2
+    if not dd.is_zero():
+        raise StageError("union", "d o d is nonzero", dd)
     return UnionComplex(n, d_f2, d_f1, bundle.dpsi0.mod2())  # -chi^* = chi^* mod 2
 
 
@@ -277,21 +277,12 @@ def instant_obstruction(u: UnionComplex) -> Obstruction:
     and is stably equivalent to the rank-n form (D^1, dpsi0); the
     equivalence is asserted by comparing Arf classes.
     """
-    n = u.rank
-    zero_n = Mat.zeros(n, n, PolyF2)
-    ident = Mat.identity(n, PolyF2)
-    dpsi0 = u.dpsi0
-    f1m = Mat.from_bits(u.d_f2.bits[:n], n)  # the top block of d_F^2
-    big = QuadraticForm(
-        Mat.from_blocks(
-            [
-                [dpsi0, zero_n, f1m],
-                [zero_n, zero_n, ident],
-                [zero_n, zero_n, zero_n],
-            ]
-        ),
-        1,
-    )
+    n, dpsi0, d_f2 = u.rank, u.dpsi0, u.d_f2.bits
+    zero = (0,) * n
+    # row blocks [dpsi0, 0, f1], [0, 0, Id] and 0; f1, Id: d_F^2's top and bottom
+    rows = [r + zero + f for r, f in zip(dpsi0.bits, d_f2)]
+    rows += [zero + zero + e for e in d_f2[2 * n:]] + [zero * 3] * n
+    big = QuadraticForm(Mat.from_bits(rows, 3 * n), 1)
     reduced = QuadraticForm(dpsi0, 1)
     # the reduction standardises the pairing by a polynomial change of
     # basis u (u^T lambda u = J), which forces det lambda to be a unit; so
@@ -405,11 +396,10 @@ def relation_fixture(k: int, p: PolyInt, g: PolyInt, p2: PolyInt | None = None):
     3: M(x^2 p, g) - M(p, x^2 g), expected 0
     4: M(2 p^2 g, g) - M(2p, g), expected 0
     """
-    fsum, negate = formation_sum, formation_negate
     if k == 1:
         if p2 is None:
             raise PrecondError("relation 1 needs both p parameters")
-        f = fsum(fsum(make_M(p, g), make_M(p2, g)), negate(make_M(p + p2, g)))
+        f = make_M_sum(((1, p, g), (1, p2, g), (-1, p + p2, g)))
         tg = 2 * g
         chi = _zx_mat(
             [
@@ -424,20 +414,20 @@ def relation_fixture(k: int, p: PolyInt, g: PolyInt, p2: PolyInt | None = None):
         expected = arf_normalize((p * p2 * g * g).mod2())
         return f, NullCobordismData(_R1_PI, chi, _R1_PI_INV_D), expected
     if k == 2:
-        f = fsum(make_M(2 * p, g), negate(make_M(2 * g, p)))
+        f = make_M_sum(((1, 2 * p, g), (-1, 2 * g, p)))
         chi = _zx_mat(
             [(0, 0, 2 * p, 1), (0, 0, 1, 2 * g), (0, 0, 2 * p, 2), (0, 0, 0, 2 * g)]
         )
         return f, NullCobordismData(_R2_PI, chi, _R2_PI_INV_D), ArfClass.zero()
     if k == 3:
         x2 = PolyInt.x_power(2)
-        f = fsum(make_M(x2 * p, g), negate(make_M(p, x2 * g)))
+        f = make_M_sum(((1, x2 * p, g), (-1, p, x2 * g)))
         chi = _zx_mat(
             [(0, 0, -(_X * p), 1), (0, 0, -1, 2 * _X * g), (0, 0, -p, 0), (0, 0, 0, 2 * g)]
         )
         return f, NullCobordismData(_R3_PI, chi, _R3_PI_INV_D), ArfClass.zero()
     if k == 4:
-        f = fsum(make_M(2 * p * p * g, g), negate(make_M(2 * p, g)))
+        f = make_M_sum(((1, 2 * p * p * g, g), (-1, 2 * p, g)))
         pi = _zx_mat([(1, 1, 0, 0), (0, p, 2, 0), (0, 1, 0, 0), (p, 0, 0, 2)])
         pi_inv_d = _zx_mat([(2, 0, -2, 0), (0, 0, 2, 0), (0, 1, -p, 0), (-p, 0, p, 1)])
         p2g = p * p * g

@@ -7,10 +7,10 @@ pullback form, so that
 
     theta - epsilon * theta^* = gamma^* mu.
 
-The constructors make_M, make_Q and make_N_resolution build the concrete
-generator matrices over Z[C2][x] and Z[x] used throughout the package;
-verify_poincare, is_graph and verify_formation_iso are the decidable
-certificates attached to them.
+The constructors make_M, make_M_sum, make_Q and make_N_resolution build
+the concrete generator matrices over Z[C2][x] and Z[x] used throughout
+the package; verify_poincare, is_graph and verify_formation_iso are the
+decidable certificates attached to them.
 """
 
 from __future__ import annotations
@@ -90,11 +90,6 @@ class SplitFormation:
         )
 
 
-def _require_pg_in_xzx(p: PolyInt, g: PolyInt):
-    if p.constant * g.constant != 0:  # the constant coefficient of p*g
-        raise PrecondError("p*g must have zero constant coefficient")
-
-
 @lru_cache(maxsize=32)
 def two_id(n: int, ring) -> Mat:
     """2*Id, n x n over ring: mu of the generators, and the differential of
@@ -105,13 +100,33 @@ def two_id(n: int, ring) -> Mat:
 def make_M(p: PolyInt, g: PolyInt) -> SplitFormation:
     """Rank-2 generator over Z[C2][x] with parameters p, g (p*g in x*Z[x]):
     gamma = theta = [[p,1],[1,(1-T)g]], mu = 2*Id."""
-    _require_pg_in_xzx(p, g)
-    # the legs of gamma, which agree mod 2: (1 - T) g is 2g at T -> -1 and
-    # 0 at T -> +1
-    pc = p.coeffs
-    minus = Mat.from_coeffs(((pc, (1,)), ((1,), tuple([2 * c for c in g.coeffs]))), 2)
-    gamma = Mat.from_legs(minus, Mat.from_coeffs(((pc, (1,)), ((1,), ())), 2))
-    return SplitFormation(gamma, two_id(2, C2Poly), gamma, -1)
+    return make_M_sum(((1, p, g),))
+
+
+def make_M_sum(terms) -> SplitFormation:
+    """The signed sum of generators s_1 M(p_1, g_1) + ... over Z[C2][x], for
+    terms (s_i, p_i, g_i) with s_i = +-1, equal to its direct_sum/negate
+    chain: gamma is block-diagonal with the blocks of make_M, and theta and
+    mu = 2*Id are gamma and 2*Id with the rows of each negated block
+    signed."""
+    n, minus, plus, signs = 2 * len(terms), [], [], []
+    for i, (s, p, g) in enumerate(terms):
+        if s not in (1, -1):
+            raise PrecondError("a generator's sign must be +1 or -1")
+        if p.constant * g.constant != 0:  # the constant coefficient of p*g
+            raise PrecondError("p*g must have zero constant coefficient")
+        # the legs of block i, which agree mod 2: (1 - T) g is 2g at T -> -1
+        # and 0 at T -> +1
+        left, right = ((),) * (2 * i), ((),) * (n - 2 * i - 2)
+        top = (*left, p.coeffs, (1,), *right)
+        minus += [top, (*left, (1,), tuple([2 * c for c in g.coeffs]), *right)]
+        plus += [top, (*left, (1,), (), *right)]
+        signs += (s, s)
+    gamma = Mat.from_legs(Mat.from_coeffs(minus, n), Mat.from_coeffs(plus, n))
+    mu, theta, ones = two_id(n, C2Poly), gamma, [1] * n
+    if -1 in signs:
+        mu, theta = mu.signed(signs, ones), gamma.signed(signs, ones)
+    return SplitFormation(gamma, mu, theta, -1)
 
 
 def make_Q(q: PolyInt) -> SplitFormation:
@@ -154,11 +169,6 @@ def i_plus(f: SplitFormation) -> SplitFormation:
     )
 
 
-def _is_two_id(mu: Mat) -> bool:
-    # no mu is 2*Id over F2[x], where 2 = 0
-    return mu.ring is not PolyF2 and mu == two_id(mu.rows, mu.ring)
-
-
 def verify_poincare(f: SplitFormation) -> bool:
     """Homological duality certificate for the exponent-two shape.
 
@@ -166,7 +176,7 @@ def verify_poincare(f: SplitFormation) -> bool:
     complex is gamma, so the verdict is: det(gamma) is a unit mod 2.
     Other mu shapes raise UnsupportedShapeError.
     """
-    if not _is_two_id(f.mu):
+    if f.ring is PolyF2 or f.mu != two_id(f.f_rank, f.ring):  # over F2[x], 2 = 0
         raise UnsupportedShapeError("duality check supports only mu = 2*Id")
     return f.gamma.det().is_unit_mod2()
 

@@ -1218,9 +1218,8 @@ def f2_pack(row, w: int) -> int:
 def f2_dot(row, packed) -> int:
     """The XOR of the carry-less products row[k] * packed[k]."""
     acc = 0
-    for v, z in zip(row, packed):
-        if v:
-            acc ^= clmul(v, z)
+    for v, z in itertools.compress(zip(row, packed), row):
+        acc ^= z if v == 1 else clmul(v, z)
     return acc
 
 

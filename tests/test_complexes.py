@@ -90,31 +90,39 @@ def test_machine_run_builds_only_what_it_reads(monkeypatch):
     """A degree-2 relation-1 run makes 9 Z[x] matrix products (two of them
     the check pi * pi_inv_d = d^* of the witness's composite, once per
     de-symmetrization check), no Z[C2][x] product (d = 2*Id is a scaling),
-    1 F2[x] product (d o d of the union), 4 mod-2 reductions and 3 block
-    matrices, and solves no linear system: no null-cobordism or union block
-    that nothing reads is built."""
-    f, ncd, expected = relation_fixture(1, zx("2*x+x^2"), zx("1+2*x^2"), zx("x+2*x^2"))
+    1 F2[x] product (d o d of the union), 3 mod-2 reductions (f1, d_D and
+    chi^* of the bundle) and no block matrix (the union's differentials and
+    the obstruction form are assembled from bit rows), and solves no linear
+    system: no null-cobordism or union block that nothing reads is built.
+    The fixture plus the run build at most 70 matrices (102 when the
+    formation sum was a direct_sum/negate chain and the union went through
+    Mat.from_blocks), counted after a first run has made the shared 2*Id."""
+    args = (1, zx("2*x+x^2"), zx("1+2*x^2"), zx("x+2*x^2"))
+    run_relation(*args)
     n = Counter()
 
-    def spy(name, key_of):
-        fn = getattr(Mat, name)
+    def spy(owner, name, key_of):
+        fn = getattr(owner, name)
 
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             n[key_of(*args)] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
 
-        monkeypatch.setattr(Mat, name, wrapped)
+        monkeypatch.setattr(owner, name, wrapped)
 
-    spy("__mul__", lambda a, b: f"mul {a.ring.__name__}" if isinstance(b, Mat) else "scale")
-    spy("mod2", lambda m: "mod2")
-    spy("from_blocks", lambda blocks: "from_blocks")
+    spy(Mat, "__mul__", lambda a, b: f"mul {a.ring.__name__}" if isinstance(b, Mat) else "scale")
+    spy(Mat, "mod2", lambda m: "mod2")
+    spy(Mat, "from_blocks", lambda blocks: "from_blocks")
+    spy(rings, "_new", lambda *args: "new")
     monkeypatch.setattr(complexes, "solve_right", lambda *args: n.update(["solve_right"]))
-    assert run_machine(f, ncd).arf == expected
+    res, expected = run_relation(*args)
+    assert res.arf == expected
     keys = ("mul PolyInt", "mul C2Poly", "mul PolyF2", "mod2", "from_blocks", "solve_right")
     counts = {k: n[k] for k in keys}
     assert counts == {
-        "mul PolyInt": 9, "mul C2Poly": 0, "mul PolyF2": 1, "mod2": 4, "from_blocks": 3, "solve_right": 0
+        "mul PolyInt": 9, "mul C2Poly": 0, "mul PolyF2": 1, "mod2": 3, "from_blocks": 0, "solve_right": 0
     }, n
+    assert n["new"] <= 70, n
 
 
 # -- dictionary
@@ -281,6 +289,45 @@ def test_union_differentials():
     # the top block of d_F^2 is the chain map component, mod 2
     top = Mat([[u.d_f2[i, j] for j in range(n)] for i in range(n)], u.d_f2.ring)
     assert top == bundle.f1.mod2()
+    # the bit-row assembly against the blocks (-f1; d_C; -Id) and (d_D, f0, 0)
+    ident, zero = Mat.identity(n, PolyF2), Mat.zeros(n, n, PolyF2)
+    assert u.d_f2 == Mat.from_blocks([[bundle.f1.mod2()], [hat.d.mod2()], [ident]])
+    assert u.d_f1 == Mat.from_blocks([[bundle.d_d.mod2(), ident, zero]])
+
+
+def test_union_rejects_a_non_graph_evaluation_at_t_plus_one():
+    """A complex whose T -> +1 evaluation gamma = psi0t^* is not invertible
+    over Z[x] fails the union stage, naming that gamma."""
+    f, ncd, _ = fixture(2, zx("x"), zx("1"))
+    c = formation_to_complex(f)
+    hat, bundle = build_psi_hat(c, ncd), build_null_cobordism(c, ncd)
+    n = c.rank
+    minus = c.psi0t.i_minus()
+    plus = Mat([[PolyInt.from_int(2 if i == j else int(j == i + 1)) for j in range(n)]
+                for i in range(n)], PolyInt)  # det 2^n, and not symmetric
+    bad = QuadComplex1(Mat.from_legs(minus, plus), c.psi1)
+    with pytest.raises(StageError) as err:
+        build_union(bad, hat, bundle)
+    assert err.value.stage == "union"
+    assert "T -> +1 evaluation is not a graph formation" in str(err.value)
+    assert err.value.matrix == plus.conj_t()
+
+
+def test_union_rejects_a_perturbed_chain_map():
+    """A bundle whose f1 is changed by an odd entry gives d_F^1 d_F^2 =
+    d_D f1 mod 2 nonzero, and the union stage names that product."""
+    f, ncd, _ = fixture(1, zx("x"), zx("1"), zx("x"))
+    c = formation_to_complex(f)
+    hat, bundle = build_psi_hat(c, ncd), build_null_cobordism(c, ncd)
+    rows = [list(r) for r in bundle.f1.entries]
+    rows[3][0] = rows[3][0] + PolyInt.one()  # column 3 of d_D has odd entries
+    f1 = Mat(rows, PolyInt)
+    with pytest.raises(StageError) as err:
+        build_union(c, hat, dataclasses.replace(bundle, f1=f1))
+    assert err.value.stage == "union"
+    assert "d o d is nonzero" in str(err.value)
+    assert err.value.matrix == (bundle.d_d * f1).mod2()
+    assert not err.value.matrix.is_zero()
 
 
 def test_obstruction_reduces_to_chi_transpose():

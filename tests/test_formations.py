@@ -1,8 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import pg_sweep, zx
+from conftest import int_polys, pg_sweep, zx
 
 from unilc2.formations import (
     SplitFormation,
@@ -13,13 +16,14 @@ from unilc2.formations import (
     is_contractible,
     is_graph,
     make_M,
+    make_M_sum,
     make_N_resolution,
     make_Q,
     negate,
     verify_formation_iso,
     verify_poincare,
 )
-from unilc2.rings import C2Poly, Mat, PolyInt, PrecondError, parse_matrix, parse_poly
+from unilc2.rings import ONE_MINUS_T, C2Poly, Mat, PolyInt, PrecondError, parse_matrix, parse_poly
 
 
 def c2mat(text):
@@ -202,6 +206,106 @@ def test_negate_preserves_hessian():
         assert n.gamma == m.gamma and n.theta == -m.theta and n.mu == -m.mu
         s = direct_sum(m, n)
         assert s.hessian_holds()
+
+
+# -- signed generator sums in one pass
+
+
+_X2 = PolyInt.x_power(2)
+# relation_fixture's formation sums, as signed terms of make_M_sum
+RELATION_TERMS = {
+    1: lambda p, g, p2: ((1, p, g), (1, p2, g), (-1, p + p2, g)),
+    2: lambda p, g, p2: ((1, 2 * p, g), (-1, 2 * g, p)),
+    3: lambda p, g, p2: ((1, _X2 * p, g), (-1, p, _X2 * g)),
+    4: lambda p, g, p2: ((1, 2 * p * p * g, g), (-1, 2 * p, g)),
+}
+
+
+def object_M(p, g):
+    """Oracle: M(p, g) from Z[C2][x] entries, [[p,1],[1,(1-T)g]] and 2*Id,
+    for p*g in x*Z[x]."""
+    if (p * g).constant:
+        raise PrecondError("p*g must have zero constant coefficient")
+    pc, one = C2Poly.from_polyint(p), C2Poly.one()
+    gamma = Mat([[pc, one], [one, ONE_MINUS_T * C2Poly.from_polyint(g)]], C2Poly)
+    return SplitFormation(gamma, Mat.scalar(2, 2, C2Poly), gamma, -1)
+
+
+def chain_sum(terms, generator=make_M):
+    """The direct_sum/negate chain of +-generator(p, g) over the terms, or
+    PrecondError when a generator refuses its parameters."""
+    f = None
+    for s, p, g in terms:
+        try:
+            m = generator(p, g)
+        except PrecondError:
+            return PrecondError
+        m = m if s == 1 else negate(m)
+        f = m if f is None else direct_sum(f, m)
+    return f
+
+
+def one_pass_sum(terms):
+    try:
+        return make_M_sum(terms)
+    except PrecondError:
+        return PrecondError
+
+
+def test_make_M_sum_against_the_chain_on_the_degree_2_space():
+    """On relation_fixture's four sums over every degree-2 parameter with
+    coefficients {0,1,2}, make_M_sum equals the direct_sum/negate chain,
+    and both raise PrecondError exactly when some p*g has a constant term."""
+    ps = int_polys(2)
+    blocks = {}
+
+    def cached_M(p, g):  # the chain's make_M, once per parameter pair
+        if (p, g) not in blocks:
+            blocks[p, g] = one_pass_sum(((1, p, g),))
+        if blocks[p, g] is PrecondError:
+            raise PrecondError("p*g must have zero constant coefficient")
+        return blocks[p, g]
+
+    accepted = Counter()
+    for k, shape in RELATION_TERMS.items():
+        for p in ps:
+            for g in ps:
+                for p2 in ps if k == 1 else (None,):
+                    terms = shape(p, g, p2)
+                    got = one_pass_sum(terms)
+                    assert got == chain_sum(terms, cached_M), (k, p, g, p2)
+                    assert (got is PrecondError) == any((q * h).constant for _, q, h in terms)
+                    accepted[k] += got is not PrecondError
+    assert accepted == {1: 8019, 2: 405, 3: 729, 4: 405}
+
+
+signed_terms = st.lists(
+    st.tuples(
+        st.sampled_from((1, -1)),
+        *[st.lists(st.integers(-5, 5), max_size=5).map(PolyInt)] * 2,
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_terms)
+def test_make_M_sum_against_the_chain_on_random_terms(terms):
+    """1-4 signed terms of degree <= 4 with coefficients -5..5: make_M_sum
+    equals the chain of object-level generators (and make_M is its
+    one-term case), or both raise PrecondError."""
+    got = one_pass_sum(terms)
+    assert got == chain_sum(terms, object_M) == chain_sum(terms)
+    assert (got is PrecondError) == any((p * g).constant for _, p, g in terms)
+    if got is not PrecondError:
+        assert got.hessian_holds()
+        assert all(make_M(p, g) == object_M(p, g) for _, p, g in terms)
+
+
+def test_make_M_sum_rejects_a_sign_other_than_plus_or_minus_one():
+    with pytest.raises(PrecondError):
+        make_M_sum(((1, zx("x"), zx("1")), (2, zx("x"), zx("1"))))
 
 
 def test_linking_sum_evaluation():

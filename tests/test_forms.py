@@ -1,3 +1,4 @@
+import functools
 import random
 import time
 
@@ -30,6 +31,7 @@ from unilc2.forms import (
 from unilc2.rings import (
     Mat,
     PolyF2,
+    PolyInt,
     PrecondError,
     RingTagError,
     clmul,
@@ -536,3 +538,37 @@ def test_packed_gram_check_against_the_dense_product(pair, data):
         # next slot: the packed rows no longer hold the product
         narrow = unpack_slots(_packed_gram(u, lam, w - 1), w - 1, n)
         assert (narrow == dense) == (f2_bit_length(dense) < w)
+
+
+def test_packed_gram_check_on_every_single_bit_flip_of_u():
+    """On the symplectic bases of machine obstruction forms (ranks 4 and 6)
+    and of dense forms like user-forms' (make_P blocks moved by L * U,
+    ranks 2-6), the packed check agrees with the PolyF2 product on every
+    one-bit change of u, up to one bit past u's longest entry: it rejects
+    each change that breaks u^T lam u = J.  A few changes keep J (a
+    transvection that turns u into another symplectic basis), and those it
+    accepts."""
+    from unilc2.complexes import run_relation
+
+    x, x2 = PolyInt.x_power(1), PolyInt.x_power(2)
+    cases = [(1, x, PolyInt.one() + x, x2), (2, x, PolyInt.one(), None), (4, x + x2, x, None)]
+    bases = [run_relation(*case)[0].obstruction.reduced for case in cases]
+    rng = random.Random(19)
+    for rank in (2, 4, 6):
+        blocks = [make_P(PolyF2(rng.getrandbits(3)), PolyF2(rng.getrandbits(3))) for _ in range(rank // 2)]
+        bases.append(functools.reduce(direct_sum, blocks).transport(lu_transport(rng, rank, 1)))
+    kept = broken = 0
+    for form in bases:
+        u = [list(r) for r in symplectic_reduce(form).u.bits]
+        lam = [list(r) for r in form.symmetrization().bits]
+        n = len(u)
+        j_rows = [[int(j == i ^ 1) for j in range(n)] for i in range(n)]
+        for r in range(n):
+            for c in range(n):
+                for b in range(f2_bit_length(u) + 1):
+                    u[r][c] ^= 1 << b
+                    keeps_j = polyf2_gram(u, lam) == j_rows
+                    assert _is_standard_gram(u, lam) == keeps_j, (form, r, c, b)
+                    kept, broken = kept + keeps_j, broken + (not keeps_j)
+                    u[r][c] ^= 1 << b
+    assert broken > kept > 0  # 655 and 65 on these bases

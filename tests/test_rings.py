@@ -42,6 +42,7 @@ from unilc2.rings import (
     apply_j,
     apply_k,
     f2_divmod,
+    f2_dot,
     format_matrix,
     format_poly,
     parse_matrix,
@@ -536,6 +537,28 @@ def test_f2_row_times_column_and_back():
             full = PolyF2(bits)
             for a, b in ((row, col), (col, row), (Mat([[full] * n], PolyF2), Mat([[full]] * n, PolyF2))):
                 assert [list(r) for r in (a * b).entries] == f2_entrywise_product(a, b)
+
+
+# entries of the kinds f2_dot meets: zero, one, monomials and dense masks
+f2_bitmasks = st.one_of(
+    st.just(0),
+    st.just(1),
+    st.integers(0, 300).map(lambda k: 1 << k),
+    st.integers(0, 2**300 - 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.lists(st.tuples(f2_bitmasks, f2_bitmasks), min_size=n, max_size=n)))
+def test_f2_dot_against_a_clmul_loop(pairs):
+    """f2_dot, which skips zero entries and adds a unit multiplier's packed
+    row without a product, equals the XOR of every product row[k] *
+    packed[k]."""
+    row, packed = [v for v, _ in pairs], [z for _, z in pairs]
+    want = 0
+    for v, z in zip(row, packed):
+        want ^= clmul(v, z)
+    assert f2_dot(row, packed) == want
 
 
 @st.composite
