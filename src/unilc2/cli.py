@@ -201,21 +201,20 @@ def cmd_machine(args) -> int:
     g = _poly_int(args.g)
     p2 = _poly_int(args.p2) if args.relation == 1 else None
     f, ncd, expected = complexes.relation_fixture(args.relation, p, g, p2)
-    if args.dump:
+    result = complexes.run_machine(f, ncd)
+    if args.dump:  # after the run, so a failing stage leaves no partial dump
         _dump(args.dump, "pi", ncd.pi)
         _dump(args.dump, "chi", ncd.chi)
         _dump(args.dump, "gamma", f.gamma)
         _dump(args.dump, "theta", f.theta)
-    result = complexes.run_machine(f, ncd)
-    for stage in complexes.STAGES:
-        print(f"stage {stage}: ok")
-    if args.dump:
         _dump(args.dump, "psi1-hat", result.psi_hat.psi1)
         _dump(args.dump, "d-D", result.null_cobordism.d_d)
         _dump(args.dump, "union-d2", result.union.d_f2)
         _dump(args.dump, "union-d1", result.union.d_f1)
         _dump(args.dump, "obstruction", result.obstruction.big.psi)
         _dump(args.dump, "obstruction-reduced", result.obstruction.reduced.psi)
+    for stage in complexes.STAGES:
+        print(f"stage {stage}: ok")
     print(f"arf: {result.arf}")
     print(f"expected: {expected}")
     return EXIT_OK if result.arf == expected else EXIT_VERIFY_FAIL

@@ -29,7 +29,6 @@ from .forms import (
 from .formations import SplitFormation, is_graph, make_M_sum, two_id
 from .rings import (
     AlgebraError,
-    C2Poly,
     Mat,
     PolyF2,
     PolyInt,
@@ -90,41 +89,20 @@ class QuadComplex1:
         return (self.psi1 + self.psi1.conj_t() + self.psi0t * 2).is_zero()
 
 
-def _split_mu(f: SplitFormation) -> list:
-    """The signs s_i of mu = diag(2 s_1, ..., 2 s_n); PrecondError for any
-    other mu, and over F2[x], where 2 = 0."""
-    if f.ring is PolyF2:
-        raise PrecondError("mu must be diagonal with entries +-2")
-    n = f.g_rank
-    # a constant is its own packed value, so the T -> -1 diagonal reads +-2
-    minus = f.mu.i_minus() if f.ring is C2Poly else f.mu
-    signs = [1 if row[i] == 2 else -1 for i, row in enumerate(minus._data)]
-    if f.mu != two_id(n, f.ring).signed(signs, [1] * n):
-        raise PrecondError("mu must be diagonal with entries +-2")
-    return signs
-
-
 def formation_to_complex(f: SplitFormation) -> QuadComplex1:
-    """Associated complex of a split (-1)-formation with mu = diag(+-2).
+    """Associated complex of a split (-1)-formation with mu = 2*Id.
 
-    Sums involving negated summands carry mu = diag(+-2); the base change
-    beta = diag(+-1) of G makes mu beta = 2*Id, flips the matching columns
-    of gamma and conjugates theta, which is the representative the
-    null-cobordism witnesses are written against.  Dictionary (after that
-    base change): d = (mu beta)^* = 2*Id, psi0 = 0 (not stored),
-    psi0t = (gamma beta)^*, psi1 = -beta theta beta, whose sign is folded
-    into the row signs.
+    Dictionary: d = mu^* = 2*Id, psi0 = 0 (not stored), psi0t = gamma^*,
+    psi1 = -theta.  Signed sums reach this shape as make_M_sum builds them;
+    any other mu, and F2[x], where 2 = 0, raise PrecondError.
     """
     if f.epsilon != -1:
         raise PrecondError("the dictionary is for (-1)-formations")
     if f.f_rank != f.g_rank:
         raise PrecondError("square formations only (F and G of equal rank)")
-    signs = _split_mu(f)
-    ones = [1] * f.f_rank
-    return QuadComplex1(
-        f.gamma.signed(ones, signs).conj_t(),
-        f.theta.signed([-s for s in signs], signs),
-    )
+    if f.ring is PolyF2 or f.mu != two_id(f.g_rank, f.ring):
+        raise PrecondError("mu must be 2*Id")
+    return QuadComplex1(f.gamma.conj_t(), -f.theta)
 
 
 def complex_to_formation(c: QuadComplex1) -> SplitFormation:

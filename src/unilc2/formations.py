@@ -105,11 +105,11 @@ def make_M(p: PolyInt, g: PolyInt) -> SplitFormation:
 
 def make_M_sum(terms) -> SplitFormation:
     """The signed sum of generators s_1 M(p_1, g_1) + ... over Z[C2][x], for
-    terms (s_i, p_i, g_i) with s_i = +-1, equal to its direct_sum/negate
-    chain: gamma is block-diagonal with the blocks of make_M, and theta and
-    mu = 2*Id are gamma and 2*Id with the rows of each negated block
-    signed."""
-    n, minus, plus, signs = 2 * len(terms), [], [], []
+    terms (s_i, p_i, g_i) with s_i = +-1, in the representative with
+    mu = 2*Id: block i of gamma = theta is s_i times make_M's block.  It is
+    the direct_sum/negate chain (mu = diag(+-2)) after the base change
+    beta = diag(s_i) of G."""
+    n, minus, plus = 2 * len(terms), [], []
     for i, (s, p, g) in enumerate(terms):
         if s not in (1, -1):
             raise PrecondError("a generator's sign must be +1 or -1")
@@ -118,15 +118,11 @@ def make_M_sum(terms) -> SplitFormation:
         # the legs of block i, which agree mod 2: (1 - T) g is 2g at T -> -1
         # and 0 at T -> +1
         left, right = ((),) * (2 * i), ((),) * (n - 2 * i - 2)
-        top = (*left, p.coeffs, (1,), *right)
-        minus += [top, (*left, (1,), tuple([2 * c for c in g.coeffs]), *right)]
-        plus += [top, (*left, (1,), (), *right)]
-        signs += (s, s)
+        top = (*left, tuple([s * c for c in p.coeffs]), (s,), *right)
+        minus += [top, (*left, (s,), tuple([2 * s * c for c in g.coeffs]), *right)]
+        plus += [top, (*left, (s,), (), *right)]
     gamma = Mat.from_legs(Mat.from_coeffs(minus, n), Mat.from_coeffs(plus, n))
-    mu, theta, ones = two_id(n, C2Poly), gamma, [1] * n
-    if -1 in signs:
-        mu, theta = mu.signed(signs, ones), gamma.signed(signs, ones)
-    return SplitFormation(gamma, mu, theta, -1)
+    return SplitFormation(gamma, two_id(n, C2Poly), gamma, -1)
 
 
 def make_Q(q: PolyInt) -> SplitFormation:

@@ -907,19 +907,6 @@ class Mat:
         data = tuple(zip(*self._data)) if self._data else ((),) * self.cols
         return _new(self.ring, self.cols, self.rows, data, self.k, self.bound, self.length)
 
-    def signed(self, row_signs, col_signs) -> "Mat":
-        """The matrix with entries row_signs[i] * self[i, j] * col_signs[j],
-        each sign +1 or -1."""
-        if self.ring is PolyF2:
-            return self
-        if self.ring is C2Poly:
-            return _legwise(Mat.signed, self, row_signs, col_signs)
-        data = tuple(
-            tuple(e if r == s else -e for e, s in zip(row, col_signs))
-            for row, r in zip(self._data, row_signs)
-        )
-        return _map_data(self, data)
-
     def mod2(self) -> "Mat":
         if self.ring is PolyF2:
             return self

@@ -79,6 +79,33 @@ def test_machine_dump(capsys, tmp_path):
     assert "pi.txt" in names and "obstruction-reduced.txt" in names
 
 
+def test_machine_dump_of_relation_1_signs_the_negated_block(capsys, tmp_path):
+    d = tmp_path / "dump"
+    code, _ = run(capsys, "machine", "--relation", "1", "--p", "x", "--p2", "x", "--g", "1", "--dump", str(d))
+    assert code == 0
+    gamma = (d / "gamma.txt").read_text()
+    assert gamma == (d / "theta.txt").read_text()
+    assert gamma == "[x,1,0,0,0,0;1,1-T,0,0,0,0;0,0,x,1,0,0;0,0,1,1-T,0,0;0,0,0,0,-2*x,-1;0,0,0,0,-1,-1+T]\n"
+
+
+def test_machine_stage_error_leaves_no_dump(capsys, tmp_path, monkeypatch):
+    """A failing stage exits 3 before any output: no stage line and no dump
+    directory."""
+    from unilc2 import complexes
+
+    def fail(f, ncd):
+        raise complexes.StageError("union", "T -> +1 evaluation is not a graph formation")
+
+    monkeypatch.setattr(complexes, "run_machine", fail)
+    d = tmp_path / "dump"
+    code = main(["machine", "--relation", "2", "--p", "x", "--g", "1", "--dump", str(d)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: [union]")
+    assert not d.exists()
+
+
 def test_machine_requires_p2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["machine", "--relation", "1", "--p", "x", "--g", "1"])

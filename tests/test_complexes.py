@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,15 @@ from unilc2.complexes import (
     run_machine,
     run_relation,
 )
-from unilc2.formations import SplitFormation, direct_sum, is_graph, make_M, negate
+from unilc2.formations import (
+    SplitFormation,
+    direct_sum,
+    is_graph,
+    make_M,
+    make_M_sum,
+    negate,
+    verify_poincare,
+)
 from unilc2.forms import ArfClass, SingularFormError, arf, arf_normalize
 from unilc2 import complexes, rings
 from unilc2.rings import (
@@ -94,9 +103,11 @@ def test_machine_run_builds_only_what_it_reads(monkeypatch):
     chi^* of the bundle) and no block matrix (the union's differentials and
     the obstruction form are assembled from bit rows), and solves no linear
     system: no null-cobordism or union block that nothing reads is built.
-    The fixture plus the run build at most 70 matrices (102 when the
+    The fixture plus the run build at most 58 matrices (102 when the
     formation sum was a direct_sum/negate chain and the union went through
-    Mat.from_blocks), counted after a first run has made the shared 2*Id."""
+    Mat.from_blocks, 68 when make_M_sum signed mu and theta and the
+    dictionary undid those signs), counted after a first run has made the
+    shared 2*Id; no sign flip is left in the package."""
     args = (1, zx("2*x+x^2"), zx("1+2*x^2"), zx("x+2*x^2"))
     run_relation(*args)
     n = Counter()
@@ -122,7 +133,9 @@ def test_machine_run_builds_only_what_it_reads(monkeypatch):
     assert counts == {
         "mul PolyInt": 9, "mul C2Poly": 0, "mul PolyF2": 1, "mod2": 3, "from_blocks": 0, "solve_right": 0
     }, n
-    assert n["new"] <= 70, n
+    assert n["new"] <= 58, n
+    src = Path(complexes.__file__).parent
+    assert not [f.name for f in src.glob("*.py") if ".signed(" in f.read_text()]
 
 
 # -- dictionary
@@ -142,13 +155,16 @@ def test_roundtrip_exact():
 
 
 def test_roundtrip_on_sum_with_negation():
-    m = direct_sum(make_M(zx("x"), zx("1")), negate(make_M(zx("x"), zx("1"))))
+    """make_M_sum's representative of M(x,1) - M(x,1) has mu = 2*Id, so the
+    round trip is exact; the direct_sum/negate chain, whose mu is
+    diag(2,2,-2,-2), is refused."""
+    m = make_M_sum(((1, zx("x"), zx("1")), (-1, zx("x"), zx("1"))))
     c = formation_to_complex(m)
     assert c.cycle_holds()
-    back = complex_to_formation(c)
-    # the mu signs were normalised away, so gamma/theta flipped on the block
-    assert back.mu == Mat.scalar(4, c.ring.from_int(2), c.ring)
-    assert back.hessian_holds()
+    assert complex_to_formation(c) == m
+    chain = direct_sum(make_M(zx("x"), zx("1")), negate(make_M(zx("x"), zx("1"))))
+    with pytest.raises(PrecondError):
+        formation_to_complex(chain)
 
 
 def test_graph_of_roundtrip_on_trivial_parameters():
@@ -168,9 +184,9 @@ def test_cycle_condition_sweep():
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(pg_sweep(1)), st.booleans()), min_size=1, max_size=4))
 def test_normalize_mu_signs_against_diag_product(summands):
-    """The sign flips of formation_to_complex equal the base change by
-    beta = diag(+-1): the complex is the dictionary image of gamma*beta,
-    mu*beta, beta^* theta beta."""
+    """make_M_sum's representative is the direct_sum/negate chain after the
+    base change beta = diag(+-1): its complex is the dictionary image of
+    gamma*beta, mu*beta, beta^* theta beta."""
     f = None
     for (p, g), neg in summands:
         m = negate(make_M(p, g)) if neg else make_M(p, g)
@@ -181,11 +197,28 @@ def test_normalize_mu_signs_against_diag_product(summands):
     beta = Mat([[zero if i != j else one if f.mu[i, i] == two else -one
                  for j in range(n)] for i in range(n)], C2Poly)
     want = SplitFormation(f.gamma * beta, f.mu * beta, beta.conj_t() * f.theta * beta, -1)
-    c = formation_to_complex(f)
+    c = formation_to_complex(make_M_sum([(-1 if neg else 1, p, g) for (p, g), neg in summands]))
     assert c.d == want.mu.conj_t() == Mat.scalar(n, two, C2Poly)
     assert c.psi0t == want.gamma.conj_t()
     assert c.psi1 == -want.theta
     assert complex_to_formation(c) == want
+
+
+def test_relation_sums_pass_the_duality_check():
+    """verify_poincare accepts the four relation fixtures' sums over the
+    degree-1 parameters, negated summands included: their mu is 2*Id."""
+    ps = int_polys(1)
+    checked = 0
+    for k in (1, 2, 3, 4):
+        for p in ps:
+            for g in ps:
+                try:
+                    f, _, _ = relation_fixture(k, p, g, p)
+                except PrecondError:
+                    continue
+                assert verify_poincare(f), (k, p, g)
+                checked += 1
+    assert checked == 216
 
 
 def test_dictionary_rejects_other_mu_shapes():
@@ -193,7 +226,7 @@ def test_dictionary_rejects_other_mu_shapes():
 
     with pytest.raises(PrecondError):
         formation_to_complex(make_Q(zx("x")))
-    # over F2[x], where 2 = 0, mu = 0 is not the shape mu = diag(+-2)
+    # over F2[x], where 2 = 0, mu = 0 is not the shape mu = 2*Id
     zero = Mat.zeros(2, 2, PolyF2)
     with pytest.raises(PrecondError):
         formation_to_complex(SplitFormation(Mat.identity(2, PolyF2), zero, zero, -1))

@@ -252,10 +252,25 @@ def one_pass_sum(terms):
         return PrecondError
 
 
+def assert_chain_after_base_change(got, chain, terms):
+    """make_M_sum's sum is the direct_sum/negate chain after the base change
+    beta = diag(s_i) of G: (Id, beta, 0) is an isomorphism chain -> got,
+    whose mu is 2*Id and theta is gamma, and the two are equal when no
+    term is negated."""
+    n = got.g_rank
+    signs = [s for s, _, _ in terms for _ in range(2)]
+    beta = Mat([[C2Poly.from_int(s if i == j else 0) for j in range(n)] for i, s in enumerate(signs)], C2Poly)
+    ident, zero = Mat.identity(n, C2Poly), Mat.zeros(n, n, C2Poly)
+    assert verify_formation_iso(chain, got, ident, beta, zero)
+    assert got.mu == Mat.scalar(n, 2, C2Poly) and got.theta == got.gamma
+    assert (got == chain) == (-1 not in signs)
+
+
 def test_make_M_sum_against_the_chain_on_the_degree_2_space():
     """On relation_fixture's four sums over every degree-2 parameter with
-    coefficients {0,1,2}, make_M_sum equals the direct_sum/negate chain,
-    and both raise PrecondError exactly when some p*g has a constant term."""
+    coefficients {0,1,2}, make_M_sum is the direct_sum/negate chain after
+    the base change beta = diag(s_i), and both raise PrecondError exactly
+    when some p*g has a constant term."""
     ps = int_polys(2)
     blocks = {}
 
@@ -272,9 +287,11 @@ def test_make_M_sum_against_the_chain_on_the_degree_2_space():
             for g in ps:
                 for p2 in ps if k == 1 else (None,):
                     terms = shape(p, g, p2)
-                    got = one_pass_sum(terms)
-                    assert got == chain_sum(terms, cached_M), (k, p, g, p2)
+                    got, chain = one_pass_sum(terms), chain_sum(terms, cached_M)
+                    assert (got is PrecondError) == (chain is PrecondError), (k, p, g, p2)
                     assert (got is PrecondError) == any((q * h).constant for _, q, h in terms)
+                    if got is not PrecondError:
+                        assert_chain_after_base_change(got, chain, terms)
                     accepted[k] += got is not PrecondError
     assert accepted == {1: 8019, 2: 405, 3: 729, 4: 405}
 
@@ -293,12 +310,15 @@ signed_terms = st.lists(
 @given(signed_terms)
 def test_make_M_sum_against_the_chain_on_random_terms(terms):
     """1-4 signed terms of degree <= 4 with coefficients -5..5: make_M_sum
-    equals the chain of object-level generators (and make_M is its
-    one-term case), or both raise PrecondError."""
-    got = one_pass_sum(terms)
-    assert got == chain_sum(terms, object_M) == chain_sum(terms)
+    is the chain of object-level generators after the base change
+    beta = diag(s_i) (and make_M is its one-term case), or both raise
+    PrecondError."""
+    got, chain = one_pass_sum(terms), chain_sum(terms, object_M)
+    assert chain == chain_sum(terms)
+    assert (got is PrecondError) == (chain is PrecondError)
     assert (got is PrecondError) == any((p * g).constant for _, p, g in terms)
     if got is not PrecondError:
+        assert_chain_after_base_change(got, chain, terms)
         assert got.hessian_holds()
         assert all(make_M(p, g) == object_M(p, g) for _, p, g in terms)
 
