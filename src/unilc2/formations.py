@@ -91,10 +91,11 @@ class SplitFormation:
 
 
 @lru_cache(maxsize=32)
-def two_id(n: int, ring) -> Mat:
-    """2*Id, n x n over ring: mu of the generators, and the differential of
-    their complexes.  Shared, since a Mat is immutable."""
-    return Mat.scalar(n, 2, ring)
+def two_id(n: int, ring, c: int = 2) -> Mat:
+    """c*Id, n x n over ring: 2*Id is mu of the generators and the
+    differential of their complexes, Id the identity of the isomorphism
+    checks.  Shared, since a Mat is immutable."""
+    return Mat.scalar(n, c, ring)
 
 
 def make_M(p: PolyInt, g: PolyInt) -> SplitFormation:
@@ -145,9 +146,7 @@ def make_N_resolution(p: PolyInt, g: PolyInt) -> SplitFormation:
     parameters p, g: gamma = theta = [[p,1],[1,2g]], mu = 2*Id."""
     if p.constant != 0 and g.constant != 0:
         raise PrecondError("either p or g must have zero constant coefficient")
-    one = PolyInt.one()
-    two_g = PolyInt((2,)) * g
-    gamma = Mat([[p, one], [one, two_g]], PolyInt)
+    gamma = Mat.from_coeffs(((p.coeffs, (1,)), ((1,), tuple([2 * c for c in g.coeffs]))), 2)
     return SplitFormation(gamma, two_id(2, PolyInt), gamma, -1)
 
 
@@ -216,6 +215,8 @@ def verify_formation_iso(
     alpha: Mat,
     beta: Mat,
     nu: Mat,
+    alpha_inv: Mat,
+    beta_inv: Mat,
 ) -> bool:
     """Check that (alpha, beta, nu) is an isomorphism src -> dst.
 
@@ -224,19 +225,23 @@ def verify_formation_iso(
       (ii)  mu' beta = alpha^{-*} mu
       (iii) beta^* theta' beta - theta - mu^* nu mu is an even difference
             (eta - (-e) eta^* for some eta).
-    alpha and beta must be unimodular (PrecondError otherwise).
+    alpha_inv and beta_inv are the claimed inverses: PrecondError unless
+    alpha * alpha_inv = Id and beta * beta_inv = Id, which over these
+    (commutative) rings proves alpha and beta unimodular.
     """
     if src.epsilon != dst.epsilon or src.ring is not dst.ring:
         raise PrecondError("formations must share epsilon and ring")
+    for name, m, m_inv in (("alpha", alpha, alpha_inv), ("beta", beta, beta_inv)):
+        if not (m.is_square() and (m_inv.rows, m_inv.cols) == (m.rows, m.cols)):
+            raise PrecondError(f"{name} and {name}_inv must be square of one size")
+        if m * m_inv != two_id(m.rows, m.ring, c=1):
+            raise PrecondError(f"{name}_inv is not the inverse of {name}")
     e = src.epsilon
-    if not (alpha.is_square() and beta.is_unimodular()):
-        raise PrecondError("alpha and beta must be unimodular")
-    alpha_inv_star = alpha.conj_t().inverse_unimodular()  # checks det(alpha)
     nus = nu.conj_t()
     skew_nu = nu - nus if e == 1 else nu + nus
     if dst.gamma * beta != alpha * src.gamma + skew_nu * src.mu:
         return False
-    if dst.mu * beta != alpha_inv_star * src.mu:
+    if dst.mu * beta != alpha_inv.conj_t() * src.mu:
         return False
     diff = (
         beta.conj_t() * dst.theta * beta

@@ -994,9 +994,6 @@ class Mat:
         except NonDivisibleError:  # the determinant is not a unit
             raise PrecondError("the determinant is not a unit") from None
 
-    def is_unimodular(self) -> bool:
-        return self.is_square() and self.det().is_unit()
-
     def __str__(self):
         return format_matrix(self)
 

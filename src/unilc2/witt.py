@@ -21,7 +21,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .forms import ArfClass, arf_normalize
-from .formations import is_graph, make_M, verify_formation_iso
+from .formations import is_graph, make_M, two_id, verify_formation_iso
 from .rings import (
     AlgebraError,
     C2Poly,
@@ -230,15 +230,9 @@ def apply_iso_M0(word: GenWord, p: PolyInt, g: PolyInt, sign: int = 1) -> GenWor
     four_p = PolyInt((4,)) * p
     src = make_M(PolyInt.zero(), g)
     dst = make_M(four_p, g)
-    ident = Mat.identity(2, C2Poly)
-    nu = Mat(
-        [
-            [C2Poly.from_polyint(p), C2Poly.zero()],
-            [C2Poly.zero(), C2Poly.zero()],
-        ],
-        C2Poly,
-    )
-    if not verify_formation_iso(src, dst, ident, ident, nu):
+    ident = two_id(2, C2Poly, c=1)
+    nu = Mat.from_coeffs(((p.coeffs, ()), ((), ())), 2).to_c2()
+    if not verify_formation_iso(src, dst, ident, ident, nu, ident, ident):
         raise RuleError("the M(0,g) -> M(4p,g) isomorphism witness fails")
     if not is_graph(src):
         raise RuleError("M(0,g) is not a graph formation")

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from conftest import int_polys, pg_sweep, zx
 
+from unilc2 import rings, witt
 from unilc2.formations import (
     SplitFormation,
     UnsupportedShapeError,
+    _is_even_difference,
     direct_sum,
     i_minus,
     i_plus,
@@ -130,25 +132,25 @@ def test_graph_fixtures():
 
 
 def test_iso_m0_witness():
+    ident = Mat.identity(2, C2Poly)
     for p, g in pg_sweep(max_deg=1):
         src = make_M(zx("0"), g)
         dst = make_M(zx("4") * p, g)
-        ident = Mat.identity(2, C2Poly)
         nu = Mat(
             [[C2Poly.from_polyint(p), C2Poly.zero()], [C2Poly.zero(), C2Poly.zero()]],
             C2Poly,
         )
-        assert verify_formation_iso(src, dst, ident, ident, nu)
+        assert verify_formation_iso(src, dst, ident, ident, nu, ident, ident)
 
 
 def test_iso_reflexive_and_zero_witness_fails_off_diagonal():
     m = make_M(zx("x"), zx("1"))
     ident = Mat.identity(2, C2Poly)
     zero = Mat.zeros(2, 2, C2Poly)
-    assert verify_formation_iso(m, m, ident, ident, zero)
+    assert verify_formation_iso(m, m, ident, ident, zero, ident, ident)
     src = make_M(zx("0"), zx("1"))
     dst = make_M(zx("4*x"), zx("1"))
-    assert not verify_formation_iso(src, dst, ident, ident, zero)
+    assert not verify_formation_iso(src, dst, ident, ident, zero, ident, ident)
 
 
 def test_iso_composes_with_identity():
@@ -161,28 +163,146 @@ def test_iso_composes_with_identity():
         [[C2Poly.from_polyint(p), C2Poly.zero()], [C2Poly.zero(), C2Poly.zero()]],
         C2Poly,
     )
-    assert verify_formation_iso(src, src, ident, ident, zero)
-    assert verify_formation_iso(src, dst, ident, ident, nu)
+    assert verify_formation_iso(src, src, ident, ident, zero, ident, ident)
+    assert verify_formation_iso(src, dst, ident, ident, nu, ident, ident)
     # composite witness of identity-then-iso is the same nu
-    assert verify_formation_iso(src, dst, ident, ident, nu)
+    assert verify_formation_iso(src, dst, ident, ident, nu, ident, ident)
 
 
 def test_iso_requires_unimodular_change():
+    """2*Id is not unimodular: no claimed inverse is accepted for it."""
     m = make_M(zx("x"), zx("1"))
     bad = Mat.scalar(2, C2Poly.from_int(2), C2Poly)
-    with pytest.raises(PrecondError):
-        verify_formation_iso(m, m, bad, bad, Mat.zeros(2, 2, C2Poly))
+    zero = Mat.zeros(2, 2, C2Poly)
+    for claimed in (bad, Mat.identity(2, C2Poly), zero, c2mat("[1,T;x,-1]")):
+        with pytest.raises(PrecondError):
+            verify_formation_iso(m, m, bad, bad, zero, claimed, claimed)
 
 
 def test_iso_checks_alpha_and_beta_separately():
     m = make_M(zx("x"), zx("1"))
     ident, zero = Mat.identity(2, C2Poly), Mat.zeros(2, 2, C2Poly)
     bad = Mat.scalar(2, C2Poly.from_int(2), C2Poly)
-    wide = Mat.zeros(2, 3, C2Poly)
-    for alpha, beta in ((bad, ident), (ident, bad), (wide, ident), (ident, wide)):
+    # wide * wide^T = Id, but a non-square matrix is not invertible
+    wide = c2mat("[1,0,0;0,1,0]")
+    big_ident = Mat.identity(3, C2Poly)
+    for alpha, alpha_inv, beta, beta_inv in (
+        (bad, ident, ident, ident),
+        (ident, ident, bad, ident),
+        (wide, wide.conj_t(), ident, ident),
+        (ident, ident, wide, wide.conj_t()),
+        (ident, big_ident, ident, ident),
+        (ident, ident, ident, big_ident),
+    ):
         with pytest.raises(PrecondError):
-            verify_formation_iso(m, m, alpha, beta, zero)
-    assert verify_formation_iso(m, m, ident, ident, zero)
+            verify_formation_iso(m, m, alpha, beta, zero, alpha_inv, beta_inv)
+    assert verify_formation_iso(m, m, ident, ident, zero, ident, ident)
+
+
+def replaced_iso_verdict(src, dst, alpha, beta, nu):
+    """Oracle: verify_formation_iso as it was before it took the inverses,
+    proving alpha and beta unimodular by a determinant and an elimination
+    inverse (both over every leg)."""
+    if src.epsilon != dst.epsilon or src.ring is not dst.ring:
+        raise PrecondError("formations must share epsilon and ring")
+    e = src.epsilon
+    if not (alpha.is_square() and beta.is_square() and beta.det().is_unit()):
+        raise PrecondError("alpha and beta must be unimodular")
+    alpha_inv_star = alpha.conj_t().inverse_unimodular()  # checks det(alpha)
+    nus = nu.conj_t()
+    skew_nu = nu - nus if e == 1 else nu + nus
+    if dst.gamma * beta != alpha * src.gamma + skew_nu * src.mu:
+        return False
+    if dst.mu * beta != alpha_inv_star * src.mu:
+        return False
+    diff = beta.conj_t() * dst.theta * beta - src.theta - src.mu.conj_t() * nu * src.mu
+    return _is_even_difference(diff, -e)
+
+
+small_zx = st.lists(st.integers(-2, 2), max_size=3).map(PolyInt)
+c2_elts = st.builds(C2Poly.from_parts, small_zx, small_zx)
+
+
+def single_entry(n, i, j, r):
+    """r e_ij, n x n over Z[C2][x]."""
+    return Mat([[r if (a, b) == (i, j) else C2Poly.zero() for b in range(n)] for a in range(n)], C2Poly)
+
+
+def elementary(n, i, j, r):
+    """Id + r e_ij (i != j) over Z[C2][x]."""
+    return Mat.identity(n, C2Poly) + single_entry(n, i, j, r)
+
+
+@st.composite
+def unimodular_with_inverse(draw, n):
+    """(m, m^-1) over Z[C2][x]: m is a product of elementary matrices
+    Id + r e_ij (i != j) and +-1 diagonals, and m^-1 the reversed product
+    of the factors' inverses."""
+    m = inv = Mat.identity(n, C2Poly)
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            i, j = draw(st.permutations(range(n)))[:2]
+            r = draw(c2_elts)
+            f, f_inv = elementary(n, i, j, r), elementary(n, i, j, -r)
+        else:
+            signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+            f = f_inv = Mat([[C2Poly.from_int(s if a == b else 0) for b in range(n)] for a, s in enumerate(signs)], C2Poly)
+        m, inv = m * f, f_inv * inv
+    return m, inv
+
+
+generator_term = st.tuples(st.sampled_from((1, -1)), small_zx, small_zx).filter(lambda t: not (t[1] * t[2]).constant)
+
+
+@st.composite
+def iso_cases(draw):
+    """A make_M_sum formation src, a unimodular (alpha, beta) with their
+    inverses, a random nu, and dst: the transport of src along
+    (alpha, beta, nu), with up to two entries of its blocks changed, or
+    another make_M_sum formation of the same rank; and whether dst is the
+    transport itself."""
+    src = make_M_sum(draw(st.lists(generator_term, min_size=1, max_size=2)))
+    n = src.f_rank
+    alpha, alpha_inv = draw(unimodular_with_inverse(n))
+    beta, beta_inv = draw(unimodular_with_inverse(n))
+    nu = Mat([[draw(c2_elts) for _ in range(n)] for _ in range(n)], C2Poly)
+    if draw(st.booleans()):
+        terms = draw(st.lists(generator_term, min_size=n // 2, max_size=n // 2))
+        return (src, make_M_sum(terms), alpha, beta, nu, alpha_inv, beta_inv), False
+    mu = src.mu
+    blocks = {
+        "gamma": (alpha * src.gamma + (nu + nu.conj_t()) * mu) * beta_inv,
+        "mu": alpha_inv.conj_t() * mu * beta_inv,
+        "theta": beta_inv.conj_t() * (src.theta + mu.conj_t() * nu * mu) * beta_inv,
+    }
+    bumps = draw(st.integers(0, 2))
+    for _ in range(bumps):
+        name = draw(st.sampled_from(sorted(blocks)))
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        blocks[name] = blocks[name] + single_entry(n, i, j, draw(c2_elts))
+    dst = SplitFormation(blocks["gamma"], blocks["mu"], blocks["theta"], -1)
+    return (src, dst, alpha, beta, nu, alpha_inv, beta_inv), bumps == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(iso_cases(), st.data())
+def test_iso_verdict_matches_the_determinant_and_elimination_path(case_exact, data):
+    """Over random unimodular (alpha, beta), nu and make_M_sum formations,
+    the verdict with the inverses supplied is the verdict of the replaced
+    path; a transported formation is accepted, and a wrong alpha_inv or
+    beta_inv, each changed alone, raises PrecondError."""
+    (src, dst, alpha, beta, nu, alpha_inv, beta_inv), exact = case_exact
+    got = verify_formation_iso(src, dst, alpha, beta, nu, alpha_inv, beta_inv)
+    assert got == replaced_iso_verdict(src, dst, alpha, beta, nu)
+    assert got or not exact
+    n = src.f_rank
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    bump = data.draw(c2_elts.filter(bool))
+    off = single_entry(n, i, j, bump)
+    with pytest.raises(PrecondError):
+        verify_formation_iso(src, dst, alpha, beta, nu, alpha_inv + off, beta_inv)
+    with pytest.raises(PrecondError):
+        verify_formation_iso(src, dst, alpha, beta, nu, alpha_inv, beta_inv + off)
 
 
 # -- sums and negation
@@ -261,7 +381,7 @@ def assert_chain_after_base_change(got, chain, terms):
     signs = [s for s, _, _ in terms for _ in range(2)]
     beta = Mat([[C2Poly.from_int(s if i == j else 0) for j in range(n)] for i, s in enumerate(signs)], C2Poly)
     ident, zero = Mat.identity(n, C2Poly), Mat.zeros(n, n, C2Poly)
-    assert verify_formation_iso(chain, got, ident, beta, zero)
+    assert verify_formation_iso(chain, got, ident, beta, zero, ident, beta)
     assert got.mu == Mat.scalar(n, 2, C2Poly) and got.theta == got.gamma
     assert (got == chain) == (-1 not in signs)
 
@@ -321,6 +441,22 @@ def test_make_M_sum_against_the_chain_on_random_terms(terms):
         assert_chain_after_base_change(got, chain, terms)
         assert got.hessian_holds()
         assert all(make_M(p, g) == object_M(p, g) for _, p, g in terms)
+
+
+def test_iso_checks_run_no_adjugate_and_no_elimination(monkeypatch):
+    """With the inverses supplied, an exponent-four replay and the chain
+    test's call on a 6x6 degree-2 relation-1 sum neither solve a linear
+    system nor form an adjugate."""
+
+    def banned(*_):
+        raise AssertionError("elimination inverse or adjugate called")
+
+    monkeypatch.setattr(rings, "_solve", banned)
+    monkeypatch.setattr(Mat, "adjugate", banned)
+    p, g = zx("x+2*x^2"), zx("1+x")
+    assert witt.replay(witt.exponent_four_script(p, g), witt.exponent_four_start(p, g), witt.GenWord.zero())
+    terms = RELATION_TERMS[1](zx("x"), zx("1+2*x"), zx("x+x^2"))
+    assert_chain_after_base_change(make_M_sum(terms), chain_sum(terms), terms)
 
 
 def test_make_M_sum_rejects_a_sign_other_than_plus_or_minus_one():
