@@ -94,7 +94,8 @@ class SplitFormation:
 def two_id(n: int, ring, c: int = 2) -> Mat:
     """c*Id, n x n over ring: 2*Id is mu of the generators and the
     differential of their complexes, Id the identity of the isomorphism
-    checks.  Shared, since a Mat is immutable."""
+    checks.  Shared, since a Mat is immutable; made by Mat.scalar, so a
+    product with it is a scaling of the other factor."""
     return Mat.scalar(n, c, ring)
 
 
@@ -227,7 +228,9 @@ def verify_formation_iso(
             (eta - (-e) eta^* for some eta).
     alpha_inv and beta_inv are the claimed inverses: PrecondError unless
     alpha * alpha_inv = Id and beta * beta_inv = Id, which over these
-    (commutative) rings proves alpha and beta unimodular.
+    (commutative) rings proves alpha and beta unimodular.  Every product
+    is formed; one with a scalar factor (Id, mu = 2*Id from two_id) is a
+    scaling, so the ISO-M0 witness (Id, Id, nu) forms no dense product.
     """
     if src.epsilon != dst.epsilon or src.ring is not dst.ring:
         raise PrecondError("formations must share epsilon and ring")

@@ -631,6 +631,7 @@ def _as_c2poly(v) -> C2Poly:
 ONE_MINUS_T = _c2(PolyInt((2,)), PolyInt(()))
 
 _COERCIONS = {PolyInt: _as_polyint, PolyF2: _as_polyf2, C2Poly: _as_c2poly}
+_ONES = {ring: ring.one() for ring in _COERCIONS}  # Mat.scalar tags an identity with one of these
 
 
 def _coercion(ring):
@@ -711,9 +712,15 @@ class Mat:
     integers the matrix holds (k, bound and length are 0 over F2[x] and
     Z[C2][x]).  The involution is the identity on all three rings, so
     conj_t is the transpose.
+
+    A square matrix made by Mat.scalar (identity, square zeros) keeps its
+    value in _scalar, and no other matrix has one, so a product with it
+    is a scaling of the other factor (the other factor itself when the
+    value is one) and its conj_t is itself.  Equality and hashing ignore
+    the tag.
     """
 
-    __slots__ = ("ring", "rows", "cols", "_data", "k", "bound", "length")
+    __slots__ = ("ring", "rows", "cols", "_data", "k", "bound", "length", "_scalar")
 
     def __init__(self, entries, ring=None):
         rows = tuple(tuple(r) for r in entries)
@@ -774,18 +781,23 @@ class Mat:
 
     @classmethod
     def scalar(cls, n: int, value, ring, cols=None) -> "Mat":
-        """value * Id, n x n (n x cols if cols is given)."""
+        """value * Id, n x n (n x cols if cols is given); tagged with value
+        when square."""
         value = _coercion(ring)(value)
+        cols = n if cols is None else cols
         if ring is C2Poly:
             u = cls.scalar(n, value.u, PolyInt, cols)
-            return _c2mat(u, u if value.u is value.v else cls.scalar(n, value.v, PolyInt, cols))
-        if ring is PolyInt:
-            ((z,),), k, bound, length = _packed([[value.coeffs]])
+            m = _c2mat(u, u if value.u is value.v else cls.scalar(n, value.v, PolyInt, cols))
         else:
-            z, k, bound, length = value.bits, 0, 0, 0
-        cols = n if cols is None else cols
-        data = tuple([tuple([z if i == j else 0 for j in range(cols)]) for i in range(n)])
-        return _new(ring, n, cols, data, k, bound, length)
+            if ring is PolyInt:
+                ((z,),), k, bound, length = _packed([[value.coeffs]])
+            else:
+                z, k, bound, length = value.bits, 0, 0, 0
+            data = tuple([tuple([z if i == j else 0 for j in range(cols)]) for i in range(n)])
+            m = _new(ring, n, cols, data, k, bound, length)
+        if n == cols:
+            _SET_SCALAR(m, _ONES[ring] if value == _ONES[ring] else value)
+        return m
 
     @classmethod
     def from_blocks(cls, blocks) -> "Mat":
@@ -839,6 +851,8 @@ class Mat:
         return self._entry(self._data[rc[0]][rc[1]])
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not (
             isinstance(other, Mat)
             and self.ring is other.ring
@@ -891,6 +905,11 @@ class Mat:
             raise ShapeError(
                 f"product shape mismatch: {self.rows}x{self.cols} * {other.rows}x{other.cols}"
             )
+        s, m = self._scalar, other
+        if s is None:
+            s, m = other._scalar, self
+        if s is not None:  # a scalar matrix times m, which has the product's shape
+            return m if s is _ONES[self.ring] else _legwise(_scale, m, s)
         if self.ring is PolyF2:
             rows = f2_matmul_bits(self._data, other._data, other.cols)
             return Mat.from_bits(rows, other.cols)
@@ -902,6 +921,8 @@ class Mat:
 
     def conj_t(self) -> "Mat":
         """Conjugate-transpose, which is the transpose."""
+        if self._scalar is not None:
+            return self
         if self.ring is C2Poly:
             return _legwise(Mat.conj_t, self)
         data = tuple(zip(*self._data)) if self._data else ((),) * self.cols
@@ -1001,13 +1022,13 @@ class Mat:
         return f"Mat[{self.ring.TAG}]{format_matrix(self)}"
 
 
-_SET_RING, _SET_ROWS, _SET_COLS, _SET_DATA, _SET_K, _SET_BOUND, _SET_LENGTH = (
+_SET_RING, _SET_ROWS, _SET_COLS, _SET_DATA, _SET_K, _SET_BOUND, _SET_LENGTH, _SET_SCALAR = (
     getattr(Mat, s).__set__ for s in Mat.__slots__
 )
 
 
 def _new(ring, rows, cols, data, k=0, bound=0, length=0, m=None) -> Mat:
-    """The matrix with these fields (set on m if it is given)."""
+    """The untagged matrix with these fields (set on m if it is given)."""
     m = object.__new__(Mat) if m is None else m
     _SET_RING(m, ring)
     _SET_ROWS(m, rows)
@@ -1016,6 +1037,7 @@ def _new(ring, rows, cols, data, k=0, bound=0, length=0, m=None) -> Mat:
     _SET_K(m, k)
     _SET_BOUND(m, bound)
     _SET_LENGTH(m, length)
+    _SET_SCALAR(m, None)
     return m
 
 

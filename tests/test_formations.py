@@ -459,6 +459,21 @@ def test_iso_checks_run_no_adjugate_and_no_elimination(monkeypatch):
     assert_chain_after_base_change(make_M_sum(terms), chain_sum(terms), terms)
 
 
+def test_iso_m0_proof_forms_no_dense_product(monkeypatch):
+    """Every product of the ISO-M0 proof has a scalar factor (Id or
+    mu = 2*Id), so an exponent-four replay forms no dense product, nor an
+    adjugate or elimination inverse."""
+
+    def banned(*_):
+        raise AssertionError("dense product, elimination inverse or adjugate called")
+
+    for name in ("_zx_mul", "_solve"):
+        monkeypatch.setattr(rings, name, banned)
+    monkeypatch.setattr(Mat, "adjugate", banned)
+    p, g = zx("x+2*x^2"), zx("1+x")
+    assert witt.replay(witt.exponent_four_script(p, g), witt.exponent_four_start(p, g), witt.GenWord.zero())
+
+
 def test_make_M_sum_rejects_a_sign_other_than_plus_or_minus_one():
     with pytest.raises(PrecondError):
         make_M_sum(((1, zx("x"), zx("1")), (2, zx("x"), zx("1"))))

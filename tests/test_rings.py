@@ -21,6 +21,7 @@ from conftest import (
     zx,
 )
 
+from unilc2 import rings
 from unilc2.complexes import relation_fixture
 from unilc2.rings import (
     C2Poly,
@@ -621,6 +622,79 @@ def test_conj_transpose_laws():
     n = Mat([[rand_c2(rng, 2) for _ in range(2)] for _ in range(3)], C2Poly)
     assert m.conj_t().conj_t() == m
     assert (m * n).conj_t() == n.conj_t() * m.conj_t()
+
+
+# -- scalar matrices: a product with one is a scaling
+
+
+def scalar_values(ring):
+    """0, +-1, 2, T and 1 - T (over Z[C2][x]), and elements from any_polys."""
+    fixed = [0, 1, -1, 2] + ([C2Poly.t(), ONE_MINUS_T] if ring is C2Poly else [])
+    return st.one_of(st.sampled_from(fixed), any_polys(ring))
+
+
+@st.composite
+def scalar_products(draw):
+    """(s, left, right): s = Mat.scalar(n, v, ring), left r x n, right n x c."""
+    ring = draw(st.sampled_from([PolyInt, PolyF2, C2Poly]))
+    n, r, c = (draw(st.integers(1, 3)) for _ in range(3))
+    s = Mat.scalar(n, draw(scalar_values(ring)), ring)
+
+    def block(rows, cols):
+        return Mat([[draw(any_polys(ring)) for _ in range(cols)] for _ in range(rows)], ring)
+
+    return s, block(r, n), block(n, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalar_products())
+def test_scalar_matrix_products_against_the_dense_product(case):
+    s, left, right = case
+    dense = Mat(s.entries, s.ring)
+    assert s._scalar is not None and dense._scalar is None
+    for got, want, shape in ((left * s, left * dense, (left.rows, s.cols)),
+                             (s * right, dense * right, (s.rows, right.cols)),
+                             (s * s, dense * dense, (s.rows, s.cols))):
+        assert (got.rows, got.cols) == shape
+        assert got == want
+    assert s.conj_t() == dense.conj_t() == dense
+
+
+@pytest.mark.parametrize("ring", [PolyInt, PolyF2, C2Poly])
+def test_only_square_scalar_matrices_carry_the_tag(ring):
+    ident, two = Mat.identity(2, ring), Mat.scalar(2, 2, ring)
+    assert ident._scalar is not None and Mat.zeros(2, 2, ring)._scalar is not None
+    untagged = [
+        Mat(ident.entries, ring),
+        Mat.scalar(2, 1, ring, cols=3),
+        Mat.zeros(2, 3, ring),
+        ident + ident,
+        ident - two,
+        ident * 3,
+        3 * ident,
+        two * two,
+    ]
+    if ring is PolyInt:
+        untagged += [Mat.from_coeffs((((1,), ()), ((), (1,))), 2), ident.to_c2()]
+    if ring is PolyF2:
+        untagged.append(Mat.from_bits([[1, 0], [0, 1]], 2))
+    if ring is C2Poly:
+        total = ident + Mat.scalar(2, C2Poly.t(), ring)
+        untagged += [total, total.i_minus(), total.i_plus()]
+    assert all(m._scalar is None for m in untagged)
+    copy = Mat(ident.entries, ring)
+    assert ident == copy and copy == ident and hash(ident) == hash(copy)
+    assert Mat.scalar(2, 0, ring) == Mat(Mat.zeros(2, 2, ring).entries, ring)
+
+
+def test_a_matrix_equals_itself_without_reading_its_entries(monkeypatch):
+    m = Mat.scalar(2, zx("1+x"), PolyInt)
+
+    def banned(*_):
+        raise AssertionError("entries compared")
+
+    monkeypatch.setattr(rings, "_at_width", banned)
+    assert m == m and not m != m
 
 
 def test_det_fixtures():
