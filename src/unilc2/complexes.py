@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import witt
 from .forms import (
     ArfClass,
     QuadraticForm,
@@ -369,15 +370,20 @@ def relation_fixture(k: int, p: PolyInt, g: PolyInt, p2: PolyInt | None = None):
     """Formation sum, witness (pi, chi, pi^{-1} d^*) and expected Arf class
     for relation k.
 
-    1: M(p,g) + M(p2,g) - M(p+p2,g), expected class [p*p2*g^2]
-    2: M(2p,g) - M(2g,p), expected 0
-    3: M(x^2 p, g) - M(p, x^2 g), expected 0
-    4: M(2 p^2 g, g) - M(2p, g), expected 0
+    The relation is witt.RULES["R<k>"], the table the rewrite calculus
+    applies, with parameters (p1, p2, g) = (p, p2, g) for relation 1 and
+    (p, g) for the others.  Its move gives the generators taken, the
+    generators put and the Arf debris: the sum is make_M_sum of the taken
+    generators with sign +1 and the put ones with sign -1, and the expected
+    class is the debris.  Only the witnesses are stated here.
     """
+    if k not in (1, 2, 3, 4):
+        raise PrecondError(f"unknown relation {k}")
+    if k == 1 and p2 is None:
+        raise PrecondError("relation 1 needs both p parameters")
+    taken, put, debris = witt.RULES[f"R{k}"].move(*((p, p2, g) if k == 1 else (p, g)))
+    f = make_M_sum([(1, q, h) for q, h in taken] + [(-1, q, h) for q, h in put])
     if k == 1:
-        if p2 is None:
-            raise PrecondError("relation 1 needs both p parameters")
-        f = make_M_sum(((1, p, g), (1, p2, g), (-1, p + p2, g)))
         tg = 2 * g
         chi = _zx_mat(
             [
@@ -389,23 +395,16 @@ def relation_fixture(k: int, p: PolyInt, g: PolyInt, p2: PolyInt | None = None):
                 (0, 0, 0, 0, 0, p2),
             ]
         )
-        expected = arf_normalize((p * p2 * g * g).mod2())
-        return f, NullCobordismData(_R1_PI, chi, _R1_PI_INV_D), expected
-    if k == 2:
-        f = make_M_sum(((1, 2 * p, g), (-1, 2 * g, p)))
-        chi = _zx_mat(
-            [(0, 0, 2 * p, 1), (0, 0, 1, 2 * g), (0, 0, 2 * p, 2), (0, 0, 0, 2 * g)]
-        )
-        return f, NullCobordismData(_R2_PI, chi, _R2_PI_INV_D), ArfClass.zero()
-    if k == 3:
-        x2 = PolyInt.x_power(2)
-        f = make_M_sum(((1, x2 * p, g), (-1, p, x2 * g)))
+        ncd = NullCobordismData(_R1_PI, chi, _R1_PI_INV_D)
+    elif k == 2:
+        chi = _zx_mat([(0, 0, 2 * p, 1), (0, 0, 1, 2 * g), (0, 0, 2 * p, 2), (0, 0, 0, 2 * g)])
+        ncd = NullCobordismData(_R2_PI, chi, _R2_PI_INV_D)
+    elif k == 3:
         chi = _zx_mat(
             [(0, 0, -(_X * p), 1), (0, 0, -1, 2 * _X * g), (0, 0, -p, 0), (0, 0, 0, 2 * g)]
         )
-        return f, NullCobordismData(_R3_PI, chi, _R3_PI_INV_D), ArfClass.zero()
-    if k == 4:
-        f = make_M_sum(((1, 2 * p * p * g, g), (-1, 2 * p, g)))
+        ncd = NullCobordismData(_R3_PI, chi, _R3_PI_INV_D)
+    else:
         pi = _zx_mat([(1, 1, 0, 0), (0, p, 2, 0), (0, 1, 0, 0), (p, 0, 0, 2)])
         pi_inv_d = _zx_mat([(2, 0, -2, 0), (0, 0, 2, 0), (0, 1, -p, 0), (-p, 0, p, 1)])
         p2g = p * p * g
@@ -417,8 +416,8 @@ def relation_fixture(k: int, p: PolyInt, g: PolyInt, p2: PolyInt | None = None):
                 (0, 0, 0, -2 * g),
             ]
         )
-        return f, NullCobordismData(pi, chi, pi_inv_d), ArfClass.zero()
-    raise PrecondError(f"unknown relation {k}")
+        ncd = NullCobordismData(pi, chi, pi_inv_d)
+    return f, ncd, debris
 
 
 def run_relation(k: int, p: PolyInt, g: PolyInt, p2: PolyInt | None = None):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import shlex
 from collections import Counter
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import int_polys, pg_sweep, zx
+from test_formations import RELATION_TERMS
 
 from unilc2.complexes import (
     NullCobordismData,
@@ -35,7 +37,8 @@ from unilc2.formations import (
     verify_poincare,
 )
 from unilc2.forms import ArfClass, SingularFormError, arf, arf_normalize
-from unilc2 import complexes, rings
+from unilc2 import cli, complexes, rings, witt
+from unilc2.registry import SweepConfig, run_registry
 from unilc2.rings import (
     C2Poly,
     Mat,
@@ -206,17 +209,22 @@ def test_normalize_mu_signs_against_diag_product(summands):
 
 def test_relation_sums_pass_the_duality_check():
     """verify_poincare accepts the four relation fixtures' sums over the
-    degree-1 parameters, negated summands included: their mu is 2*Id."""
+    degree-1 parameters, negated summands included: their mu is 2*Id.  The
+    sums and classes, read off witt.RULES, are the relations as transcribed
+    in RELATION_TERMS and [p*p2*g^2] for relation 1, 0 for the others."""
     ps = int_polys(1)
     checked = 0
     for k in (1, 2, 3, 4):
         for p in ps:
             for g in ps:
                 try:
-                    f, _, _ = relation_fixture(k, p, g, p)
+                    f, _, expected = relation_fixture(k, p, g, p)
                 except PrecondError:
                     continue
                 assert verify_poincare(f), (k, p, g)
+                assert f == make_M_sum(RELATION_TERMS[k](p, g, p)), (k, p, g)
+                want = arf_normalize((p * p * g * g).mod2()) if k == 1 else ArfClass.zero()
+                assert expected == want, (k, p, g)
                 checked += 1
     assert checked == 216
 
@@ -656,6 +664,44 @@ def test_machine_rejects_a_composite_wrong_in_one_entry():
                     assert "invalid pi" in str(err.value)
                     tried += 1
     assert tried == 168
+
+
+# -- the machine checks read the relations from witt.RULES
+
+_X = PolyInt.x_power(1)
+# one wrong move per relation: the debris [p1*p2*g] for relation 1, M(2g, x*p)
+# and M(p, x*g) put for relations 2 and 3, M(2pg, g) taken for relation 4
+_WRONG_MOVES = {
+    1: lambda p1, p2, g: ([(p1, g), (p2, g)], [(p1 + p2, g)], arf_normalize((p1 * p2 * g).mod2())),
+    2: lambda p, g: ([(2 * p, g)], [(2 * g, _X * p)], ArfClass.zero()),
+    3: lambda p, g: ([(_X * _X * p, g)], [(p, _X * g)], ArfClass.zero()),
+    4: lambda p, g: ([(2 * p * g, g)], [(2 * p, g)], ArfClass.zero()),
+}
+_RELATION_CHECKS = {
+    1: "machine.additivity",
+    2: "machine.symmetry",
+    3: "machine.square-associativity",
+    4: "machine.square-root",
+}
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_a_wrong_rule_fails_its_machine_check_with_a_reproducer(monkeypatch, k):
+    """A wrong move for relation k in witt.RULES fails that relation's
+    machine check and no other relation's (machine.chi-slack, which runs
+    each relation's fixture once, may fail with it), and the reproducer in
+    the failure's detail replays the case through the CLI: exit 1 for a
+    wrong class, 3 for a stage error."""
+    rule = witt.RULES[f"R{k}"]
+    monkeypatch.setitem(witt.RULES, f"R{k}", dataclasses.replace(rule, move=_WRONG_MOVES[k]))
+    report = run_registry(SweepConfig(machine_deg_triples=1, machine_deg_pairs=1), "machine.*")
+    failed = {cid: detail for cid, _, ok, detail, _ in report.results if not ok}
+    assert set(failed) - {"machine.chi-slack"} == {_RELATION_CHECKS[k]}
+    argv = shlex.split(failed[_RELATION_CHECKS[k]].partition("; replay: ")[2])
+    assert argv[:4] == ["unilc2", "machine", "--relation", str(k)]
+    assert cli.main(argv[1:]) in (cli.EXIT_VERIFY_FAIL, cli.EXIT_DOMAIN)
+    monkeypatch.undo()
+    assert witt.RULES[f"R{k}"] is rule
 
 
 # -- base change fixture
