@@ -8,6 +8,7 @@ error (argparse), 3 domain error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -383,17 +384,50 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Stdout:
+    """Standard output that throws away what is written once its reader
+    has closed it (unilc2 ... | head), so the command runs on and exits
+    with its verdict."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def write(self, text: str) -> int:
+        try:
+            return self.stream.write(text)
+        except BrokenPipeError:
+            self._discard()
+            return len(text)
+
+    def flush(self):
+        try:
+            self.stream.flush()
+        except BrokenPipeError:
+            self._discard()
+
+    def _discard(self):
+        # the interpreter flushes sys.stdout again at exit: point its file
+        # descriptor at the null device, so that flush has nowhere to fail
+        fd = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(fd, self.stream.fileno())
+        os.close(fd)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     usage_error = {"verify": _verify_usage_error, "machine": _machine_usage_error}.get(args.command)
     if usage_error and (problem := usage_error(args)):
         parser.error(problem)
+    out = _Stdout(sys.stdout)
     try:
-        return args.fn(args)
+        with contextlib.redirect_stdout(out):
+            return args.fn(args)
     except (AlgebraError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    finally:
+        out.flush()
 
 
 if __name__ == "__main__":

@@ -432,6 +432,15 @@ def check_lift_independence(cfg):
 # machine
 
 
+def _machine_case(k, p, g, p2):
+    """Relation k's machine case at (p, g, p2): its parameters by name, as
+    witt.RULES["R<k>"] takes them, and the CLI line that replays it."""
+    values = (p, g) if p2 is None else (p, p2, g)
+    where = ", ".join(f"{name}={v}" for name, v in zip(witt.RULES[f"R{k}"].params, values))
+    flags = [f"--p={p}"] + ([f"--p2={p2}"] if p2 is not None else []) + [f"--g={g}"]
+    return where, shlex.join(["unilc2", "machine", "--relation", str(k), *flags])
+
+
 def check_machine_relation(cfg, k):
     """The machine gives the debris of relation k = witt.RULES["R<k>"] as
     its class on each parameter tuple of the machine sweep (triples for
@@ -447,17 +456,15 @@ def check_machine_relation(cfg, k):
         taken, put, _ = rule.move(*params)
         if any(p.constant * g.constant for p, g in taken + put):
             continue
-        named = dict(zip(rule.params, params))  # (p1, p2, g) or (p, g)
-        p, p2, g = params[0], named.get("p2"), params[-1]
+        # (p1, p2, g) or (p, g)
+        p, p2, g = params[0], params[1] if arity == 3 else None, params[-1]
         try:
             res, expected = complexes.run_relation(k, p, g, p2)
             wrong = None if res.arf == expected else f"class {res.arf}, expected {expected}"
         except AlgebraError as exc:
             wrong = f"raised {type(exc).__name__}: {exc}"
         if wrong:
-            flags = [f"--p={p}"] + ([f"--p2={p2}"] if p2 is not None else []) + [f"--g={g}"]
-            where = ", ".join(f"{name}={v}" for name, v in named.items())
-            replay = shlex.join(["unilc2", "machine", "--relation", str(k), *flags])
+            where, replay = _machine_case(k, p, g, p2)
             return False, f"relation {k} machine wrong at {where}: {wrong}; replay: {replay}"
         n += 1
     return True, f"relation {k} verified by the machine on {n} {'triples' if arity == 3 else 'pairs'}"
@@ -485,8 +492,13 @@ def check_chi_slack(cfg):
         (4, x, x, None),
     ]
     for k, p, g, p2 in cases:
-        f, ncd, expected = complexes.relation_fixture(k, p, g, p2)
-        base = complexes.run_machine(f, ncd).arf
+        where, replay = _machine_case(k, p, g, p2)
+        try:
+            f, ncd, _ = complexes.relation_fixture(k, p, g, p2)
+            base = complexes.run_machine(f, ncd).arf
+        except AlgebraError as exc:
+            wrong = f"raised {type(exc).__name__}: {exc}"
+            return False, f"relation {k} machine wrong at {where}: {wrong}; replay: {replay}"
         n = ncd.p_rank
         for _ in range(5):
             rows = [[PolyInt.zero()] * n for _ in range(n)]
@@ -497,9 +509,13 @@ def check_chi_slack(cfg):
                     rows[j][i] = -e
             sigma = Mat(rows, PolyInt)
             # the slack leaves pi, so the witness keeps its composite
-            res = complexes.run_machine(f, replace(ncd, chi=ncd.chi + sigma))
+            try:
+                res = complexes.run_machine(f, replace(ncd, chi=ncd.chi + sigma))
+            except AlgebraError as exc:
+                wrong = f"raised {type(exc).__name__}: {exc}"
+                return False, f"relation {k} machine wrong at {where} with skew slack: {wrong}"
             if res.arf != base:
-                return False, f"skew slack changed the class for relation {k}"
+                return False, f"skew slack changed the class for relation {k} at {where}"
     return True, "adding skew slack to chi never changes the final class"
 
 

@@ -969,9 +969,11 @@ class Mat:
     def det(self):
         """Determinant.
 
-        Over Z[x] a 2x2 determinant is the expansion formula on the packed
-        values when its bound fits the slot width; otherwise Z[x] and F2[x]
-        use fraction-free Bareiss elimination on packed integers (_det).
+        Over Z[x] and F2[x] the product of the determinants of the
+        diagonal blocks the matrix splits into (_det): a 1x1 block is its
+        entry, a 2x2 block is the expansion formula on the packed values
+        (over Z[x] when the bound fits the slot width), and a larger block
+        goes through fraction-free Bareiss elimination on packed integers.
         Z[C2][x] has zero divisors, so its determinant is the pair of the
         determinants of its two legs: both T-evaluations are ring maps, so
         they commute with det.
@@ -1329,19 +1331,46 @@ def _eliminate(m, n, jordan, row_update):
 
 
 def _det(m: Mat):
-    """Determinant of a square Z[x] or F2[x] matrix."""
-    n = m.rows
-    if n <= 1:
-        return m[0, 0] if n else m.ring.one()
-    if m.ring is PolyF2:
-        res = _eliminate([list(r) for r in m._data], n, False, _f2_row)
-        return PolyF2(res[1]) if res else PolyF2(0)
-    if n == 2 and (2 * m.length * m.bound**2).bit_length() < m.k:
-        (a, b), (c, d) = m._data
-        return PolyInt._raw(_unpack(a * d - b * c, m.k))
-    k, rows = _zx_pack_rows(_coeff_rows(m))
-    res = _eliminate(rows, n, False, _zx_row)
-    return PolyInt._raw(_unpack(res[0] * res[1], k)) if res else PolyInt(())
+    """Determinant of a square Z[x] or F2[x] matrix: the product of the
+    determinants of its diagonal blocks between the cuts c at which the
+    blocks [:c, c:] and [c:, :c] are zero (contiguous, so with no sign).
+    One scan finds the cuts; it stops at the first row or column that
+    reaches the last one, since no cut can follow.  A matrix up to 2x2 is
+    taken whole."""
+    data, n = m._data, m.rows
+    if n <= 2:
+        return _block_det(m, data)
+    d, start, reach, idx = None, 0, 0, range(n)
+    for i, col in enumerate(zip(*data)):
+        reach = max(reach, i, *itertools.compress(idx, data[i]), *itertools.compress(idx, col))
+        if i < reach < n - 1:
+            continue
+        end = reach + 1  # a cut at i + 1, or none before n
+        b = _block_det(m, [r[start:end] for r in data[start:end]])
+        d = b if d is None else d * b
+        if end == n:
+            return d
+        start = end
+
+
+def _block_det(m: Mat, blk):
+    """Determinant of blk, a square block of m's rows of ints: its entry
+    at 1x1, ad - bc at 2x2 (over Z[x] when m's bound fits its slot width),
+    by Bareiss elimination otherwise."""
+    n, k, f2 = len(blk), m.k, m.ring is PolyF2
+    if n == 2 and (f2 or (2 * m.length * m.bound**2).bit_length() < k):
+        (a, b), (c, e) = blk
+        z = clmul(a, e) ^ clmul(b, c) if f2 else a * e - b * c
+    elif n <= 1:
+        z = blk[0][0] if n else 1
+    elif f2:
+        res = _eliminate([list(r) for r in blk], n, False, _f2_row)
+        z = res[1] if res else 0
+    else:
+        k, rows = _zx_pack_rows([[_unpack(w, k) for w in r] for r in blk])
+        res = _eliminate(rows, n, False, _zx_row)
+        z = res[0] * res[1] if res else 0
+    return PolyF2(z) if f2 else PolyInt._raw(_unpack(z, k))
 
 
 def _solve(a: Mat, b: Mat) -> Mat:

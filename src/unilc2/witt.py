@@ -17,6 +17,7 @@ everywhere.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -224,18 +225,26 @@ def verschiebung(n: int, word: GenWord) -> GenWord:
     return GenWord(terms, word.arf_part.verschiebung(n))
 
 
+@functools.lru_cache(maxsize=256)
+def _graph_M0(g: PolyInt):
+    """M(0, g), shown to be a graph formation (RuleError otherwise, which
+    is not cached): both depend on g alone."""
+    src = make_M(PolyInt.zero(), g)
+    if not is_graph(src):
+        raise RuleError("M(0,g) is not a graph formation")
+    return src
+
+
 def apply_iso_M0(word: GenWord, p: PolyInt, g: PolyInt, sign: int = 1) -> GenWord:
     """Discharge M(4p, g): verified isomorphic to the graph formation
     M(0, g) by the explicit witness (Id, Id, [[p,0],[0,0]]), hence zero."""
     four_p = PolyInt((4,)) * p
-    src = make_M(PolyInt.zero(), g)
+    src = _graph_M0(g)
     dst = make_M(four_p, g)
     ident = two_id(2, C2Poly, c=1)
     nu = Mat.from_coeffs(((p.coeffs, ()), ((), ())), 2).to_c2()
     if not verify_formation_iso(src, dst, ident, ident, nu, ident, ident):
         raise RuleError("the M(0,g) -> M(4p,g) isomorphism witness fails")
-    if not is_graph(src):
-        raise RuleError("M(0,g) is not a graph formation")
     return GenWord(_take(word, [(four_p, g)], sign), word.arf_part)
 
 

@@ -1,7 +1,10 @@
 import io
 import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -344,6 +347,43 @@ def test_unil(capsys):
 
 def test_unil_bad_context(capsys):
     assert main(["unil", "--n", "3", "--group", "dihedral"]) == 3
+
+
+# -- a reader that closes standard output early (unilc2 ... | head) leaves
+# the exit code to the verdict
+
+_CLI = "import sys; from unilc2 import cli; sys.exit(cli.main(sys.argv[1:]))"
+# the same with every check of the registry made to fail
+_FAILING_CLI = (
+    "import sys; from unilc2 import cli, registry; "
+    "registry.REGISTRY = tuple(registry.Check(c.id, c.statement, lambda cfg: (False, 'made to fail')) "
+    "for c in registry.REGISTRY); "
+    "sys.exit(cli.main(sys.argv[1:]))"
+)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("program, argv, verdict", [
+    (_CLI, ["verify", "--filter", "rings.*"], 0),
+    (_FAILING_CLI, ["verify", "--filter", "rings.*"], 1),
+    (_CLI, ["unil", "--n", "3"], 0),
+], ids=["verify-pass", "verify-fail", "unil"])
+def test_a_closed_standard_output_leaves_the_verdict(program, argv, verdict, unbuffered):
+    """The CLI in a fresh interpreter whose standard output is closed by
+    its reader before anything is written: what it writes there is thrown
+    away, it exits with its verdict, and standard error stays empty.
+    Unbuffered, the first print meets the closed pipe; buffered, the last
+    flush does."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-c", program, *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (verdict, b"")
 
 
 def test_verify_filtered(capsys, tmp_path):

@@ -691,7 +691,9 @@ def test_a_wrong_rule_fails_its_machine_check_with_a_reproducer(monkeypatch, k):
     machine check and no other relation's (machine.chi-slack, which runs
     each relation's fixture once, may fail with it), and the reproducer in
     the failure's detail replays the case through the CLI: exit 1 for a
-    wrong class, 3 for a stage error."""
+    wrong class, 3 for a stage error.  The wrong moves for relations 2-4
+    break chi-slack's unperturbed fixture too, and its detail names the
+    relation and parameters and ends in the same kind of reproducer."""
     rule = witt.RULES[f"R{k}"]
     monkeypatch.setitem(witt.RULES, f"R{k}", dataclasses.replace(rule, move=_WRONG_MOVES[k]))
     report = run_registry(SweepConfig(machine_deg_triples=1, machine_deg_pairs=1), "machine.*")
@@ -700,6 +702,13 @@ def test_a_wrong_rule_fails_its_machine_check_with_a_reproducer(monkeypatch, k):
     argv = shlex.split(failed[_RELATION_CHECKS[k]].partition("; replay: ")[2])
     assert argv[:4] == ["unilc2", "machine", "--relation", str(k)]
     assert cli.main(argv[1:]) in (cli.EXIT_VERIFY_FAIL, cli.EXIT_DOMAIN)
+    if k > 1:
+        where, flags = {2: ("p=x, g=1", ["--p=x", "--g=1"]), 3: ("p=x, g=x", ["--p=x", "--g=x"]),
+                        4: ("p=x, g=x", ["--p=x", "--g=x"])}[k]
+        detail, _, replay = failed["machine.chi-slack"].partition("; replay: ")
+        assert detail.startswith(f"relation {k} machine wrong at {where}: raised StageError: ")
+        assert shlex.split(replay) == ["unilc2", "machine", "--relation", str(k), *flags]
+        assert cli.main(shlex.split(replay)[1:]) == cli.EXIT_DOMAIN
     monkeypatch.undo()
     assert witt.RULES[f"R{k}"] is rule
 

@@ -2,6 +2,7 @@ import functools
 import itertools
 import operator
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from conftest import (
     f2,
     gauss_jordan_solve,
     int_polys,
+    laplace_det,
     obj_add,
     obj_mul,
     obj_neg,
@@ -22,7 +24,8 @@ from conftest import (
 )
 
 from unilc2 import rings
-from unilc2.complexes import relation_fixture
+from unilc2.complexes import relation_fixture, run_relation
+from unilc2.formations import make_M_sum
 from unilc2.rings import (
     C2Poly,
     MAX_EXPONENT,
@@ -759,6 +762,82 @@ def test_det_against_permutation_expansion(m):
     assert m * cofactor_adjugate(m) == Mat.scalar(m.rows, d, m.ring)
     if m.ring is not C2Poly:
         assert d == bareiss_det(m)
+
+
+@st.composite
+def block_diagonal_matrices(draw):
+    """(m, big): a contiguous block-diagonal Z[x] or F2[x] matrix with
+    blocks of sizes 1-4 (none at all, for n = 0, included), and whether its
+    Z[x] coefficients are past the 2x2 closed form's guard (about 2^40, so
+    the bound squared needs more than the 64-bit slot).  A block is dense,
+    singular (rank one, still with no zero entry) or zero; some matrices
+    get one nonzero entry outside the blocks."""
+    ring = draw(st.sampled_from([PolyInt, PolyF2]))
+    sizes = draw(st.lists(st.integers(1, 4), max_size=3).filter(lambda s: sum(s) <= 8))
+    big = ring is PolyInt and draw(st.booleans())
+    nonzero = ring_elements(ring).filter(bool)
+    if big:
+        nonzero = nonzero.map(lambda e: e + PolyInt((0, 1 << 40)))
+    n = sum(sizes)
+    rows = [[ring.zero()] * n for _ in range(n)]
+    owner = [b for b, s in enumerate(sizes) for _ in range(s)]
+    start = 0
+    for s in sizes:
+        kind = draw(st.sampled_from(["dense", "singular", "zero"]))
+        u, v = ([draw(nonzero) for _ in range(s)] for _ in range(2))
+        for i in range(s):
+            for j in range(s):
+                if kind != "zero":
+                    rows[start + i][start + j] = draw(nonzero) if kind == "dense" else u[i] * v[j]
+        start += s
+    outside = [(i, j) for i in range(n) for j in range(n) if owner[i] != owner[j]]
+    if outside and draw(st.booleans()):
+        i, j = draw(st.sampled_from(outside))
+        rows[i][j] = draw(nonzero)
+    return Mat(rows, ring), big and any(map(any, rows))  # a zero matrix has no big entry
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_diagonal_matrices())
+def test_det_splits_at_the_diagonal_blocks(case):
+    """det is the Laplace expansion's, and only the blocks between the
+    cuts c with m[:c, c:] and m[c:, :c] zero that are larger than 2x2, or
+    2x2 past the closed form's guard, go through elimination (a matrix up
+    to 2x2 is one block)."""
+    m, big = case
+    n = m.rows
+    cuts = [0, *[c for c in range(1, n) if n > 2 and not any(
+        m[i, j] or m[j, i] for i in range(c) for j in range(c, n))], n]
+    blocks = [b - a for a, b in zip(cuts, cuts[1:])]
+    with mock.patch.object(rings, "_eliminate", wraps=rings._eliminate) as spy:
+        d = m.det()
+    assert d == laplace_det(m.entries, m.ring)
+    assert [c.args[1] for c in spy.call_args_list] == [s for s in blocks if s > 2 or s == 2 and big]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([1, -1]), st.sampled_from(int_polys(1)),
+                          st.sampled_from(int_polys(1))).filter(lambda t: not (t[1] * t[2]).constant),
+                max_size=3))
+def test_det_of_generator_sums_against_laplace_expansion(terms):
+    gamma = make_M_sum(terms).gamma
+    assert gamma.det() == laplace_det(gamma.entries, C2Poly)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_the_machine_runs_without_elimination(monkeypatch, k):
+    """Every determinant of a relation's machine run (the T -> +1 graph
+    check among them) is of a matrix that splits into 2x2 diagonal blocks,
+    so it needs no elimination."""
+
+    def banned(*args):
+        raise AssertionError("_eliminate called")
+
+    monkeypatch.setattr(rings, "_eliminate", banned)
+    x, one = zx("x"), zx("1")
+    for p, g, p2 in [(x, one, x), (x, x, one), (zx("2*x+1"), x, x)]:
+        res, expected = run_relation(k, p, g, p2 if k == 1 else None)
+        assert res.arf == expected
 
 
 def test_adjugate_identity():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import int_polys, pg_sweep, zx
 
+from unilc2 import witt
 from unilc2.forms import ArfClass, arf_normalize
 from unilc2.rings import PolyInt, PrecondError
 from unilc2.witt import (
@@ -150,6 +151,25 @@ def test_iso_m0_discharges():
     assert apply_iso_M0(w, x, one).is_zero()
     w0 = GenWord.generator(zx("0"), x)
     assert apply_iso_M0(w0, zx("0"), x).is_zero()
+
+
+def test_iso_m0_proves_m0_a_graph_once_per_g(monkeypatch):
+    """M(0, g) is built and shown to be a graph formation once for every p
+    with the same g; a failing graph check is not kept, so it raises on
+    every call."""
+    witt._graph_M0.cache_clear()
+    built, make_M = [], witt.make_M
+    monkeypatch.setattr(witt, "make_M", lambda p, g: built.append(p) or make_M(p, g))
+    g = zx("1+x")
+    for p in (x, zx("2*x")):
+        assert apply_iso_M0(GenWord.generator(4 * p, g), p, g).is_zero()
+    assert built == [zx("0"), zx("4*x"), zx("8*x")]
+    monkeypatch.setattr(witt, "is_graph", lambda f: False)
+    g = zx("x")
+    for _ in range(2):
+        with pytest.raises(RuleError, match=r"M\(0,g\) is not a graph formation"):
+            apply_iso_M0(GenWord.generator(zx("4"), g), one, g)
+    assert built[3:] == [zx("0"), zx("0")]
 
 
 # -- steps are checked against the rule table
