@@ -556,6 +556,8 @@ def check_idempotence(cfg):
         ):
             return False, f"idempotence replay fails at p={p}"
         n += 1
+    if not n:
+        return False, "the coefficient set admits no nonzero polynomial"
     return True, f"2*(V2-1)*M(p,1) reduces to zero for {n} polynomials of degree <= 4"
 
 

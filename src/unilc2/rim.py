@@ -11,7 +11,9 @@ symmetrization).  The construction runs in three recorded steps:
      pair over the identity (this needs a unimodular integer lift of
      phi'^{-1}; the one symplectic reduction of phi' gives u with
      u^T phi' u = J, so phi'^{-1} = u J u^T with no Gauss-Jordan inverse,
-     and its elementary column operations, lifted one by one, lift u);
+     and its elementary column operations, lifted one by one, lift u to U;
+     the lift U J U^T has determinant det J * det(U)^2, so its unit
+     determinant is checked on U);
   3. entry-wise assembly of each matched pair of integer matrices into a
      single matrix over Z[C2][x] through the fibre-product isomorphism.
 
@@ -41,6 +43,7 @@ from .rings import (
     ShapeError,
     _new,
     pullback_matrix,
+    spread_bits,
 )
 
 
@@ -155,6 +158,10 @@ def _unimodular_lift(basis: SymplecticBasis, phi_inv: Mat) -> Mat:
     U J U^T lifts phi'^{-1} with determinant +-1.  The result is checked
     against phi_inv: the replayed Z[x] operations must reduce to u J u^T,
     which the reduction's exact check u^T phi' u = J proves is phi'^{-1}.
+    Its unit determinant is checked on the factor U^T: the product is
+    exact and det J = +-1, so det(U J U^T) = det J * det(U)^2 is +-1
+    exactly when det U is, and U's entries are about half as long as the
+    product's, so its determinant is the cheaper one to form.
 
     Every lifted multiplier has 0/1 coefficients and every operation adds,
     so no coefficient of U is negative and none cancels.  A first pass over
@@ -181,7 +188,6 @@ def _unimodular_lift(basis: SymplecticBasis, phi_inv: Mat) -> Mat:
     longest = max(length, default=0)
     k = max(MIN_SLOT_BITS, max(bound, default=0).bit_length() + 1)
     s = k * longest
-    gap = "0" * (k - 1)  # f(2^k) is f's bits spread k apart, as in Mat.lift_bits
     cols = [1 << (j * s) for j in range(n)]
     for op in basis.ops:
         if op[0] == "swap":
@@ -189,7 +195,7 @@ def _unimodular_lift(basis: SymplecticBasis, phi_inv: Mat) -> Mat:
             cols[i], cols[j] = cols[j], cols[i]
         else:
             _, tgt, src, f = op
-            cols[tgt] += int(gap.join(format(f, "b")), 2) * cols[src]
+            cols[tgt] += spread_bits(f, k) * cols[src]
     # the factors' bound, within a factor 2 of their largest coefficient:
     # the OR of all coefficients, folded slot by slot out of the columns
     acc, slots = 0, n * longest
@@ -204,9 +210,12 @@ def _unimodular_lift(basis: SymplecticBasis, phi_inv: Mat) -> Mat:
     mask = (1 << s) - 1
     ut = tuple([tuple([c >> (i * s) & mask for i in range(n)]) for c in cols])
     u_j = tuple(zip(*[ut[j ^ 1] for j in range(n)]))
-    lift = _new(PolyInt, n, n, u_j, k, top, longest) * _new(PolyInt, n, n, ut, k, top, longest)
-    if lift.mod2() != phi_inv or not lift.det().is_unit():
-        raise AssemblyError("unimodular lift construction failed")
+    factor = _new(PolyInt, n, n, ut, k, top, longest)  # U^T
+    lift = _new(PolyInt, n, n, u_j, k, top, longest) * factor
+    if lift.mod2() != phi_inv:
+        raise AssemblyError("the lift U J U^T does not reduce to phi'^-1")
+    if not factor.det().is_unit():
+        raise AssemblyError("the lift U of u is not unimodular")
     return lift
 
 

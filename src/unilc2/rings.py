@@ -26,6 +26,7 @@ matrices written ``[a,b;c,d]``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import re
@@ -942,8 +943,8 @@ class Mat:
     def lift_bits(self) -> "Mat":
         """The Z[x] matrix with the 0/1 coefficients of this F2[x] matrix:
         a bitmask's value at x = 2^k is its bits spread k apart."""
-        gap, data = "0" * (MIN_SLOT_BITS - 1), self.bits
-        rows = tuple(tuple([b if b < 2 else int(gap.join(format(b, "b")), 2) for b in r]) for r in data)
+        data = self.bits
+        rows = tuple(tuple([b if b < 2 else spread_bits(b, MIN_SLOT_BITS) for b in r]) for r in data)
         n = f2_bit_length(data)
         return _new(PolyInt, self.rows, self.cols, rows, MIN_SLOT_BITS, min(n, 1), n)
 
@@ -1212,6 +1213,23 @@ def f2_bit_length(rows) -> int:
     """The bit length of the longest entry in rows of bitmasks (0 when
     there are no entries)."""
     return max(map(max, rows)).bit_length() if rows and rows[0] else 0
+
+
+def spread_bits(b: int, k: int) -> int:
+    """The value at x = 2^k of the bitmask b >= 0, its bits spread k apart:
+    a table of the 256 bytes spread k apart, one entry ORed in per byte."""
+    table, step = _spread_table(k), 8 * k
+    out = shift = 0
+    while b:
+        out |= table[b & 255] << shift
+        b >>= 8
+        shift += step
+    return out
+
+
+@functools.lru_cache(maxsize=8)
+def _spread_table(k: int) -> tuple:
+    return tuple([sum(1 << i * k for i in range(8) if v >> i & 1) for v in range(256)])
 
 
 def f2_pack(row, w: int) -> int:

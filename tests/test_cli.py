@@ -428,6 +428,32 @@ def test_verify_filter_matching_no_check_is_a_usage_error(tmp_path):
     assert not summary.exists()
 
 
+@pytest.mark.parametrize("coeffs", [["0"], ["0", "0"]])
+def test_verify_coefficient_set_of_zeros_is_a_usage_error(tmp_path, coeffs):
+    """A --coeff-set with no nonzero entry would run every sweep on zero
+    polynomials alone: it exits 2 before any output, never an empty pass."""
+    summary = tmp_path / "sum.txt"
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["verify", "--coeff-set", *coeffs, "--summary", str(summary)])
+    assert exc.value.code == 2
+    assert out.getvalue() == ""
+    assert "--coeff-set" in err.getvalue()
+    assert not summary.exists()
+
+
+def test_idempotence_check_fails_when_it_admits_no_polynomial():
+    """Through the API a sweep of zero coefficients still reaches the
+    idempotence check, which reports the empty sweep as a failure."""
+    from unilc2.registry import SweepConfig, check_idempotence
+
+    ok, detail = check_idempotence(SweepConfig(coeffs=(0,)))
+    assert not ok
+    assert "no nonzero polynomial" in detail
+    ok, detail = check_idempotence(SweepConfig(coeffs=(0, 1)))
+    assert ok and "for 15 polynomials" in detail
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import cofactor_adjugate, f2, obj_mul, zx
 
+from unilc2 import rim
 from unilc2.formations import is_contractible, is_graph, make_Q
 from unilc2.forms import (
     QuadraticForm,
@@ -29,7 +30,7 @@ from unilc2.rim import (
     _assemble,
     _unimodular_lift,
 )
-from unilc2.rings import Mat, PolyF2, PolyInt, PrecondError, clmul, parse_matrix
+from unilc2.rings import Mat, PolyF2, PolyInt, PrecondError, clmul, parse_matrix, spread_bits
 
 
 def test_chi_prime_of_the_family():
@@ -314,13 +315,70 @@ def test_dropped_operation_fails_the_lift_check():
             _unimodular_lift(broken, inp.phi_inv)
 
 
+# -- the unit determinant, checked on the factor U
+
+
+def j_matrix(n):
+    """J over Z[x]: the columns of each pair of Id exchanged."""
+    one, zero = PolyInt.one(), PolyInt.zero()
+    return Mat([[one if j == i ^ 1 else zero for j in range(n)] for i in range(n)], PolyInt)
+
+
+@pytest.mark.parametrize(
+    "seed_rank", [(seed, rank) for rank in (2, 4, 6, 8) for seed in (53, 54, 55)] + [None], ids=str
+)
+def test_lift_determinant_is_det_J_times_det_U_squared(seed_rank):
+    """det(U J U^T) = det J * det(U)^2, with U from the object-level
+    replay, and det U = +-1, on dense forms and the generic rank-4 form:
+    so the lift is unimodular exactly when its factor U is, which is
+    where _unimodular_lift checks it."""
+    if seed_rank is None:
+        form = QuadraticForm(parse_matrix(GENERIC_PSI, PolyF2), 1)
+    else:
+        form = dense_boundary_form(random.Random(seed_rank[0]), seed_rank[1])
+    inp = BoundaryInput.with_default_lifts(form)
+    lift = _unimodular_lift(inp.basis, inp.phi_inv)
+    det_u = Mat(polyint_factor(inp.basis), PolyInt).det()
+    assert det_u in (PolyInt.one(), -PolyInt.one())
+    assert lift.det() == j_matrix(lift.rows).det() * det_u * det_u
+
+
+def test_non_unimodular_factor_fails_the_lift_check(monkeypatch):
+    """A factor congruent to u mod 2 but not unimodular passes the mod-2
+    check and must fail the determinant check: an appended u_0 += u_0,
+    whose multiplier is lifted to 2 instead of 1, scales column 0 of U by
+    3 (u_0 + u_0 is 0 over F2[x], but 3 u_0 reduces to u_0)."""
+    inp = BoundaryInput.with_default_lifts(QuadraticForm(parse_matrix(GENERIC_PSI, PolyF2), 1))
+    basis = dataclasses.replace(inp.basis, ops=inp.basis.ops + (("add", 0, 0, 1),))
+    adds = sum(op[0] == "add" for op in basis.ops)
+    calls = []
+
+    def lift_multiplier(b, k):
+        calls.append(b)
+        return 2 if len(calls) == adds else spread_bits(b, k)
+
+    monkeypatch.setattr(rim, "spread_bits", lift_multiplier)
+    with pytest.raises(AssemblyError, match="is not unimodular"):
+        _unimodular_lift(basis, inp.phi_inv)
+    assert len(calls) == adds
+
+
+def test_lift_failures_have_distinct_messages():
+    inp = BoundaryInput.with_default_lifts(QuadraticForm(parse_matrix(GENERIC_PSI, PolyF2), 1))
+    i = next(i for i, op in enumerate(inp.basis.ops) if op[0] == "add")
+    broken = dataclasses.replace(inp.basis, ops=inp.basis.ops[:i] + inp.basis.ops[i + 1:])
+    with pytest.raises(AssemblyError, match=r"does not reduce to phi'\^-1"):
+        _unimodular_lift(broken, inp.phi_inv)
+
+
 # -- the packed replay against the object-level one
 
 
-def polyint_lift(basis):
-    """Oracle: U J U^T as rows of PolyInt objects, U the basis's column
-    operations replayed on Id entry by entry with each multiplier lifted
-    coefficient-wise (the replay the packed columns replaced)."""
+def polyint_factor(basis):
+    """Oracle: U^T as rows of PolyInt objects (the columns of U), U the
+    basis's column operations replayed on Id entry by entry with each
+    multiplier lifted coefficient-wise (the replay the packed columns
+    replaced)."""
     n = basis.u.rows
     one, zero = PolyInt.one(), PolyInt.zero()
     cols = [[one if i == j else zero for i in range(n)] for j in range(n)]
@@ -332,9 +390,16 @@ def polyint_lift(basis):
             _, tgt, src, f = op
             fl = PolyInt(PolyF2(f).coeffs)
             cols[tgt] = [a + fl * b for a, b in zip(cols[tgt], cols[src])]
+    return cols
+
+
+def polyint_lift(basis):
+    """Oracle: U J U^T as rows of PolyInt objects, U from polyint_factor."""
+    cols = polyint_factor(basis)
+    n = len(cols)
     # U J is U with the columns of each pair exchanged; U^T has rows cols
     u_j = [[cols[j ^ 1][i] for j in range(n)] for i in range(n)]
-    return obj_mul(u_j, cols, n, zero)
+    return obj_mul(u_j, cols, n, PolyInt.zero())
 
 
 @st.composite

@@ -55,6 +55,7 @@ from unilc2.rings import (
     pullback_matrix,
     pullback_pair,
     solve_right,
+    spread_bits,
 )
 
 
@@ -563,6 +564,14 @@ def test_f2_dot_against_a_clmul_loop(pairs):
     for v, z in zip(row, packed):
         want ^= clmul(v, z)
     assert f2_dot(row, packed) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(f2_bitmasks, st.integers(1, 130))
+def test_spread_bits_against_the_string_spread(b, k):
+    """spread_bits, a byte table ORed in per byte, is b's value at x = 2^k:
+    its binary digits with k - 1 zeros between each two."""
+    assert spread_bits(b, k) == int(("0" * (k - 1)).join(format(b, "b")), 2)
 
 
 @st.composite
