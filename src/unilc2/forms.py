@@ -10,7 +10,10 @@ x^(2k) = x^k for k >= 1 (class ArfClass).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import compress
+from operator import xor
 
 from .rings import (
     AlgebraError,
@@ -23,7 +26,6 @@ from .rings import (
     clmul,
     f2_bit_length,
     f2_dot,
-    f2_pack,
     format_poly,
 )
 
@@ -236,14 +238,39 @@ def standard_symplectic(n: int) -> Mat:
 # carry-less product, ucols[tgt] ^= clmul(f, ucols[src]); it stays slot by
 # slot while no product f * u[i][src] outgrows w bits, so each column's
 # longest entry is tracked, and all columns are repacked wider before an
-# operation that could spill.
+# operation that could spill.  w is a multiple of 64: laid end to end as
+# an array a of 64-bit limbs (_limbs), the columns hold u column by
+# column, L = w / 64 limbs an entry, so limb l of row i's entries is the
+# strided slice a[i*L + l::n*L].  u is transposed, and re-slotted at
+# another multiple of 64, by a few such slices a row (_transpose), not
+# entry by entry.
 FIRST_SLOT_BITS = 64  # the slot width u's packed columns start at
 
 
-def _unpack_cols(ucols, n: int, w: int) -> list:
-    """The rows of bitmasks of the n x n matrix with these packed columns."""
-    mask = (1 << w) - 1
-    return [tuple([c >> (i * w) & mask for c in ucols]) for i in range(n)]
+def _limbs(ints, size: int) -> array:
+    """Nonnegative ints of at most 64 * size bits, end to end as 64-bit
+    limbs, lowest first."""
+    return array("Q", b"".join([z.to_bytes(8 * size, "little") for z in ints]))
+
+
+def _ints(a: array, size: int) -> list:
+    """The ints held by consecutive runs of `size` limbs of a."""
+    if size == 1 or not a:
+        return a.tolist()
+    b, step = a.tobytes(), 8 * size
+    return [int.from_bytes(b[k:k + step], "little") for k in range(0, len(b), step)]
+
+
+def _transpose(a: array, n: int, L: int, K: int) -> array:
+    """The transpose of the n x n matrix that a holds entry by entry, row
+    by row, L limbs an entry, with K limbs an entry: limbs past L are 0,
+    and limbs past K are dropped, so they must be 0."""
+    out = array("Q", bytes(8 * n * n * K))
+    m = memoryview(a)
+    for l in range(min(L, K)):
+        plane = m[l::L]  # limb l of each entry: row i of the transpose is plane[i::n]
+        out[l::K] = array("Q", b"".join([plane[i::n].tobytes() for i in range(n)]))
+    return out
 
 
 def symplectic_reduce(form: QuadraticForm) -> SymplecticBasis:
@@ -259,10 +286,11 @@ def symplectic_reduce(form: QuadraticForm) -> SymplecticBasis:
     in characteristic 2, mu(a + f*b) = mu(a) + f^2 mu(b) + f lambda(a, b).
 
     The pairing runs on bitmask rows with the carry-less arithmetic of
-    rings, and u on packed columns (above), unpacked once at the end;
-    PolyF2 objects are built only for the quadratic values.
-    Every column operation is recorded in the result's ops, and the result
-    is checked, u^T lambda u = J, by one packed pass (_is_standard_gram).
+    rings, and u on packed columns (above); each update visits only the
+    nonzero entries it reads, and PolyF2 objects are built only for the
+    quadratic values.  Every column operation is recorded in the result's
+    ops, and the result is checked, u^T lambda u = J, by one packed pass
+    (_checked_rows).
     """
     if form.ring is not PolyF2:
         raise RingTagError("symplectic reduction works over F2[x]")
@@ -270,12 +298,12 @@ def symplectic_reduce(form: QuadraticForm) -> SymplecticBasis:
         raise PrecondError("symplectic reduction expects a (+1)-form")
     n = form.rank
     psi = form.psi.bits
-    lam = [[psi[i][j] ^ psi[j][i] for j in range(n)] for i in range(n)]
+    lam = [list(map(xor, r, c)) for r, c in zip(psi, zip(*psi))]
     if any(lam[i][i] for i in range(n)):
         raise PrecondError("pairing must be alternating (zero diagonal)")
     # the pairing in the current basis (symmetric); while pair t is built
     # only its live block, indices >= t, is kept up to date
-    g = [list(r) for r in lam]
+    g = [r[:] for r in lam]
     q = [psi[j][j] for j in range(n)]
     ops = []
     w = FIRST_SLOT_BITS
@@ -288,39 +316,46 @@ def symplectic_reduce(form: QuadraticForm) -> SymplecticBasis:
         ops.append(("add", tgt, src, f))
         need = ulen[src] + f.bit_length() - 1
         if need > w:
-            wider = max(2 * w, need)
-            ucols[:] = [f2_pack(c, wider) for c in zip(*_unpack_cols(ucols, n, w))]
+            wider = max(2 * w, -(-need // 64) * 64)
+            L, K = w // 64, wider // 64
+            # the transpose of the transpose, re-slotted wider on the way
+            rows = _transpose(_limbs(ucols, n * L), n, L, K)
+            ucols[:] = _ints(_transpose(rows, n, K, K), n * K)
             w = wider
-        ucols[tgt] ^= clmul(f, ucols[src])
-        ulen[tgt] = max(ulen[tgt], need)
+        ucols[tgt] ^= ucols[src] if f == 1 else clmul(f, ucols[src])
+        if need > ulen[tgt]:
+            ulen[tgt] = need
 
     for t in range(0, n, 2):
         # Euclid on row t: afterwards <e_t, e_piv> is the row's gcd and
         # every other pairing of e_t vanishes
         gt = g[t]
-        live = g[t:]
         while True:
-            nz = [j for j in range(t + 1, n) if gt[j]]
-            if not nz:
-                raise SingularFormError("pairing is not unimodular")
-            piv = min(nz, key=lambda j: gt[j].bit_length())  # the first of least degree
-            if len(nz) == 1:
+            nz = list(compress(range(t + 1, n), gt[t + 1:]))
+            if len(nz) < 2:
                 break
+            piv = min(nz, key=lambda j: gt[j].bit_length())  # the first of least degree
+            # row and column j of the live block gain f times those of piv,
+            # where row piv is nonzero (g is symmetric there, and row piv,
+            # with g[piv][piv] = 0, is left as it is)
+            gp, qp = g[piv], q[piv]
+            support = list(compress(range(t, n), gp[t:]))
             for j in nz:
                 if j == piv:
                     continue
                 f = cl_divmod(gt[j], gt[piv])[0]
                 add_u(j, piv, f)
-                q[j] ^= clmul(clmul(f, f), q[piv]) ^ clmul(f, g[j][piv])
-                # row and column j of the live block gain f times those of
-                # piv (g[piv][piv] and the new g[j][j] are 0)
-                row = [a ^ clmul(f, b) if b else a for a, b in zip(g[j][t:], g[piv][t:])]
-                row[j - t] = 0
-                g[j][t:] = row
-                for r, v in zip(live, row):
-                    r[j] = v
-        if gt[piv] != 1:
+                gj = g[j]
+                if qp:
+                    q[j] ^= clmul(clmul(f, f), qp)
+                if gj[piv]:
+                    q[j] ^= clmul(f, gj[piv])
+                for k in support:
+                    gj[k] = g[k][j] = gj[k] ^ (gp[k] if f == 1 else clmul(f, gp[k]))
+                gj[j] = 0
+        if not nz or gt[nz[0]] != 1:
             raise SingularFormError("pairing is not unimodular")
+        piv = nz[0]
         if piv != t + 1:
             i, j = t + 1, piv
             ops.append(("swap", i, j))
@@ -337,55 +372,65 @@ def symplectic_reduce(form: QuadraticForm) -> SymplecticBasis:
         # f^2 mu(u_t) alone.  No later step reads row or column t+1, and
         # each multiplier g[t+1][j] is read before its own operation, so g
         # is left as it is.
-        gf = g[t + 1]
-        for j in range(t + 2, n):
+        gf, qt = g[t + 1], q[t]
+        for j in compress(range(t + 2, n), gf[t + 2:]):
             f = gf[j]
-            if f:
-                add_u(j, t, f)
-                q[j] ^= clmul(clmul(f, f), q[t])
-    urows = _unpack_cols(ucols, n, w)
-    if not _is_standard_gram(urows, lam):
-        raise SingularFormError("internal error: reduction did not standardise")
+            add_u(j, t, f)
+            if qt:
+                q[j] ^= clmul(clmul(f, f), qt)
+    urows = _checked_rows(ucols, n, w, lam)
     return SymplecticBasis(Mat.from_bits(urows, n), tuple(map(PolyF2, q)), tuple(ops))
 
 
 # The check u^T lam u = J runs as one packed matrix-vector pass (Kronecker
 # substitution, as for the F2[x] products of rings): row r of u is packed
-# once, as U_r with entry j in slot j; LU_s = sum_r lam[s][r] U_r is then
-# row s of lam u, packed, and sum_s u[s][i] LU_s is row i of u^T lam u.
-# XOR has no carries, so each slot holds its entry exactly as long as the
-# slot is wider than the entries' degrees, and row i equals J's row i
-# exactly when it is the single bit of slot i ^ 1.
+# as U_r with entry j in slot j, W bits wide; LU_s = sum_r lam[s][r] U_r is
+# then row s of lam u, packed, and sum_s u[s][i] LU_s is row i of
+# u^T lam u.  XOR has no carries, so each slot holds its entry exactly as
+# long as W is at least the entries' bit length, and row i equals J's
+# row i exactly when it is the single bit of slot i ^ 1.  W is that bound
+# rounded up to a multiple of 64, so the packed rows are u's limbs
+# transposed, with zero limbs put in where W is wider than u's slots.
 
 
 def _gram_slot_bits(urows, lam) -> int:
-    """The slot width of the pass: the most bits an entry of u^T lam u can
-    have, as deg(u^T lam u) <= 2 deg u + deg lam."""
-    return max(2 * f2_bit_length(urows) + f2_bit_length(lam) - 2, 1)
+    """The slot width W of the pass: the most bits an entry of u^T lam u
+    can have, as deg(u^T lam u) <= 2 deg u + deg lam, rounded up to a
+    multiple of 64."""
+    return -(-max(2 * f2_bit_length(urows) + f2_bit_length(lam) - 2, 1) // 64) * 64
 
 
-def _packed_gram(urows, lam, w: int) -> list:
-    """The rows of u^T lam u (u and lam given by rows of bitmasks), each
-    packed into one int at slot width w."""
-    packed = [f2_pack(r, w) for r in urows]
+def _packed_gram(urows, packed, lam) -> list:
+    """The rows of u^T lam u, packed as the rows of u are in `packed` (u
+    and lam given by rows of bitmasks)."""
     lu = [f2_dot(r, packed) for r in lam]
     return [f2_dot(c, lu) for c in zip(*urows)]
 
 
-def _is_standard_gram(urows, lam) -> bool:
-    """Whether u^T lam u is the standard symplectic matrix J, read off the
-    packed rows without unpacking an entry."""
-    w = _gram_slot_bits(urows, lam)
-    return _packed_gram(urows, lam, w) == [1 << ((i ^ 1) * w) for i in range(len(urows))]
+def _checked_rows(ucols, n: int, w: int, lam) -> list:
+    """The rows of bitmasks of the n x n matrix u with these packed
+    columns (slots w bits wide), once the packed pass shows u^T lam u = J."""
+    L = w // 64
+    cols = _limbs(ucols, n * L)
+    rows = _transpose(cols, n, L, L)
+    entries = _ints(rows, L)
+    urows = [entries[i * n:(i + 1) * n] for i in range(n)]
+    W = _gram_slot_bits(urows, lam)
+    K = W // 64
+    packed = _ints(rows if K == L else _transpose(cols, n, L, K), n * K)
+    if _packed_gram(urows, packed, lam) != [1 << ((i ^ 1) * W) for i in range(n)]:
+        raise SingularFormError("internal error: reduction did not standardise")
+    return urows
 
 
 def arf(form: QuadraticForm) -> ArfClass:
     """Arf invariant of an even nonsingular (+1)-form over F2[x]."""
-    basis = symplectic_reduce(form)
-    total = PolyF2.zero()
-    for i, j in basis.pairs:
-        total = total + basis.mu[i] * basis.mu[j]
-    return arf_normalize(total)
+    mu = [v.bits for v in symplectic_reduce(form).mu]
+    total = 0
+    for a, b in zip(mu[::2], mu[1::2]):
+        if a and b:
+            total ^= clmul(a, b)
+    return arf_normalize(PolyF2(total))
 
 
 def witt_equal(a: QuadraticForm, b: QuadraticForm) -> bool:

@@ -142,3 +142,94 @@ def obj_transpose(a, cols):
 def obj_mul(a, b, cols, zero):
     """a * b for rows a and b of ring elements, b with `cols` columns."""
     return [[sum((x * rb[j] for x, rb in zip(ra, b)), zero) for j in range(cols)] for ra in a]
+
+
+# -- the bitmask symplectic reduction as it was before its bookkeeping ran
+# on limb arrays: u's packed columns unpacked slot by slot, and the check's
+# rows of u packed entry by entry (Horner).  The same congruences in the
+# same order, so unilc2.forms.symplectic_reduce must return the same u, mu
+# and ops bit for bit.
+
+
+def reference_symplectic_reduce(form):
+    from unilc2.forms import SingularFormError, SymplecticBasis
+    from unilc2.rings import (
+        Mat, PrecondError, RingTagError, cl_divmod, clmul, f2_bit_length, f2_dot, f2_pack,
+    )
+
+    if form.ring is not PolyF2:
+        raise RingTagError("symplectic reduction works over F2[x]")
+    if form.epsilon != 1:
+        raise PrecondError("symplectic reduction expects a (+1)-form")
+    n = form.rank
+    psi = form.psi.bits
+    lam = [[psi[i][j] ^ psi[j][i] for j in range(n)] for i in range(n)]
+    if any(lam[i][i] for i in range(n)):
+        raise PrecondError("pairing must be alternating (zero diagonal)")
+    g = [list(r) for r in lam]
+    q = [psi[j][j] for j in range(n)]
+    ops = []
+    w = 64
+    ucols = [1 << (j * w) for j in range(n)]
+    ulen = [1] * n
+
+    def unpack(cols, w):
+        mask = (1 << w) - 1
+        return [tuple([c >> (i * w) & mask for c in cols]) for i in range(n)]
+
+    def add_u(tgt, src, f):
+        nonlocal w
+        ops.append(("add", tgt, src, f))
+        need = ulen[src] + f.bit_length() - 1
+        if need > w:
+            wider = max(2 * w, need)
+            ucols[:] = [f2_pack(c, wider) for c in zip(*unpack(ucols, w))]
+            w = wider
+        ucols[tgt] ^= clmul(f, ucols[src])
+        ulen[tgt] = max(ulen[tgt], need)
+
+    for t in range(0, n, 2):
+        gt = g[t]
+        live = g[t:]
+        while True:
+            nz = [j for j in range(t + 1, n) if gt[j]]
+            if not nz:
+                raise SingularFormError("pairing is not unimodular")
+            piv = min(nz, key=lambda j: gt[j].bit_length())
+            if len(nz) == 1:
+                break
+            for j in nz:
+                if j == piv:
+                    continue
+                f = cl_divmod(gt[j], gt[piv])[0]
+                add_u(j, piv, f)
+                q[j] ^= clmul(clmul(f, f), q[piv]) ^ clmul(f, g[j][piv])
+                row = [a ^ clmul(f, b) if b else a for a, b in zip(g[j][t:], g[piv][t:])]
+                row[j - t] = 0
+                g[j][t:] = row
+                for r, v in zip(live, row):
+                    r[j] = v
+        if gt[piv] != 1:
+            raise SingularFormError("pairing is not unimodular")
+        if piv != t + 1:
+            i, j = t + 1, piv
+            ops.append(("swap", i, j))
+            q[i], q[j] = q[j], q[i]
+            ucols[i], ucols[j] = ucols[j], ucols[i]
+            ulen[i], ulen[j] = ulen[j], ulen[i]
+            g[i], g[j] = g[j], g[i]
+            for r in g[t:]:
+                r[i], r[j] = r[j], r[i]
+        gf = g[t + 1]
+        for j in range(t + 2, n):
+            f = gf[j]
+            if f:
+                add_u(j, t, f)
+                q[j] ^= clmul(clmul(f, f), q[t])
+    urows = unpack(ucols, w)
+    ws = max(2 * f2_bit_length(urows) + f2_bit_length(lam) - 2, 1)
+    packed = [f2_pack(r, ws) for r in urows]
+    lu = [f2_dot(r, packed) for r in lam]
+    if [f2_dot(c, lu) for c in zip(*urows)] != [1 << ((i ^ 1) * ws) for i in range(n)]:
+        raise SingularFormError("internal error: reduction did not standardise")
+    return SymplecticBasis(Mat.from_bits(urows, n), tuple(map(PolyF2, q)), tuple(ops))

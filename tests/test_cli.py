@@ -368,22 +368,36 @@ _FAILING_CLI = (
     (_FAILING_CLI, ["verify", "--filter", "rings.*"], 1),
     (_CLI, ["unil", "--n", "3"], 0),
 ], ids=["verify-pass", "verify-fail", "unil"])
-def test_a_closed_standard_output_leaves_the_verdict(program, argv, verdict, unbuffered):
+def test_a_closed_standard_output_leaves_the_verdict(program, argv, verdict, unbuffered, tmp_path):
     """The CLI in a fresh interpreter whose standard output is closed by
     its reader before anything is written: what it writes there is thrown
     away, it exits with its verdict, and standard error stays empty.
     Unbuffered, the first print meets the closed pipe; buffered, the last
-    flush does."""
+    flush does.  It runs in a temporary directory, where verify leaves its
+    summary file; the repository root is left as it was."""
+    root = Path(__file__).resolve().parent.parent
+    before = {p.name: p.stat().st_mtime_ns for p in root.iterdir()}
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = str(root / "src")
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    proc = subprocess.Popen([sys.executable, "-c", program, *argv], env=env,
+    proc = subprocess.Popen([sys.executable, "-c", program, *argv], env=env, cwd=tmp_path,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=120), err) == (verdict, b"")
+    assert [p.name for p in tmp_path.iterdir()] == (["verify_summary.txt"] if argv[0] == "verify" else [])
+    assert {p.name: p.stat().st_mtime_ns for p in root.iterdir()} == before
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    """python -m unilc2 is the unilc2 command: it prints the Arf class of
+    P(x, 1) and exits with main's code."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-m", "unilc2", "arf", "--psi", "[x,1;0,1]"], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout.splitlines()[0], proc.stderr) == (0, "x", "")
 
 
 def test_verify_filtered(capsys, tmp_path):

@@ -3,10 +3,12 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import f2
+from conftest import f2, reference_symplectic_reduce
+
+from unilc2 import forms
 
 from unilc2.forms import (
     FIRST_SLOT_BITS,
@@ -14,8 +16,8 @@ from unilc2.forms import (
     QuadraticForm,
     SingularFormError,
     SymplecticBasis,
+    _checked_rows,
     _gram_slot_bits,
-    _is_standard_gram,
     _packed_gram,
     arf,
     arf_normalize,
@@ -37,6 +39,7 @@ from unilc2.rings import (
     clmul,
     f2_bit_length,
     f2_divmod,
+    f2_pack,
     parse_matrix,
 )
 
@@ -501,19 +504,42 @@ def unpack_slots(rows, w, n):
     return [[z >> (j * w) & mask for j in range(n)] for z in rows]
 
 
+def pack_cols(u):
+    """u's columns packed as the reduction holds them, at the least
+    multiple of 64 bits that holds every entry, and that width."""
+    w = 64 * max(1, -(-f2_bit_length(u) // 64))
+    return [f2_pack(c, w) for c in zip(*u)], w
+
+
+def checked(ucols, n, w, lam):
+    """u's rows from _checked_rows, or None when it raises the reduction's
+    internal error."""
+    try:
+        return _checked_rows(ucols, n, w, lam)
+    except SingularFormError as exc:
+        assert str(exc).startswith("internal error")
+        return None
+
+
+def checked_u(u, lam):
+    ucols, w = pack_cols(u)
+    return checked(ucols, len(u), w, lam)
+
+
 @settings(max_examples=120, deadline=None)
 @given(standard_gram_pairs(), st.data())
 def test_packed_gram_check_against_the_dense_product(pair, data):
-    """The packed check accepts exactly when the dense u^T lam u is J.  The
-    pairs drawn are accepted ones and one-bit mutations of them: of lam
-    (always rejected, as u^T (x^b e_rc) u is the outer product of two
-    nonzero rows of u), of u (a transvection inside a pair can keep J, so
-    only agreement with the oracle is asserted), and a top mutation that
-    puts an entry of u^T lam u at exactly the slot bound's bit length."""
+    """The check accepts exactly when the dense u^T lam u is J, and then
+    returns u's rows.  The pairs drawn are accepted ones and one-bit
+    mutations of them: of lam (always rejected, as u^T (x^b e_rc) u is the
+    outer product of two nonzero rows of u), of u (a transvection inside a
+    pair can keep J, so only agreement with the oracle is asserted), and a
+    top mutation that puts an entry of u^T lam u at exactly the exact
+    bound's bit length."""
     u, lam = pair
     n = len(u)
     j_rows = [[int(j == i ^ 1) for j in range(n)] for i in range(n)]
-    assert polyf2_gram(u, lam) == j_rows and _is_standard_gram(u, lam)
+    assert polyf2_gram(u, lam) == j_rows and checked_u(u, lam) == u
     kind = data.draw(st.sampled_from(["u", "lam", "top"])) if n else None
     if kind == "top":
         # lam[r][r] gains x^b one above lam's top bit, where u[r][i] has
@@ -526,28 +552,32 @@ def test_packed_gram_check_against_the_dense_product(pair, data):
         r, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
         m[r][c] ^= 1 << data.draw(st.integers(0, f2_bit_length(m)))
     dense = polyf2_gram(u, lam)
-    assert _is_standard_gram(u, lam) == (dense == j_rows)
+    assert checked_u(u, lam) == (u if dense == j_rows else None)
     if kind in ("lam", "top"):
-        assert not _is_standard_gram(u, lam)
-    w = _gram_slot_bits(u, lam)
-    assert unpack_slots(_packed_gram(u, lam, w), w, n) == dense
+        assert checked_u(u, lam) is None
+    # the check's width is the exact bound rounded up to a multiple of 64
+    exact = max(2 * f2_bit_length(u) + f2_bit_length(lam) - 2, 1)
+    big_w = _gram_slot_bits(u, lam)
+    assert big_w % 64 == 0 and big_w - 64 < exact <= big_w
+    for ws in (big_w, exact):
+        assert unpack_slots(_packed_gram(u, [f2_pack(r, ws) for r in u], lam), ws, n) == dense
     if kind == "top":
-        assert f2_bit_length(dense) == w
-    if w > 1:
+        assert f2_bit_length(dense) == exact
+    if exact > 1:
         # one bit narrower, an entry of full bit length spills into the
         # next slot: the packed rows no longer hold the product
-        narrow = unpack_slots(_packed_gram(u, lam, w - 1), w - 1, n)
-        assert (narrow == dense) == (f2_bit_length(dense) < w)
+        narrow = unpack_slots(_packed_gram(u, [f2_pack(r, exact - 1) for r in u], lam), exact - 1, n)
+        assert (narrow == dense) == (f2_bit_length(dense) < exact)
 
 
 def test_packed_gram_check_on_every_single_bit_flip_of_u():
     """On the symplectic bases of machine obstruction forms (ranks 4 and 6)
     and of dense forms like user-forms' (make_P blocks moved by L * U,
-    ranks 2-6), the packed check agrees with the PolyF2 product on every
-    one-bit change of u, up to one bit past u's longest entry: it rejects
-    each change that breaks u^T lam u = J.  A few changes keep J (a
-    transvection that turns u into another symplectic basis), and those it
-    accepts."""
+    ranks 2-6), the check agrees with the PolyF2 product on every one-bit
+    change of one packed column of u, up to one bit past u's longest
+    entry: it rejects each change that breaks u^T lam u = J.  A few
+    changes keep J (a transvection that turns u into another symplectic
+    basis), and those it accepts, returning the changed rows."""
     from unilc2.complexes import run_relation
 
     x, x2 = PolyInt.x_power(1), PolyInt.x_power(2)
@@ -563,12 +593,178 @@ def test_packed_gram_check_on_every_single_bit_flip_of_u():
         lam = [list(r) for r in form.symmetrization().bits]
         n = len(u)
         j_rows = [[int(j == i ^ 1) for j in range(n)] for i in range(n)]
+        ucols, w = pack_cols(u)
         for r in range(n):
             for c in range(n):
                 for b in range(f2_bit_length(u) + 1):
                     u[r][c] ^= 1 << b
+                    ucols[c] ^= 1 << (r * w + b)
                     keeps_j = polyf2_gram(u, lam) == j_rows
-                    assert _is_standard_gram(u, lam) == keeps_j, (form, r, c, b)
+                    assert checked(ucols, n, w, lam) == (u if keeps_j else None), (form, r, c, b)
                     kept, broken = kept + keeps_j, broken + (not keeps_j)
                     u[r][c] ^= 1 << b
+                    ucols[c] ^= 1 << (r * w + b)
     assert broken > kept > 0  # 655 and 65 on these bases
+
+
+def wide_form():
+    """The rank-12 hyperbolic form moved by L * U with degree-8 entries:
+    u's slots and the check's both reach several 64-bit limbs."""
+    return hyperbolic(6).transport(lu_transport(random.Random(1), 12, 8))
+
+
+def machine_big_form():
+    """The rank-18 obstruction form of relation 1 at p = x, g = 1 + x,
+    p2 = x^2."""
+    from unilc2.complexes import run_relation
+
+    x = PolyInt.x_power(1)
+    return run_relation(1, x, PolyInt.one() + x, PolyInt.x_power(2))[0].obstruction.big
+
+
+@pytest.mark.parametrize("make", [machine_big_form, wide_form], ids=["machine-big", "wide"])
+def test_a_flipped_limb_in_the_reduction_s_check_raises(make, monkeypatch):
+    """Inside symplectic_reduce, one bit flipped in one limb of one packed
+    row of u (while u's rows stay as they are) always raises the internal
+    error: u^T lam u' = J = u^T lam u would force u' = u.  One bit flipped in
+    one limb of one packed column of u changes u itself, and raises exactly
+    when the changed u^T lam u is not J."""
+    form = make()
+    lam = [list(r) for r in form.symmetrization().bits]
+    u = [list(r) for r in symplectic_reduce(form).u.bits]
+    n, width = len(u), _gram_slot_bits(u, lam)
+    j_rows = [[int(j == i ^ 1) for j in range(n)] for i in range(n)]
+    real_gram, real_rows = forms._packed_gram, forms._checked_rows
+    rng = random.Random(7)
+    raised = 0
+    for _ in range(12):
+        r, c, limb, bit = rng.randrange(n), rng.randrange(n), rng.randrange(8), rng.randrange(64)
+
+        def flip_row(urows, packed, lam):
+            packed = list(packed)
+            packed[r] ^= 1 << (c * width + 64 * (limb % (width // 64)) + bit)
+            return real_gram(urows, packed, lam)
+
+        monkeypatch.setattr(forms, "_packed_gram", flip_row)
+        with pytest.raises(SingularFormError, match="^internal error"):
+            symplectic_reduce(form)
+        monkeypatch.setattr(forms, "_packed_gram", real_gram)
+
+        flipped = []  # the bit flipped in u[r][c]
+
+        def flip_col(ucols, n, w, lam):
+            flipped.append(64 * (limb % (w // 64)) + bit)
+            ucols = list(ucols)
+            ucols[c] ^= 1 << (r * w + flipped[0])
+            return real_rows(ucols, n, w, lam)
+
+        monkeypatch.setattr(forms, "_checked_rows", flip_col)
+        try:
+            symplectic_reduce(form)
+            changed = False
+        except SingularFormError as exc:
+            assert str(exc).startswith("internal error")
+            changed = True
+        monkeypatch.setattr(forms, "_checked_rows", real_rows)
+        u[r][c] ^= 1 << flipped[0]
+        assert changed == (polyf2_gram(u, lam) != j_rows)
+        u[r][c] ^= 1 << flipped[0]
+        raised += changed
+    assert raised > 6
+
+
+def coupled_form(f, h, vec):
+    """The rank-6 form with pairing J + f (e1 e2^T + e2 e1^T) + h (e3 e4^T +
+    e4 e3^T) (f, h bitmasks) and quadratic values vec: the reduction makes
+    u_2 = f e_0 + e_2 and u_4 = h u_2 + e_4, with multipliers f and h."""
+    lam = [[int(j == i ^ 1) for j in range(6)] for i in range(6)]
+    lam[1][2] = lam[2][1] = f
+    lam[3][4] = lam[4][3] = h
+    return from_pairing_and_vector(Mat.from_bits(lam, 6), [PolyF2(v) for v in vec])
+
+
+@pytest.mark.parametrize("a, b, exact, width", [(20, 4, 64, 64), (21, 3, 65, 128)])
+def test_the_check_width_rounds_the_exact_bound_up_to_64_bits(a, b, exact, width, monkeypatch):
+    """coupled_form with f = x^(a-1), h = x^(b-1): bitlen(u) = a + b - 1 and
+    bitlen(lam) = a, so the exact bound 2 bitlen(u) + bitlen(lam) - 2 is 64
+    at (20, 4) and 65 at (21, 3), while u's slots stay 64 bits wide.  The
+    check packs u's rows at W = 64 and W = 128."""
+    form = coupled_form(1 << (a - 1), 1 << (b - 1), [0] * 6)
+    packed_rows = []
+    real = forms._packed_gram
+    monkeypatch.setattr(forms, "_packed_gram", lambda u, packed, lam: packed_rows.append(packed) or real(u, packed, lam))
+    basis = symplectic_reduce(form)
+    u, lam = basis.u.bits, form.symmetrization().bits
+    assert f2_bit_length(u) == a + b - 1 and f2_bit_length(lam) == a
+    assert 2 * (a + b - 1) + a - 2 == exact and _gram_slot_bits(u, lam) == width
+    assert packed_rows == [[f2_pack(r, width) for r in u]]
+    assert basis.u.conj_t() * form.symmetrization() * basis.u == standard_symplectic(6)
+
+
+# -- bit identity with the reduction before its bookkeeping ran on limb
+# arrays (conftest.reference_symplectic_reduce)
+
+
+def _degree_2_polys():
+    return st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)).map(PolyInt)
+
+
+@st.composite
+def machine_obstruction_forms(draw):
+    """The big or reduced obstruction form of a machine run on relation k
+    with degree-2 parameters (coefficients 0-2) that relation_fixture
+    admits."""
+    from unilc2.complexes import run_relation
+
+    k = draw(st.integers(1, 4))
+    p, g, p2 = draw(_degree_2_polys()), draw(_degree_2_polys()), draw(_degree_2_polys())
+    if k == 1:
+        assume(not ((p * g).constant or (p2 * g).constant or ((p + p2) * g).constant))
+    else:
+        p2 = None
+        assume(k == 3 or not (p * g).constant)
+    obs = run_relation(k, p, g, p2)[0].obstruction
+    return obs.big if draw(st.booleans()) else obs.reduced
+
+
+@st.composite
+def wide_transports(draw):
+    """A hyperbolic form of rank 2-12 moved by L * U with entries of degree
+    up to 8: u's entries, or the check's bound, often pass 64 bits."""
+    rank = 2 * draw(st.integers(1, 6))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return hyperbolic(rank // 2).transport(lu_transport(rng, rank, draw(st.integers(1, 8))))
+
+
+@st.composite
+def long_multiplier_forms(draw):
+    """coupled_form with multipliers of up to 300 bits: a single operation
+    can widen u's slots more than twofold."""
+    bits = st.integers(1, 2 ** 300)
+    return coupled_form(draw(bits), draw(bits), draw(st.lists(st.integers(0, 255), min_size=6, max_size=6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(machine_obstruction_forms(), transported_block_sums().map(lambda case: case[1]),
+                 wide_transports(), long_multiplier_forms()))
+@example(wide_form())
+def test_reduce_is_bit_identical_to_the_reference(form):
+    want, got = reference_symplectic_reduce(form), symplectic_reduce(form)
+    assert got.u.bits == want.u.bits
+    assert [v.bits for v in got.mu] == [v.bits for v in want.mu]
+    assert got.ops == want.ops
+    total = PolyF2.zero()
+    for i, j in want.pairs:
+        total = total + want.mu[i] * want.mu[j]
+    assert arf(form) == arf_normalize(total)
+
+
+def test_arf_reaches_the_reduction_through_the_module_attribute(monkeypatch):
+    """arf looks symplectic_reduce up on the module at each call, so a
+    wrapper set there (as the benchmark's tracer sets one) sees it."""
+    calls = []
+    real = forms.symplectic_reduce
+    monkeypatch.setattr(forms, "symplectic_reduce", lambda form: calls.append(form) or real(form))
+    form = make_P(f2("x"), f2("1"))
+    assert forms.arf(form).to_poly() == f2("x")
+    assert calls == [form]
