@@ -36,7 +36,11 @@ from .rings import (
     PrecondError,
     RingTagError,
     ShapeError,
-    solve_right,  # no stage solves; bench/ubench/baseline.py times it here
+    # No stage solves.  bench/ wraps these names, so they stay until the
+    # benchmark drops them: this import (complexes.solve_right in
+    # bench/ubench/baseline.py), rings.solve_right and Mat.adjugate
+    # (bench/ubench/trace.py), and build_union's unread psi_hat parameter.
+    solve_right,
 )
 
 

@@ -190,24 +190,19 @@ def is_contractible(f: SplitFormation) -> bool:
 
 
 def _is_even_difference(x: Mat, sign: int) -> bool:
-    """Whether x = eta - sign * eta^* is solvable: for sign = -1 this means
-    x is skew-symmetric; for sign = +1, symmetric with even diagonal."""
-    if sign == -1:
-        return (x.conj_t() + x).is_zero()
-    if x.conj_t() != x:
+    """Whether x = eta - sign * eta^* for some eta.  It holds exactly when
+    x + sign * x^* = 0 and each diagonal entry x_ii = (1 - sign) eta_ii is
+    0 (sign = +1) or even (sign = -1): eta is then the strict upper part of
+    x plus half its diagonal.  Over F2[x] even is 0, for either sign."""
+    xs = x.conj_t()
+    if not (x + xs if sign == 1 else x - xs).is_zero():
         return False
-    for i in range(x.rows):
-        e = x[i, i]
-        if x.ring is PolyInt:
-            if any(c % 2 for c in e.coeffs):
-                return False
-        elif x.ring is C2Poly:
-            if not e.is_even():
-                return False
-        else:
-            if e:
-                return False
-    return True
+    diag = [x[i, i] for i in range(x.rows)]
+    if sign == 1 or x.ring is PolyF2:
+        return not any(diag)
+    if x.ring is PolyInt:
+        return not any(c % 2 for e in diag for c in e.coeffs)
+    return all(e.is_even() for e in diag)
 
 
 def verify_formation_iso(
@@ -224,8 +219,8 @@ def verify_formation_iso(
     Conditions, with e = epsilon:
       (i)   gamma' beta = alpha gamma + (nu - e nu^*) mu
       (ii)  mu' beta = alpha^{-*} mu
-      (iii) beta^* theta' beta - theta - mu^* nu mu is an even difference
-            (eta - (-e) eta^* for some eta).
+      (iii) beta^* theta' beta - theta - mu^* nu mu = eta + e eta^* for
+            some eta (_is_even_difference with sign -e).
     alpha_inv and beta_inv are the claimed inverses: PrecondError unless
     alpha * alpha_inv = Id and beta * beta_inv = Id, which over these
     (commutative) rings proves alpha and beta unimodular.  Every product

@@ -340,10 +340,10 @@ def check_lift_minus(cfg):
 
 def check_lift_plus_graph(cfg):
     for p, g in cfg.pg_pairs():
-        plus = formations.i_plus(formations.make_M(p, g))
-        if not formations.is_graph(plus):
+        m = formations.make_M(p, g)
+        if not formations.is_graph(formations.i_plus(m)):
             return False, f"T -> +1 evaluation is not a graph formation at ({p},{g})"
-        minus = formations.i_minus(formations.make_M(p, g))
+        minus = formations.i_minus(m)
         d = minus.gamma.det()
         if not d.is_unit() and formations.is_graph(minus):
             return False, f"T -> -1 evaluation wrongly graph at ({p},{g})"

@@ -988,9 +988,8 @@ class Mat:
         return _det(self)
 
     def adjugate(self) -> "Mat":
-        """adj(A) with A * adj(A) = det(A) * Id, in closed form up to 2x2.
-        Larger systems are solved by elimination (solve_right,
-        inverse_unimodular) instead."""
+        """adj(A) with A * adj(A) = det(A) * Id, in closed form up to 2x2;
+        larger matrices raise ShapeError."""
         if not self.is_square():
             raise ShapeError("adjugate of a non-square matrix")
         n = self.rows
@@ -1004,19 +1003,6 @@ class Mat:
         if self.ring is PolyInt:
             b, c = -b, -c
         return _map_data(self, ((d, b), (c, a)))
-
-    def inverse_unimodular(self) -> "Mat":
-        """Inverse of a matrix whose determinant is a ring unit (PrecondError
-        otherwise).  Up to 2x2 the adjugate over the unit determinant;
-        above that A * X = Id is solved by elimination, over Z[C2][x] on
-        each leg."""
-        if not self.is_square() or self.rows <= 2:
-            return self.adjugate() * self.det().unit_inverse()
-        ident = Mat.identity(self.rows, PolyF2 if self.ring is PolyF2 else PolyInt)
-        try:
-            return _legwise(_solve, self, ident)
-        except NonDivisibleError:  # the determinant is not a unit
-            raise PrecondError("the determinant is not a unit") from None
 
     def __str__(self):
         return format_matrix(self)
@@ -1392,26 +1378,19 @@ def _block_det(m: Mat, blk):
 
 
 def _solve(a: Mat, b: Mat) -> Mat:
-    """X with A * X = B over Z[x] or F2[x] (A square), by fraction-free
-    Gauss-Jordan on [A | B]: d * X is read off the right block and divided
-    by d.  PrecondError if A is singular, NonDivisibleError if X is not
-    over the ring."""
+    """X with A * X = B over Z[x] (A square), by fraction-free Gauss-Jordan
+    on [A | B] packed at x = 2^k: d * X is read off the right block and
+    divided by d.  PrecondError if A is singular, NonDivisibleError if X is
+    not over Z[x]."""
     n = a.rows
-    if a.ring is PolyF2:
-        m = [list(ra + rb) for ra, rb in zip(a._data, b._data)]
-        row_update, read = _f2_row, PolyF2
-    else:
-        k, m = _zx_pack_rows([ra + rb for ra, rb in zip(_coeff_rows(a), _coeff_rows(b))])
-        row_update = _zx_row
-
-        def read(z):
-            return PolyInt._raw(_unpack(z, k))
-
-    res = _eliminate(m, n, True, row_update)
+    k, m = _zx_pack_rows([ra + rb for ra, rb in zip(_coeff_rows(a), _coeff_rows(b))])
+    res = _eliminate(m, n, True, _zx_row)
     if res is None:
         raise PrecondError("singular matrix")
-    d = read(res[1])
-    return Mat._raw(tuple(tuple(read(z).exact_div(d) for z in r[n:]) for r in m), a.ring, b.cols)
+    d = PolyInt._raw(_unpack(res[1], k))
+    return Mat._raw(
+        tuple(tuple(PolyInt._raw(_unpack(z, k)).exact_div(d) for z in r[n:]) for r in m), PolyInt, b.cols
+    )
 
 
 def solve_right(a: Mat, b: Mat) -> Mat:

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import int_polys, pg_sweep, zx
+from conftest import cofactor_adjugate, int_polys, pg_sweep, zx
+from test_rim import dense_boundary_form
 
-from unilc2 import rings, witt
+from unilc2 import complexes, rim, rings, witt
 from unilc2.formations import (
     SplitFormation,
     UnsupportedShapeError,
@@ -25,7 +26,7 @@ from unilc2.formations import (
     verify_formation_iso,
     verify_poincare,
 )
-from unilc2.rings import ONE_MINUS_T, C2Poly, Mat, PolyInt, PrecondError, parse_matrix, parse_poly
+from unilc2.rings import ONE_MINUS_T, C2Poly, Mat, PolyF2, PolyInt, PrecondError, parse_matrix, parse_poly
 
 
 def c2mat(text):
@@ -199,16 +200,55 @@ def test_iso_checks_alpha_and_beta_separately():
     assert verify_formation_iso(m, m, ident, ident, zero, ident, ident)
 
 
+def test_iso_accepts_a_skew_nu():
+    """With e = -1, (iii) asks for eta - eta^*.  The witness (Id, Id, nu)
+    with the skew nu = [[0, x], [-x, 0]] keeps gamma and mu (nu + nu^* = 0),
+    and its difference -mu^* nu mu = -4 nu is eta - eta^* for the eta
+    below."""
+    m = make_M(zx("x"), zx("1"))
+    ident = Mat.identity(2, C2Poly)
+    nu, eta = c2mat("[0,x;-x,0]"), c2mat("[0,-4*x;0,0]")
+    assert -(m.mu.conj_t() * nu * m.mu) == eta - eta.conj_t()
+    assert verify_formation_iso(m, m, ident, ident, nu, ident, ident)
+
+
+def test_iso_rejects_an_even_symmetric_theta_change():
+    """2 e_11 added to theta is eta + eta^* (eta = e_11), not eta - eta^*:
+    its diagonal is not 0.  Such a dst fails its own hessian identity."""
+    m = make_M(zx("x"), zx("1"))
+    ident, zero = Mat.identity(2, C2Poly), Mat.zeros(2, 2, C2Poly)
+    eta = c2mat("[1,0;0,0]")
+    dst = SplitFormation(m.gamma, m.mu, m.theta + eta + eta.conj_t(), -1)
+    assert not dst.hessian_holds()
+    assert not verify_formation_iso(m, dst, ident, ident, zero, ident, ident)
+
+
+def test_even_difference_by_sign():
+    """x = eta - sign * eta^* for the hand-built eta, and not for the other
+    sign; over Z[x] an odd diagonal is neither.  Over F2[x] both signs give
+    eta + eta^T, whose diagonal is 0, so [[1,0],[0,0]] is neither."""
+    eta = parse_matrix("[1,x;2,3]", PolyInt)
+    for sign, x in ((1, eta - eta.conj_t()), (-1, eta + eta.conj_t())):
+        assert _is_even_difference(x, sign)
+        assert not _is_even_difference(x, -sign)
+        assert not _is_even_difference(parse_matrix("[1,0;0,0]", PolyInt), sign)
+    eta = parse_matrix("[1,x;0,1+x]", PolyF2)
+    for sign in (1, -1):
+        assert _is_even_difference(eta + eta.conj_t(), sign)
+        assert not _is_even_difference(parse_matrix("[1,0;0,0]", PolyF2), sign)
+
+
 def replaced_iso_verdict(src, dst, alpha, beta, nu):
     """Oracle: verify_formation_iso as it was before it took the inverses,
-    proving alpha and beta unimodular by a determinant and an elimination
-    inverse (both over every leg)."""
+    proving alpha and beta unimodular by their determinants (over every
+    leg) and forming alpha^{-*} as the cofactor adjugate over the unit
+    determinant.  Condition (iii) builds eta from the difference itself."""
     if src.epsilon != dst.epsilon or src.ring is not dst.ring:
         raise PrecondError("formations must share epsilon and ring")
     e = src.epsilon
     if not (alpha.is_square() and beta.is_square() and beta.det().is_unit()):
         raise PrecondError("alpha and beta must be unimodular")
-    alpha_inv_star = alpha.conj_t().inverse_unimodular()  # checks det(alpha)
+    alpha_inv_star = cofactor_adjugate(alpha.conj_t()) * alpha.det().unit_inverse()
     nus = nu.conj_t()
     skew_nu = nu - nus if e == 1 else nu + nus
     if dst.gamma * beta != alpha * src.gamma + skew_nu * src.mu:
@@ -216,7 +256,21 @@ def replaced_iso_verdict(src, dst, alpha, beta, nu):
     if dst.mu * beta != alpha_inv_star * src.mu:
         return False
     diff = beta.conj_t() * dst.theta * beta - src.theta - src.mu.conj_t() * nu * src.mu
-    return _is_even_difference(diff, -e)
+    eta = upper_and_half_diagonal(diff)
+    return eta + e * eta.conj_t() == diff
+
+
+def upper_and_half_diagonal(x):
+    """The strict upper part of x plus half its diagonal (each coefficient
+    of a + b*T rounded down), over Z[C2][x]: the eta with
+    x = eta - sign * eta^* if there is one, for either sign."""
+
+    def half(r):
+        return C2Poly.from_parts(*(PolyInt(tuple(c // 2 for c in h.coeffs)) for h in (r.a, r.b)))
+
+    n = x.rows
+    return Mat([[x[i, j] if i < j else half(x[i, i]) if i == j else C2Poly.zero() for j in range(n)]
+                for i in range(n)], C2Poly)
 
 
 small_zx = st.lists(st.integers(-2, 2), max_size=3).map(PolyInt)
@@ -446,7 +500,8 @@ def test_make_M_sum_against_the_chain_on_random_terms(terms):
 def test_iso_checks_run_no_adjugate_and_no_elimination(monkeypatch):
     """With the inverses supplied, an exponent-four replay and the chain
     test's call on a 6x6 degree-2 relation-1 sum neither solve a linear
-    system nor form an adjugate."""
+    system nor form an adjugate; nor does a gluing-machine run of each
+    relation, nor the boundary of a dense rank-6 form."""
 
     def banned(*_):
         raise AssertionError("elimination inverse or adjugate called")
@@ -457,6 +512,11 @@ def test_iso_checks_run_no_adjugate_and_no_elimination(monkeypatch):
     assert witt.replay(witt.exponent_four_script(p, g), witt.exponent_four_start(p, g), witt.GenWord.zero())
     terms = RELATION_TERMS[1](zx("x"), zx("1+2*x"), zx("x+x^2"))
     assert_chain_after_base_change(make_M_sum(terms), chain_sum(terms), terms)
+    for k, p, g, p2 in ((1, "x", "1+x", "x^2"), (2, "x", "1", None), (3, "x+x^2", "x", None), (4, "x", "x", None)):
+        res, expected = complexes.run_relation(k, zx(p), zx(g), p2 and zx(p2))
+        assert res.arf == expected
+    form = dense_boundary_form(random.Random(5), 6)
+    assert rim.boundary(rim.BoundaryInput.with_default_lifts(form)).hessian_holds()
 
 
 def test_iso_m0_proof_forms_no_dense_product(monkeypatch):
