@@ -27,6 +27,7 @@ from .rings import (
     PrecondError,
     RingTagError,
     ShapeError,
+    all_even,
 )
 
 
@@ -193,16 +194,34 @@ def _is_even_difference(x: Mat, sign: int) -> bool:
     """Whether x = eta - sign * eta^* for some eta.  It holds exactly when
     x + sign * x^* = 0 and each diagonal entry x_ii = (1 - sign) eta_ii is
     0 (sign = +1) or even (sign = -1): eta is then the strict upper part of
-    x plus half its diagonal.  Over F2[x] even is 0, for either sign."""
-    xs = x.conj_t()
-    if not (x + xs if sign == 1 else x - xs).is_zero():
-        return False
-    diag = [x[i, i] for i in range(x.rows)]
-    if sign == 1 or x.ring is PolyF2:
-        return not any(diag)
-    if x.ring is PolyInt:
-        return not any(c % 2 for e in diag for c in e.coeffs)
-    return all(e.is_even() for e in diag)
+    x plus half its diagonal.  Over F2[x] even is 0, for either sign.
+
+    Both tests read the packed values of x, plane by plane over Z[C2][x]
+    (the T-evaluations commute with ^*).  Over Z[x] an entry is its value
+    at x = 2^k, with every coefficient below 2^(k-1) in absolute value, so
+    each coefficient of a + sign * b is below 2^k; a polynomial with such
+    coefficients is zero exactly when its value is (its lowest nonzero
+    coefficient is not a multiple of 2^k), so x + sign * x^* = 0 is the
+    integer test a + sign * b = 0 at one k.  Evenness is read slot by slot
+    (rings.all_even).  An entry of Z[C2][x] is even, 2(c + dT), exactly
+    when its legs u = 2(c - d) and v = 2(c + d) are even and so is
+    (v - u)/2 = 2d, whose value is half that of v - u.
+    """
+    n = x.rows
+    if x.ring is PolyF2:  # x = x^T, with a zero diagonal
+        rows = x.bits
+        return rows == tuple(zip(*rows)) and not any(rows[i][i] for i in range(n))
+    planes = x._data if x.ring is C2Poly else (x._data,)
+    for d in planes:
+        if any(d[i][j] + sign * d[j][i] for i in range(n) for j in range(i + 1)):
+            return False
+    if sign == 1:
+        return True  # x_ii + x_ii = 0 made the diagonal 0
+    u, v = planes[0], planes[-1]
+    diag = [u[i][i] for i in range(n)]
+    if u is not v:
+        diag += [v[i][i] for i in range(n)] + [(v[i][i] - u[i][i]) >> 1 for i in range(n)]
+    return all_even(diag, x.k, x.length)
 
 
 def verify_formation_iso(

@@ -10,6 +10,8 @@ x^(2k) = x^k for k >= 1 (class ArfClass).
 
 from __future__ import annotations
 
+import functools
+import operator
 from array import array
 from dataclasses import dataclass
 from itertools import compress
@@ -393,11 +395,24 @@ def symplectic_reduce(form: QuadraticForm) -> SymplecticBasis:
 # transposed, with zero limbs put in where W is wider than u's slots.
 
 
-def _gram_slot_bits(urows, lam) -> int:
+def _slot_or(ints, slots: int, w: int) -> int:
+    """The OR of every w-bit slot of the ints, each of at most `slots`
+    slots: the OR of the ints, folded in half until one slot is left."""
+    acc = functools.reduce(operator.or_, ints, 0)
+    while slots > 1:
+        half = (slots + 1) // 2
+        acc = acc & ((1 << half * w) - 1) | acc >> half * w
+        slots = half
+    return acc
+
+
+def _gram_slot_bits(ucols, n: int, w: int, lam) -> int:
     """The slot width W of the pass: the most bits an entry of u^T lam u
     can have, as deg(u^T lam u) <= 2 deg u + deg lam, rounded up to a
-    multiple of 64."""
-    return -(-max(2 * f2_bit_length(urows) + f2_bit_length(lam) - 2, 1) // 64) * 64
+    multiple of 64.  u's longest entry is that of the OR of its entries,
+    folded out of its packed columns (n slots of w bits)."""
+    ubits = _slot_or(ucols, n, w).bit_length()
+    return -(-max(2 * ubits + f2_bit_length(lam) - 2, 1) // 64) * 64
 
 
 def _packed_gram(urows, packed, lam) -> list:
@@ -415,7 +430,7 @@ def _checked_rows(ucols, n: int, w: int, lam) -> list:
     rows = _transpose(cols, n, L, L)
     entries = _ints(rows, L)
     urows = [entries[i * n:(i + 1) * n] for i in range(n)]
-    W = _gram_slot_bits(urows, lam)
+    W = _gram_slot_bits(ucols, n, w, lam)
     K = W // 64
     packed = _ints(rows if K == L else _transpose(cols, n, L, K), n * K)
     if _packed_gram(urows, packed, lam) != [1 << ((i ^ 1) * W) for i in range(n)]:

@@ -343,10 +343,6 @@ def check_lift_plus_graph(cfg):
         m = formations.make_M(p, g)
         if not formations.is_graph(formations.i_plus(m)):
             return False, f"T -> +1 evaluation is not a graph formation at ({p},{g})"
-        minus = formations.i_minus(m)
-        d = minus.gamma.det()
-        if not d.is_unit() and formations.is_graph(minus):
-            return False, f"T -> -1 evaluation wrongly graph at ({p},{g})"
     return True, "T -> +1 evaluations are graph formations on the whole sweep"
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .forms import QuadraticForm, SingularFormError, SymplecticBasis, symplectic_reduce
+from .forms import QuadraticForm, SingularFormError, SymplecticBasis, _slot_or, symplectic_reduce
 from .formations import SplitFormation
 from .rings import (
     MIN_SLOT_BITS,
@@ -198,14 +198,7 @@ def _unimodular_lift(basis: SymplecticBasis, phi_inv: Mat) -> Mat:
             cols[tgt] += spread_bits(f, k) * cols[src]
     # the factors' bound, within a factor 2 of their largest coefficient:
     # the OR of all coefficients, folded slot by slot out of the columns
-    acc, slots = 0, n * longest
-    for c in cols:
-        acc |= c
-    while slots > 1:
-        half = (slots + 1) // 2
-        acc = acc & ((1 << half * k) - 1) | acc >> half * k
-        slots = half
-    top = (1 << acc.bit_length()) - 1
+    top = (1 << _slot_or(cols, n * longest, k).bit_length()) - 1
     # U^T has rows cols; U J is U with the columns of each pair exchanged
     mask = (1 << s) - 1
     ut = tuple([tuple([c >> (i * s) & mask for i in range(n)]) for c in cols])

@@ -16,7 +16,7 @@ Ring homomorphisms of the pullback square are provided as functions:
 apply_i(sign, .) substitutes T -> sign*1, apply_j reduces mod 2, and
 pullback_pair / pullback_inverse realise the isomorphism of Z[C2][x] with
 the fibre product of two copies of Z[x] over F2[x].  A C2Poly stores that
-pair, and so does a Z[C2][x] matrix, so the T-evaluations read a field.
+pair, and a Z[C2][x] matrix one plane of values per leg, read by i_minus/i_plus.
 
 Polynomials are immutable and canonical (no trailing zero coefficients), so
 equality is structural.  The text grammar used by the CLI lives here too:
@@ -214,11 +214,6 @@ class PolyInt:
     def is_unit(self) -> bool:
         return self.coeffs == (1,) or self.coeffs == (-1,)
 
-    def unit_inverse(self):
-        if not self.is_unit():
-            raise PrecondError(f"{self} is not a unit in Z[x]")
-        return self
-
     def is_unit_mod2(self) -> bool:
         """True iff the image in F2[x] is a unit, i.e. the polynomial is odd
         in the constant coefficient and even elsewhere."""
@@ -392,11 +387,6 @@ class PolyF2:
     def is_unit(self) -> bool:
         return self.bits == 1
 
-    def unit_inverse(self):
-        if not self.is_unit():
-            raise PrecondError(f"{self} is not a unit in F2[x]")
-        return self
-
     def subs_power(self, n: int) -> "PolyF2":
         _check_subs_power(n, max(self.degree(), 0))
         out, a, i = 0, self.bits, 0
@@ -562,11 +552,6 @@ class C2Poly:
         """Units of Z[C2][x] are +-1 and +-T: both legs are constants +-1."""
         return self.u.is_unit() and self.v.is_unit()
 
-    def unit_inverse(self):
-        if not self.is_unit():
-            raise PrecondError(f"{self} is not a unit in Z[C2][x]")
-        return self  # (+-1)^2 = 1 and (+-T)^2 = 1
-
     def is_unit_mod2(self) -> bool:
         """Unit detection in F2[C2][x].
 
@@ -697,9 +682,10 @@ def pullback_inverse(u: PolyInt, v: PolyInt) -> C2Poly:
 # n * min(L1, L2) * B1 * B2.  An operation whose bound reaches 2^(k-1)
 # repacks its operands at a wider k, taking their bounds from the exact
 # coefficients it unpacks; otherwise an entry is unpacked only when it is
-# read.  A Z[C2][x] matrix is the pair of its leg matrices over Z[x], u at
-# T -> -1 and v at T -> +1 (one object when it is T-free), so each of its
-# operations is the same operation on both legs.
+# read.  A Z[C2][x] matrix holds _data = (rows at T -> -1, rows at T -> +1)
+# under one k, B and L for both planes (one row tuple twice when T-free);
+# the T-evaluations are ring maps, so each operation is one kernel call on
+# both planes that builds one matrix, and i_minus and i_plus view a plane.
 
 MIN_SLOT_BITS = 64  # the narrowest slot width a Z[x] matrix is packed at
 
@@ -710,15 +696,15 @@ class Mat:
     """Dense matrix over one of the three rings.
 
     `entries` and indexing give ring elements, made on demand from the
-    integers the matrix holds (k, bound and length are 0 over F2[x] and
-    Z[C2][x]).  The involution is the identity on all three rings, so
-    conj_t is the transpose.
+    integers the matrix holds (k, bound and length are 0 over F2[x]).  The
+    involution is the identity on all three rings, so conj_t is the
+    transpose.
 
-    A square matrix made by Mat.scalar (identity, square zeros) keeps its
-    value in _scalar, and no other matrix has one, so a product with it
-    is a scaling of the other factor (the other factor itself when the
-    value is one) and its conj_t is itself.  Equality and hashing ignore
-    the tag.
+    A square matrix made by Mat.scalar (identity, square zeros), or a
+    T-evaluation of one, keeps its value in _scalar, and no other matrix
+    has one, so a product with it is a scaling of the other factor (the
+    other factor itself when the value is one) and its conj_t is itself.
+    Equality and hashing ignore the tag.
     """
 
     __slots__ = ("ring", "rows", "cols", "_data", "k", "bound", "length", "_scalar")
@@ -769,8 +755,10 @@ class Mat:
     def from_legs(cls, u: "Mat", v: "Mat") -> "Mat":
         """The Z[C2][x] matrix with legs u (T -> -1) and v (T -> +1), Z[x]
         matrices that the caller knows agree mod 2 (pullback_matrix checks
-        it)."""
-        return _c2mat(u, v)
+        it): their rows at the wider of their slot widths are its planes."""
+        k = max(u.k, v.k)
+        (du, bu, lu), (dv, bv, lv) = _at_width(u, k), _at_width(v, k)
+        return _new(C2Poly, u.rows, u.cols, (du, du if u is v else dv), k, max(bu, bv), max(lu, lv))
 
     @classmethod
     def identity(cls, n: int, ring) -> "Mat":
@@ -786,16 +774,14 @@ class Mat:
         when square."""
         value = _coercion(ring)(value)
         cols = n if cols is None else cols
-        if ring is C2Poly:
-            u = cls.scalar(n, value.u, PolyInt, cols)
-            m = _c2mat(u, u if value.u is value.v else cls.scalar(n, value.v, PolyInt, cols))
+        if ring is PolyF2:
+            zs, k, bound, length = (value.bits,), 0, 0, 0
         else:
-            if ring is PolyInt:
-                ((z,),), k, bound, length = _packed([[value.coeffs]])
-            else:
-                z, k, bound, length = value.bits, 0, 0, 0
-            data = tuple([tuple([z if i == j else 0 for j in range(cols)]) for i in range(n)])
-            m = _new(ring, n, cols, data, k, bound, length)
+            legs = (value,) if ring is PolyInt else (value.u,) if value.u is value.v else (value.u, value.v)
+            data, k, bound, length = _packed([[leg.coeffs] for leg in legs])
+            zs = [z for (z,) in data]
+        planes = [tuple([tuple([z if i == j else 0 for j in range(cols)]) for i in range(n)]) for z in zs]
+        m = _new(ring, n, cols, (planes[0], planes[-1]) if ring is C2Poly else planes[0], k, bound, length)
         if n == cols:
             _SET_SCALAR(m, _ONES[ring] if value == _ONES[ring] else value)
         return m
@@ -812,26 +798,20 @@ class Mat:
                 raise ShapeError("block column widths differ")
             if any(b.rows != brow[0].rows for b in brow):
                 raise ShapeError("block row heights differ")
-        if ring is not C2Poly:
-            return _from_blocks(blocks)
-        u, v = ([[b._data[i] for b in brow] for brow in blocks] for i in (0, 1))
-        u_only = _from_blocks(u)
-        t_free = all(b._data[0] is b._data[1] for brow in blocks for b in brow)
-        return _c2mat(u_only, u_only if t_free else _from_blocks(v))
+        return _from_blocks(blocks)
 
     @classmethod
     def block_diag(cls, blocks) -> "Mat":
         _check_block_rings(blocks, blocks[0].ring)
-        return _legwise(_block_diag, *blocks)
+        return _block_diag(blocks)
 
     # -- basics
 
     @property
     def entries(self):
         if self.ring is C2Poly:
-            u, v = self._data
-            u, v = u.entries, (u if u is v else v).entries
-            return tuple(tuple(map(_c2, ru, rv)) for ru, rv in zip(u, v))
+            eu, ev = _planes(C2Poly, lambda d: [[*map(self._entry, r)] for r in d], self._data)
+            return tuple(tuple(map(_c2, ru, rv)) for ru, rv in zip(eu, ev))
         return tuple(tuple(map(self._entry, r)) for r in self._data)
 
     @property
@@ -845,11 +825,10 @@ class Mat:
         return PolyF2(z) if self.ring is PolyF2 else PolyInt._raw(_unpack(z, self.k))
 
     def __getitem__(self, rc):
+        i, j = rc
         if self.ring is C2Poly:
-            u, v = self._data
-            e = u[rc]
-            return _c2(e, e if u is v else v[rc])
-        return self._entry(self._data[rc[0]][rc[1]])
+            return _c2(*_planes(C2Poly, lambda d: self._entry(d[i][j]), self._data))
+        return self._entry(self._data[i][j])
 
     def __eq__(self, other):
         if self is other:
@@ -860,8 +839,6 @@ class Mat:
             and (self.rows, self.cols) == (other.rows, other.cols)
         ):
             return False
-        if self.ring is C2Poly:
-            return all(map(Mat.__eq__, self._data, other._data))
         k = max(self.k, other.k)
         return _at_width(self, k)[0] == _at_width(other, k)[0]
 
@@ -872,9 +849,8 @@ class Mat:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        if self.ring is C2Poly:
-            return all(leg.is_zero() for leg in self._data)
-        return not any(any(r) for r in self._data)
+        planes = self._data if self.ring is C2Poly else (self._data,)
+        return not any([any(r) for d in planes for r in d])
 
     def _check_ring(self, other):
         if self.ring is not other.ring:
@@ -887,7 +863,7 @@ class Mat:
         if self.ring is PolyF2:
             data = tuple(tuple(map(operator.xor, r1, r2)) for r1, r2 in zip(self._data, other._data))
             return _map_data(self, data)
-        return _legwise(_zx_add, self, other, op)
+        return _zx_add(self, other, op)
 
     def __add__(self, other):
         return self._entrywise(other, operator.add)
@@ -896,27 +872,31 @@ class Mat:
         return self._entrywise(other, operator.sub)
 
     def __neg__(self):
-        return self if self.ring is PolyF2 else _legwise(_scale, self, PolyInt((-1,)))
+        if self.ring is PolyF2:
+            return self
+        neg = _planes(self.ring, lambda d: tuple([tuple([-z for z in r]) for r in d]), self._data)
+        return _map_data(self, neg)
 
     def __mul__(self, other):
         if not isinstance(other, Mat):  # a scalar of the ring (or coercible into it)
-            return _legwise(_scale, self, _coercion(self.ring)(other))
+            return _scale(self, _coercion(self.ring)(other))
         self._check_ring(other)
         if self.cols != other.rows:
             raise ShapeError(
                 f"product shape mismatch: {self.rows}x{self.cols} * {other.rows}x{other.cols}"
             )
+        one = _ONES[self.ring]
+        if one is self._scalar or one is other._scalar:  # an identity factor: the other one
+            return self if other._scalar is one else other
         s, m = self._scalar, other
         if s is None:
             s, m = other._scalar, self
         if s is not None:  # a scalar matrix times m, which has the product's shape
-            return m if s is _ONES[self.ring] else _legwise(_scale, m, s)
+            return _scale(m, s)
         if self.ring is PolyF2:
             rows = f2_matmul_bits(self._data, other._data, other.cols)
             return Mat.from_bits(rows, other.cols)
-        # over Z[C2][x] one Z[x] product per leg, and one in all when both
-        # factors are T-free
-        return _legwise(_zx_mul, self, other)
+        return _zx_mul(self, other)
 
     __rmul__ = __mul__  # the rings are commutative
 
@@ -924,21 +904,19 @@ class Mat:
         """Conjugate-transpose, which is the transpose."""
         if self._scalar is not None:
             return self
-        if self.ring is C2Poly:
-            return _legwise(Mat.conj_t, self)
-        data = tuple(zip(*self._data)) if self._data else ((),) * self.cols
-        return _new(self.ring, self.cols, self.rows, data, self.k, self.bound, self.length)
+        cols = self.cols
+        data = _planes(self.ring, lambda d: tuple(zip(*d)) if d else ((),) * cols, self._data)
+        return _new(self.ring, cols, self.rows, data, self.k, self.bound, self.length)
 
     def mod2(self) -> "Mat":
         if self.ring is PolyF2:
             return self
-        m = self._data[0] if self.ring is C2Poly else self
-        k, n = m.k, m.length
+        data, k, n = self._data[0] if self.ring is C2Poly else self._data, self.k, self.length
         if n <= 1:
-            return Mat.from_bits([[z & 1 for z in r] for r in m._data], m.cols)
+            return Mat.from_bits([[z & 1 for z in r] for r in data], self.cols)
         offset = _parity_offset(k, n)
-        rows = [[_slot_parities(z + offset, k) if z else 0 for z in r] for r in m._data]
-        return Mat.from_bits(rows, m.cols)
+        rows = [[_slot_parities(z + offset, k) if z else 0 for z in r] for r in data]
+        return Mat.from_bits(rows, self.cols)
 
     def lift_bits(self) -> "Mat":
         """The Z[x] matrix with the 0/1 coefficients of this F2[x] matrix:
@@ -955,36 +933,38 @@ class Mat:
         return self._leg(1)
 
     def _leg(self, i: int) -> "Mat":
-        """T -> -1 (leg 0) or T -> +1 (leg 1) of a Z[C2][x] matrix."""
+        """T -> -1 (plane 0) or T -> +1 (plane 1) of a Z[C2][x] matrix, as
+        a Z[x] matrix over the plane (a scalar tag goes with it)."""
         if self.ring is not C2Poly:
             raise RingTagError(f"T-evaluation needs a Z[C2][x] matrix, not {self.ring.TAG}")
-        return self._data[i]
+        m = _new(PolyInt, self.rows, self.cols, self._data[i], self.k, self.bound, self.length)
+        if self._scalar is not None:
+            s = apply_i(2 * i - 1, self._scalar)
+            _SET_SCALAR(m, _ONES[PolyInt] if s == _ONES[PolyInt] else s)
+        return m
 
     def to_c2(self) -> "Mat":
         if self.ring is C2Poly:
             return self
         if self.ring is PolyInt:
-            return _c2mat(self, self)
+            data = self._data
+            return _new(C2Poly, self.rows, self.cols, (data, data), self.k, self.bound, self.length)
         raise RingTagError("no canonical embedding of F2[x] into Z[C2][x]")
 
     def det(self):
         """Determinant.
 
         Over Z[x] and F2[x] the product of the determinants of the
-        diagonal blocks the matrix splits into (_det): a 1x1 block is its
-        entry, a 2x2 block is the expansion formula on the packed values
-        (over Z[x] when the bound fits the slot width), and a larger block
-        goes through fraction-free Bareiss elimination on packed integers.
-        Z[C2][x] has zero divisors, so its determinant is the pair of the
-        determinants of its two legs: both T-evaluations are ring maps, so
-        they commute with det.
+        diagonal blocks the matrix splits into (_plane_det): a 1x1 block is
+        its entry, a 2x2 block is the expansion formula on the packed
+        values (over Z[x] when the bound fits the slot width), and a larger
+        block goes through fraction-free Bareiss elimination on packed
+        integers.  Z[C2][x] has zero divisors, so its determinant is read
+        off the planes: both T-evaluations are ring maps, so they commute
+        with det, and the legs of det are the planes' determinants.
         """
         if not self.is_square():
             raise ShapeError("determinant of a non-square matrix")
-        if self.ring is C2Poly:
-            u, v = self._data
-            du = _det(u)
-            return _c2(du, du if u is v else _det(v))
         return _det(self)
 
     def adjugate(self) -> "Mat":
@@ -997,12 +977,9 @@ class Mat:
             raise ShapeError("the adjugate is formed up to 2x2 only")
         if n < 2:
             return self if n == 0 else Mat.identity(1, self.ring)
-        if self.ring is C2Poly:
-            return _legwise(Mat.adjugate, self)
-        (a, b), (c, d) = self._data
-        if self.ring is PolyInt:
-            b, c = -b, -c
-        return _map_data(self, ((d, b), (c, a)))
+        s = 1 if self.ring is PolyF2 else -1  # -1 = 1 in F2[x]; a bitmask is not negated
+        adj = _planes(self.ring, lambda d: ((d[1][1], s * d[0][1]), (s * d[1][0], d[0][0])), self._data)
+        return _map_data(self, adj)
 
     def __str__(self):
         return format_matrix(self)
@@ -1037,10 +1014,11 @@ def _fill(m, rows, ring, cols) -> Mat:
         return _new(ring, n, cols, tuple(tuple([p.bits for p in r]) for r in rows), m=m)
     if ring is PolyInt:
         return _new(ring, n, cols, *_packed([[p.coeffs for p in r] for r in rows]), m)
-    u = v = _new(PolyInt, n, cols, *_packed([[e.u.coeffs for e in r] for r in rows]))
+    crows = [[e.u.coeffs for e in r] for r in rows]
     if any(e.u is not e.v for r in rows for e in r):
-        v = _new(PolyInt, n, cols, *_packed([[e.v.coeffs for e in r] for r in rows]))
-    return _new(ring, n, cols, (u, v), m=m)
+        crows += [[e.v.coeffs for e in r] for r in rows]
+    data, k, bound, length = _packed(crows)
+    return _new(ring, n, cols, _split(data, n), k, bound, length, m)
 
 
 def _packed(crows, k: int = 0):
@@ -1056,20 +1034,27 @@ def _packed(crows, k: int = 0):
     return data, k, bound, max(map(len, flat)) if flat else 0
 
 
-def _coeff_rows(m: Mat):
-    """The coefficient tuples of the entries of a Z[x] matrix, by rows."""
-    return [[_unpack(z, m.k) for z in r] for r in m._data]
+def _coeff_rows(rows, k: int):
+    """The coefficient tuples of Z[x] entries held at slot width k, by rows."""
+    return [[_unpack(z, k) for z in r] for r in rows]
 
 
 def _at_width(m: Mat, k: int):
-    """(data, bound, length) of the Z[x] matrix m at slot width k >= m.k.
-    Zero and constant entries have the same value at every width (and F2[x]
-    matrices have k = 0); others are repacked, so their bound and length
-    come out exact."""
+    """(data, bound, length) of the matrix m at slot width k >= m.k.  Zero
+    and constant entries have the same value at every width (and F2[x]
+    matrices have k = 0); others are repacked (both planes in one pass), so
+    their bound and length come out exact."""
     if k == m.k or m.length <= 1:
         return m._data, m.bound, m.length
-    data, _, bound, length = _packed(_coeff_rows(m), k)
-    return data, bound, length
+    rows = m._data if m.ring is PolyInt else m._data[0] if m._data[0] is m._data[1] else _chain(m._data)
+    data, _, bound, length = _packed(_coeff_rows(rows, m.k), k)
+    return (data if m.ring is PolyInt else _split(data, m.rows)), bound, length
+
+
+def _split(data, n: int):
+    """The planes of a Z[C2][x] matrix with n rows from rows of values
+    packed one plane under the other, or one plane when it is T-free."""
+    return (data, data) if len(data) == n else (data[:n], data[n:])
 
 
 def _width(bound: int, k: int) -> int:
@@ -1084,84 +1069,87 @@ def _map_data(m: Mat, data) -> Mat:
     return _new(m.ring, m.rows, m.cols, data, m.k, m.bound, m.length)
 
 
-def _c2mat(u: Mat, v: Mat) -> Mat:
-    return _new(C2Poly, u.rows, u.cols, (u, v))
-
-
-def _legs(a):
-    """The two legs of a Z[C2][x] matrix or element; anything else twice."""
-    if isinstance(a, Mat) and a.ring is C2Poly:
-        return a._data
-    return (a.u, a.v) if isinstance(a, C2Poly) else (a, a)
-
-
-def _legwise(fn, m: Mat, *args):
-    """fn(m, *args) on a Z[x] or F2[x] matrix m.  Over Z[C2][x], fn on each
-    leg, with the matching leg of each Z[C2][x] matrix or element among
-    args; computed once when all of those are T-free."""
-    if m.ring is not C2Poly:
-        return fn(m, *args)
-    legs = [_legs(a) for a in (m, *args)]
-    u = fn(*[leg[0] for leg in legs])
-    if all(leg[0] is leg[1] for leg in legs):
-        return _c2mat(u, u)
-    return _c2mat(u, fn(*[leg[1] for leg in legs]))
+def _planes(ring, fn, *args):
+    """fn(*args) over Z[x] and F2[x].  Over Z[C2][x] each arg is a pair (of
+    planes, or of per-plane values) and so is the result, fn on the firsts
+    and on the seconds: once when each pair is one object twice."""
+    if ring is not C2Poly:
+        return fn(*args)
+    firsts, seconds = zip(*args)
+    u = fn(*firsts)
+    return u, u if all(map(operator.is_, firsts, seconds)) else fn(*seconds)
 
 
 def _zx_add(a: Mat, b: Mat, op) -> Mat:
-    """a + b or a - b (op) over Z[x]."""
+    """a + b or a - b (op) over Z[x] or Z[C2][x]."""
     k = _width(a.bound + b.bound, max(a.k, b.k))
     (da, ba, la), (db, bb, lb) = _at_width(a, k), _at_width(b, k)
-    data = tuple(tuple(map(op, ra, rb)) for ra, rb in zip(da, db))
-    return _new(PolyInt, a.rows, a.cols, data, k, ba + bb, max(la, lb))
+    data = _planes(a.ring, lambda x, y: tuple([tuple(map(op, rx, ry)) for rx, ry in zip(x, y)]), da, db)
+    return _new(a.ring, a.rows, a.cols, data, k, ba + bb, max(la, lb))
 
 
 def _zx_mul(a: Mat, b: Mat) -> Mat:
-    """a * b over Z[x]: each entry is one integer dot product."""
+    """a * b over Z[x] or Z[C2][x]: each entry of a plane is one integer
+    dot product."""
     k = _width(a.cols * min(a.length, b.length) * a.bound * b.bound, max(a.k, b.k))
     (da, ba, la), (db, bb, lb) = _at_width(a, k), _at_width(b, k)
-    cols = tuple(zip(*db)) if db else ((),) * b.cols
-    data = tuple(tuple([sum(map(operator.mul, r, c)) for c in cols]) for r in da)
+
+    def mul(x, y):
+        cols = tuple(zip(*y)) if y else ((),) * b.cols
+        return tuple([tuple([sum(map(operator.mul, r, c)) for c in cols]) for r in x])
+
+    data = _planes(a.ring, mul, da, db)
     length = la + lb - 1 if la and lb else 0
-    return _new(PolyInt, a.rows, b.cols, data, k, a.cols * min(la, lb) * ba * bb, length)
+    return _new(a.ring, a.rows, b.cols, data, k, a.cols * min(la, lb) * ba * bb, length)
 
 
 def _scale(m: Mat, s) -> Mat:
-    """m * s for an element s of m's ring, Z[x] or F2[x]."""
+    """m * s for an element s of m's ring (over Z[C2][x], plane by plane by
+    the legs of s)."""
     if m.ring is PolyF2:
         return _map_data(m, tuple(tuple([clmul(z, s.bits) for z in r]) for r in m._data))
-    cs = s.coeffs
-    top = max(map(abs, cs), default=0)
-    k = _width(min(m.length, len(cs)) * m.bound * top, m.k)
+    cu, cv = (s.u.coeffs, s.v.coeffs) if m.ring is C2Poly else (s.coeffs, s.coeffs)
+    top, ls = max(map(abs, cu + cv), default=0), max(len(cu), len(cv))
+    k = _width(min(m.length, ls) * m.bound * top, m.k)
     data, bound, length = _at_width(m, k)
-    z = cs[0] if len(cs) == 1 else _pack(cs, k)  # a constant is its own value
-    return _new(
-        PolyInt, m.rows, m.cols, tuple(tuple([e * z for e in r]) for r in data),
-        k, min(length, len(cs)) * bound * top, length + len(cs) - 1 if length and cs else 0,
-    )
+    zu = cu[0] if len(cu) == 1 else _pack(cu, k)  # a constant is its own value
+    zv = zu if cv is cu else cv[0] if len(cv) == 1 else _pack(cv, k)
+    z = (zu, zv) if m.ring is C2Poly else zu
+    data = _planes(m.ring, lambda d, c: tuple([tuple([e * c for e in r]) for r in d]), data, z)
+    length, bound = length + ls - 1 if length and ls else 0, min(length, ls) * bound * top
+    return _new(m.ring, m.rows, m.cols, data, k, bound, length)
 
 
 def _from_blocks(grid) -> Mat:
-    """Mat.from_blocks over Z[x] (at the widest slot width of the blocks)
-    or F2[x]."""
+    """Mat.from_blocks, at the widest slot width of the blocks."""
     k = max(b.k for row in grid for b in row)
     packed = [[_at_width(b, k) for b in row] for row in grid]
-    data = tuple(sum(r, ()) for row in packed for r in zip(*(p[0] for p in row)))
-    bound = max(p[1] for row in packed for p in row)
-    length = max(p[2] for row in packed for p in row)
-    return _new(grid[0][0].ring, len(data), sum(b.cols for b in grid[0]), data, k, bound, length)
+
+    def join(*datas):
+        it = iter(datas)
+        return tuple(sum(r, ()) for row in grid for r in zip(*[next(it) for _ in row]))
+
+    flat = [p for row in packed for p in row]
+    data = _planes(grid[0][0].ring, join, *[p[0] for p in flat])
+    rows, cols = sum(row[0].rows for row in grid), sum(b.cols for b in grid[0])
+    return _new(grid[0][0].ring, rows, cols, data, k, max(p[1] for p in flat), max(p[2] for p in flat))
 
 
-def _block_diag(*blocks) -> Mat:
-    """Mat.block_diag over Z[x] (at the widest slot width of the blocks)
-    or F2[x]."""
+def _block_diag(blocks) -> Mat:
+    """Mat.block_diag, at the widest slot width of the blocks."""
     k, n = max(b.k for b in blocks), sum(b.cols for b in blocks)
-    out, j, bound, length = [], 0, 0, 0
-    for b in blocks:
-        data, bb, bl = _at_width(b, k)
-        out.extend((0,) * j + r + (0,) * (n - j - b.cols) for r in data)
-        bound, length, j = max(bound, bb), max(length, bl), j + b.cols
-    return _new(blocks[0].ring, len(out), n, tuple(out), k, bound, length)
+    packed = [_at_width(b, k) for b in blocks]
+
+    def diag(*datas):
+        out, j = [], 0
+        for b, data in zip(blocks, datas):
+            out.extend((0,) * j + r + (0,) * (n - j - b.cols) for r in data)
+            j += b.cols
+        return tuple(out)
+
+    data = _planes(blocks[0].ring, diag, *[p[0] for p in packed])
+    bound, length = max(p[1] for p in packed), max(p[2] for p in packed)
+    return _new(blocks[0].ring, sum(b.rows for b in blocks), n, data, k, bound, length)
 
 
 def _parity_offset(k: int, n: int) -> int:
@@ -1177,22 +1165,28 @@ def _slot_parities(w: int, k: int) -> int:
     return int(s[(len(s) - 1) % k::k], 2)
 
 
+def all_even(values, k: int, n: int) -> bool:
+    """Whether every coefficient of the Z[x] entries with these values at
+    x = 2^k (of length <= n) is even: bit i*k is coefficient i's parity
+    once _parity_offset is added."""
+    offset = _parity_offset(k, max(n, 1))
+    ones = offset >> (k - 1)
+    return not any([(z + offset) & ones for z in values])
+
+
 def pullback_matrix(u: Mat, v: Mat) -> Mat:
     """The Z[C2][x] matrix with legs u (T -> -1) and v (T -> +1): the
     inverse of (i_minus, i_plus) on pairs of Z[x] matrices that agree
     mod 2 (NotInImageError otherwise)."""
     if u.ring is not PolyInt or v.ring is not PolyInt:
         raise RingTagError("the legs of a Z[C2][x] matrix are Z[x] matrices")
-    # u = v mod 2 when every coefficient of u - v is even: read off the
-    # packed values as in mod2, without unpacking (a constant entry's test
-    # is z & 1)
+    # u = v mod 2 when every coefficient of u - v is even, read off the
+    # packed values without unpacking
     d = u - v
-    offset = _parity_offset(d.k, max(d.length, 1))
-    ones = offset >> (d.k - 1)
-    if any([(z + offset) & ones for r in d._data for z in r]):
+    if not all_even(_chain(d._data), d.k, d.length):
         odd = [(i, j) for i, r in enumerate(d.mod2().bits) for j, e in enumerate(r) if e]
         raise NotInImageError(f"({u[odd[0]]}, {v[odd[0]]}) at {odd[0]} do not agree mod 2")
-    return _c2mat(u, v)
+    return Mat.from_legs(u, v)
 
 
 def f2_bit_length(rows) -> int:
@@ -1335,13 +1329,19 @@ def _eliminate(m, n, jordan, row_update):
 
 
 def _det(m: Mat):
-    """Determinant of a square Z[x] or F2[x] matrix: the product of the
-    determinants of its diagonal blocks between the cuts c at which the
-    blocks [:c, c:] and [c:, :c] are zero (contiguous, so with no sign).
-    One scan finds the cuts; it stops at the first row or column that
-    reaches the last one, since no cut can follow.  A matrix up to 2x2 is
-    taken whole."""
-    data, n = m._data, m.rows
+    """Determinant of a square matrix (over Z[C2][x], legs from its planes)."""
+    d = _planes(m.ring, functools.partial(_plane_det, m), m._data)
+    return _c2(*d) if m.ring is C2Poly else d
+
+
+def _plane_det(m: Mat, data):
+    """Determinant of m's rows of ints data (over Z[C2][x], a plane): the
+    product of the determinants of its diagonal blocks between the cuts c
+    at which the blocks [:c, c:] and [c:, :c] are zero (contiguous, so with
+    no sign).  One scan finds the cuts; it stops at the first row or column
+    that reaches the last one, since no cut can follow.  A matrix up to 2x2
+    is taken whole."""
+    n = m.rows
     if n <= 2:
         return _block_det(m, data)
     d, start, reach, idx = None, 0, 0, range(n)
@@ -1383,7 +1383,7 @@ def _solve(a: Mat, b: Mat) -> Mat:
     divided by d.  PrecondError if A is singular, NonDivisibleError if X is
     not over Z[x]."""
     n = a.rows
-    k, m = _zx_pack_rows([ra + rb for ra, rb in zip(_coeff_rows(a), _coeff_rows(b))])
+    k, m = _zx_pack_rows([ra + rb for ra, rb in zip(_coeff_rows(a._data, a.k), _coeff_rows(b._data, b.k))])
     res = _eliminate(m, n, True, _zx_row)
     if res is None:
         raise PrecondError("singular matrix")

@@ -59,6 +59,16 @@ def cofactor_adjugate(m):
     return Mat(out, m.ring)
 
 
+def unit_inverse(p):
+    """The inverse of a unit p of Z[x], F2[x] or Z[C2][x] (PrecondError if p
+    is not one): every unit is its own inverse, as (+-1)^2 = (+-T)^2 = 1."""
+    from unilc2.rings import PrecondError
+
+    if not p.is_unit():
+        raise PrecondError(f"{p} is not a unit in {p.TAG}")
+    return p
+
+
 def _pivot_row(a, k, n):
     if a[k][k]:
         return k

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cofactor_adjugate, int_polys, pg_sweep, zx
+from conftest import cofactor_adjugate, int_polys, pg_sweep, unit_inverse, zx
 from test_rim import dense_boundary_form
 
 from unilc2 import complexes, rim, rings, witt
@@ -23,6 +23,7 @@ from unilc2.formations import (
     make_N_resolution,
     make_Q,
     negate,
+    two_id,
     verify_formation_iso,
     verify_poincare,
 )
@@ -248,7 +249,7 @@ def replaced_iso_verdict(src, dst, alpha, beta, nu):
     e = src.epsilon
     if not (alpha.is_square() and beta.is_square() and beta.det().is_unit()):
         raise PrecondError("alpha and beta must be unimodular")
-    alpha_inv_star = cofactor_adjugate(alpha.conj_t()) * alpha.det().unit_inverse()
+    alpha_inv_star = cofactor_adjugate(alpha.conj_t()) * unit_inverse(alpha.det())
     nus = nu.conj_t()
     skew_nu = nu - nus if e == 1 else nu + nus
     if dst.gamma * beta != alpha * src.gamma + skew_nu * src.mu:
@@ -312,9 +313,11 @@ generator_term = st.tuples(st.sampled_from((1, -1)), small_zx, small_zx).filter(
 def iso_cases(draw):
     """A make_M_sum formation src, a unimodular (alpha, beta) with their
     inverses, a random nu, and dst: the transport of src along
-    (alpha, beta, nu), with up to two entries of its blocks changed, or
-    another make_M_sum formation of the same rank; and whether dst is the
-    transport itself."""
+    (alpha, beta, nu), with up to two entries of its blocks changed and
+    theta perhaps moved by eta + e eta^* or by eta - e eta^* (e = -1, eta
+    random: the first keeps the isomorphism, the second only when it is
+    also the first), or another make_M_sum formation of the same rank; and
+    whether dst is a transport."""
     src = make_M_sum(draw(st.lists(generator_term, min_size=1, max_size=2)))
     n = src.f_rank
     alpha, alpha_inv = draw(unimodular_with_inverse(n))
@@ -334,8 +337,12 @@ def iso_cases(draw):
         name = draw(st.sampled_from(sorted(blocks)))
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         blocks[name] = blocks[name] + single_entry(n, i, j, draw(c2_elts))
+    shift = draw(st.sampled_from((0, 1, -1)))  # theta += eta + shift * e * eta^*
+    if shift:
+        eta = Mat([[draw(c2_elts) for _ in range(n)] for _ in range(n)], C2Poly)
+        blocks["theta"] = blocks["theta"] + eta - shift * eta.conj_t()
     dst = SplitFormation(blocks["gamma"], blocks["mu"], blocks["theta"], -1)
-    return (src, dst, alpha, beta, nu, alpha_inv, beta_inv), bumps == 0
+    return (src, dst, alpha, beta, nu, alpha_inv, beta_inv), bumps == 0 and shift != -1
 
 
 @settings(max_examples=150, deadline=None)
@@ -517,6 +524,33 @@ def test_iso_checks_run_no_adjugate_and_no_elimination(monkeypatch):
         assert res.arf == expected
     form = dense_boundary_form(random.Random(5), 6)
     assert rim.boundary(rim.BoundaryInput.with_default_lifts(form)).hessian_holds()
+
+
+def test_a_product_with_an_identity_factor_is_the_other_factor():
+    """mu * beta in ISO-M0's condition (ii), with mu = 2*Id and beta = Id
+    (both tagged), is mu itself, on either side, and so is any product
+    with Id."""
+    mu, ident = two_id(2, C2Poly), Mat.identity(2, C2Poly)
+    assert mu * ident is mu and ident * mu is mu
+    m = make_M(zx("x"), zx("1")).gamma
+    assert m * ident is m and ident * m is m and ident * ident is ident
+
+
+def test_the_lift_plus_check_fails_when_the_plus_leg_is_not_a_graph(monkeypatch):
+    """With make_M patched so that its T -> +1 leg is the resolution
+    [[p, 1], [1, 2g]] (its T -> -1 leg), whose determinant 2pg - 1 is not
+    a unit once pg != 0, formations.lift-plus-graph fails at such a pair."""
+    from unilc2 import formations, registry
+
+    def plus_not_graph(p, g):
+        gamma = make_N_resolution(p, g).gamma
+        gamma = Mat.from_legs(gamma, gamma)
+        return SplitFormation(gamma, two_id(2, C2Poly), gamma, -1)
+
+    assert registry.check_lift_plus_graph(registry.SweepConfig(max_deg=1))[0]
+    monkeypatch.setattr(formations, "make_M", plus_not_graph)
+    ok, detail = registry.check_lift_plus_graph(registry.SweepConfig(max_deg=1))
+    assert not ok and detail.startswith("T -> +1 evaluation is not a graph formation at")
 
 
 def test_iso_m0_proof_forms_no_dense_product(monkeypatch):

@@ -511,6 +511,13 @@ def pack_cols(u):
     return [f2_pack(c, w) for c in zip(*u)], w
 
 
+def gram_width(u, lam):
+    """_gram_slot_bits for u given by rows, its columns packed as pack_cols
+    packs them."""
+    ucols, w = pack_cols(u)
+    return _gram_slot_bits(ucols, len(u), w, lam)
+
+
 def checked(ucols, n, w, lam):
     """u's rows from _checked_rows, or None when it raises the reduction's
     internal error."""
@@ -557,7 +564,7 @@ def test_packed_gram_check_against_the_dense_product(pair, data):
         assert checked_u(u, lam) is None
     # the check's width is the exact bound rounded up to a multiple of 64
     exact = max(2 * f2_bit_length(u) + f2_bit_length(lam) - 2, 1)
-    big_w = _gram_slot_bits(u, lam)
+    big_w = gram_width(u, lam)
     assert big_w % 64 == 0 and big_w - 64 < exact <= big_w
     for ws in (big_w, exact):
         assert unpack_slots(_packed_gram(u, [f2_pack(r, ws) for r in u], lam), ws, n) == dense
@@ -632,7 +639,7 @@ def test_a_flipped_limb_in_the_reduction_s_check_raises(make, monkeypatch):
     form = make()
     lam = [list(r) for r in form.symmetrization().bits]
     u = [list(r) for r in symplectic_reduce(form).u.bits]
-    n, width = len(u), _gram_slot_bits(u, lam)
+    n, width = len(u), gram_width(u, lam)
     j_rows = [[int(j == i ^ 1) for j in range(n)] for i in range(n)]
     real_gram, real_rows = forms._packed_gram, forms._checked_rows
     rng = random.Random(7)
@@ -673,6 +680,43 @@ def test_a_flipped_limb_in_the_reduction_s_check_raises(make, monkeypatch):
     assert raised > 6
 
 
+def test_the_check_width_from_the_folded_columns_is_the_scanned_one(monkeypatch):
+    """_gram_slot_bits folds u's longest entry out of its packed columns;
+    on machine obstruction forms (relations 1-4, seeded degree-2
+    parameters with p * g in x Z[x]), on dense forms like user-forms' (make_P blocks moved by
+    L * U, ranks 2-12) and on forms whose columns were repacked wider (a
+    hyperbolic form moved by degree-8 L * U), the width is the one scanned
+    from all n^2 entries of u."""
+    from unilc2.complexes import run_relation
+
+    rng = random.Random(11)
+    forms_seen = []
+    for k in (1, 2, 3, 4):
+        p, p2 = (PolyInt([0, rng.randint(0, 2), rng.randint(1, 2)]) for _ in range(2))  # p * g in x Z[x]
+        g = PolyInt([rng.randint(0, 2) for _ in range(3)])
+        res = run_relation(k, p, g, p2)[0]
+        forms_seen += [res.obstruction.big, res.obstruction.reduced]
+    for rank in (2, 6, 12):
+        blocks = [make_P(PolyF2(rng.getrandbits(3)), PolyF2(rng.getrandbits(3))) for _ in range(rank // 2)]
+        forms_seen.append(functools.reduce(direct_sum, blocks).transport(lu_transport(rng, rank, 1)))
+    forms_seen += [wide_form(), hyperbolic(4).transport(lu_transport(rng, 8, 8))]
+    calls = []
+    real = forms._checked_rows
+
+    def spy(ucols, n, w, lam):
+        urows = real(ucols, n, w, lam)
+        scanned = -(-max(2 * f2_bit_length(urows) + f2_bit_length(lam) - 2, 1) // 64) * 64
+        calls.append((w, _gram_slot_bits(ucols, n, w, lam), scanned))
+        return urows
+
+    monkeypatch.setattr(forms, "_checked_rows", spy)
+    for form in forms_seen:
+        symplectic_reduce(form)
+    assert len(calls) == len(forms_seen) == 13
+    assert all(folded == scanned for _, folded, scanned in calls)
+    assert any(w > FIRST_SLOT_BITS for w, _, _ in calls)
+
+
 def coupled_form(f, h, vec):
     """The rank-6 form with pairing J + f (e1 e2^T + e2 e1^T) + h (e3 e4^T +
     e4 e3^T) (f, h bitmasks) and quadratic values vec: the reduction makes
@@ -696,7 +740,7 @@ def test_the_check_width_rounds_the_exact_bound_up_to_64_bits(a, b, exact, width
     basis = symplectic_reduce(form)
     u, lam = basis.u.bits, form.symmetrization().bits
     assert f2_bit_length(u) == a + b - 1 and f2_bit_length(lam) == a
-    assert 2 * (a + b - 1) + a - 2 == exact and _gram_slot_bits(u, lam) == width
+    assert 2 * (a + b - 1) + a - 2 == exact and gram_width(u, lam) == width
     assert packed_rows == [[f2_pack(r, width) for r in u]]
     assert basis.u.conj_t() * form.symmetrization() * basis.u == standard_symplectic(6)
 

@@ -1417,3 +1417,82 @@ def test_equality_and_hash_at_the_slot_bound(delta, sign, length, i):
     assert (nudged - m) == Mat([[PolyInt.x_power(j), zx("0")], [zx("0"), zx("0")]], PolyInt)
     c2 = m.to_c2()
     assert c2 == (wide + Mat.zeros(2, 2, PolyInt)).to_c2() and hash(c2) == hash(wide.to_c2())
+
+
+# -- one object over both planes: T -> -1 and T -> +1 commute with every
+# Z[C2][x] operation
+
+
+def leg(m, sign):
+    return m.i_plus() if sign == 1 else m.i_minus()
+
+
+def c2_ops(a, b, d, s, ring):
+    """The matrix operations on a, b (r x n), d (n x n) and the scalar s over
+    ring, Z[C2][x] or (on their legs) Z[x]."""
+    n = d.rows
+    return [
+        a + b, a - b, -a, a * s, a * d, d * d, a.conj_t(), a.conj_t() * b,
+        Mat.from_blocks([[a, b]]), Mat.from_blocks([[a], [b]]), Mat.block_diag([a, d]),
+        Mat.scalar(n, s, ring), Mat.scalar(n, s, ring) * d, a * Mat.identity(n, ring),
+    ]
+
+
+@st.composite
+def c2_operands(draw):
+    """(a, b, d, s, t_free): a, b r x n and d n x n over Z[C2][x] and s in
+    Z[C2][x], with coefficients up to 2^70, so that results are repacked
+    wider; with t_free every entry has b = 0 (an element of Z[x])."""
+    r, n, t_free = draw(st.integers(0, 4)), draw(st.integers(0, 4)), draw(st.booleans())
+    pairs = c2_pairs(max_len=4, bound=2**70)
+    if t_free:
+        pairs = pairs.map(lambda ab: (ab[0], PolyInt(())))
+    elt = pairs.map(lambda ab: C2Poly.from_parts(*ab))
+
+    def mat(h, w):
+        return Mat([[draw(elt) for _ in range(w)] for _ in range(h)], C2Poly) if h else Mat.zeros(0, w, C2Poly)
+
+    return mat(r, n), mat(r, n), mat(n, n), draw(elt), t_free
+
+
+@settings(max_examples=150, deadline=None)
+@given(c2_operands())
+def test_t_evaluations_commute_with_every_c2_operation(case):
+    """Each result's i_minus() and i_plus() are the Z[x] operation on the
+    operands' legs (det, equality, is_zero and mod2 too, and from_legs and
+    pullback_matrix give back the matrix); T-free operands give T-free
+    results, whose two planes are one row tuple; and every result's
+    recorded bound holds on both legs."""
+    a, b, d, s, t_free = case
+    got = c2_ops(a, b, d, s, C2Poly)
+    for sign in (-1, 1):
+        legs = [leg(m, sign) for m in (a, b, d)]
+        assert [leg(m, sign) for m in got] == c2_ops(*legs[:2], legs[2], apply_i(sign, s), PolyInt)
+        assert apply_i(sign, d.det()) == legs[2].det()
+        assert a.mod2() == legs[0].mod2()
+    for x, y in ((a, b), (a, a + b - b), (a, -a)):
+        assert (x == y) == (x.i_minus() == y.i_minus() and x.i_plus() == y.i_plus())
+        assert (x - y).is_zero() == ((x - y).i_minus().is_zero() and (x - y).i_plus().is_zero())
+    assert Mat.from_legs(a.i_minus(), a.i_plus()) == a == pullback_matrix(a.i_minus(), a.i_plus())
+    for m in got:
+        assert holds_its_bounds(m)
+        assert not t_free or m._data[0] is m._data[1]
+    det = d.det()
+    assert not t_free or det.u is det.v
+
+
+def test_a_repack_of_either_plane_goes_through_at_width(monkeypatch):
+    """A sum that needs a wider slot than a Z[C2][x] matrix holds repacks
+    it by one rings._at_width call, whichever plane holds the large
+    coefficients: the spy that guards machine runs against repacks sees
+    it."""
+    big = PolyInt((2**62, 1))
+    repacks = []
+    real = rings._at_width
+    monkeypatch.setattr(rings, "_at_width", lambda m, k: repacks.append(k != m.k and m.length > 1) or real(m, k))
+    for sign in (-1, 1):  # b = sign * a: the large leg is v (T -> +1) or u (T -> -1)
+        m = Mat([[C2Poly.from_parts(big, PolyInt([sign * c for c in big.coeffs])), C2Poly.one()]], C2Poly)
+        repacks.clear()
+        total = m + m
+        assert total.k > m.k and any(repacks)
+        assert leg(total, sign) == leg(m, sign) * 2 and leg(total, -sign) == leg(m, -sign) * 2
