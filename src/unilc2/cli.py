@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import complexes, formations, forms, rim, witt
-from .registry import SWEEP_CAPS, SweepConfig, run_registry, select
+from .registry import DEGREE_CAPS, SWEEP_CAPS, SweepConfig, run_registry, select
 from .rings import (
     AlgebraError,
     C2Poly,
@@ -83,13 +83,16 @@ def _machine_usage_error(args) -> str | None:
 def _verify_usage_error(args) -> str | None:
     """What makes a verify command line a usage error, if anything: a
     filter that selects no check, a coefficient set with no nonzero entry
-    (every sweep would run on zero polynomials only), or a sweep of more
-    candidates than its cap in SWEEP_CAPS (checked before the sweep is
-    built)."""
+    (every sweep would run on zero polynomials only), a degree above its
+    cap in DEGREE_CAPS, or a sweep of more candidates than its cap in
+    SWEEP_CAPS (checked before the sweep is built)."""
     if not select(args.filter):
         return f"--filter {args.filter!r} matches no check id"
     if not any(args.coeff_set):
         return "--coeff-set needs a nonzero coefficient"
+    for flag, cap in DEGREE_CAPS.items():
+        if (deg := getattr(args, flag[2:].replace("-", "_"))) > cap:
+            return f"{flag} {deg} is above the degree cap {cap}"
     for flag, count in _sweep_config(args).sweep_sizes().items():
         if count > SWEEP_CAPS[flag]:
             return f"{flag} over --coeff-set sweeps {count} candidates, above the cap {SWEEP_CAPS[flag]}"

@@ -54,6 +54,7 @@ class StageError(AlgebraError):
         super().__init__(f"[{stage}] {message}{detail}")
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class QuadComplex1:
     """1-dimensional (-1)-quadratic complex with C_1 = C_0, d = 2*Id.
 
@@ -64,21 +65,20 @@ class QuadComplex1:
     machine's input and Z[x] for the corrected cycle.
     """
 
-    __slots__ = ("rank", "psi0t", "psi1")
+    psi0t: Mat
+    psi1: Mat
 
-    def __init__(self, psi0t: Mat, psi1: Mat):
-        n = psi0t.rows
-        for m in (psi0t, psi1):
+    def __post_init__(self):
+        n = self.psi0t.rows
+        for m in (self.psi0t, self.psi1):
             if not (m.is_square() and m.rows == n):
                 raise ShapeError("all complex components must be n x n")
-        if psi1.ring is not psi0t.ring:
+        if self.psi1.ring is not self.psi0t.ring:
             raise RingTagError("complex components over different rings")
-        object.__setattr__(self, "rank", n)
-        object.__setattr__(self, "psi0t", psi0t)
-        object.__setattr__(self, "psi1", psi1)
 
-    def __setattr__(self, *a):
-        raise AttributeError("QuadComplex1 is immutable")
+    @property
+    def rank(self) -> int:
+        return self.psi0t.rows
 
     @property
     def ring(self):

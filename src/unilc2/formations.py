@@ -15,6 +15,7 @@ decidable certificates attached to them.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .rings import (
@@ -35,13 +36,18 @@ class UnsupportedShapeError(AlgebraError):
     """The operation only supports the exponent-two shape mu = 2*Id."""
 
 
+@dataclass(frozen=True, slots=True)
 class SplitFormation:
     """Nonsingular split epsilon-quadratic formation (gamma, mu, theta)."""
 
-    __slots__ = ("gamma", "mu", "theta", "epsilon")
+    gamma: Mat
+    mu: Mat
+    theta: Mat
+    epsilon: int
 
-    def __init__(self, gamma: Mat, mu: Mat, theta: Mat, epsilon: int):
-        if epsilon not in (1, -1):
+    def __post_init__(self):
+        gamma, mu, theta = self.gamma, self.mu, self.theta
+        if self.epsilon not in (1, -1):
             raise PrecondError("epsilon must be +1 or -1")
         if gamma.ring is not mu.ring or gamma.ring is not theta.ring:
             raise RingTagError("formation blocks over different rings")
@@ -49,13 +55,6 @@ class SplitFormation:
             raise ShapeError("gamma and mu must have equal shape")
         if theta.rows != gamma.cols or not theta.is_square():
             raise ShapeError("theta must be square of size g_rank")
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "epsilon", epsilon)
-
-    def __setattr__(self, *a):
-        raise AttributeError("SplitFormation is immutable")
 
     @property
     def ring(self):
@@ -74,15 +73,6 @@ class SplitFormation:
         ts = self.theta.conj_t()
         lhs = self.theta - ts if self.epsilon == 1 else self.theta + ts
         return lhs == self.gamma.conj_t() * self.mu
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SplitFormation)
-            and self.epsilon == other.epsilon
-            and self.gamma == other.gamma
-            and self.mu == other.mu
-            and self.theta == other.theta
-        )
 
     def __repr__(self):
         return (

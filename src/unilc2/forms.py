@@ -108,22 +108,22 @@ def arf_normalize(q: PolyF2) -> ArfClass:
 # Forms
 
 
+@dataclass(frozen=True, slots=True)
 class QuadraticForm:
     """epsilon-quadratic form (rank, psi, epsilon) on a free module."""
 
-    __slots__ = ("rank", "psi", "epsilon")
+    psi: Mat
+    epsilon: int = 1
 
-    def __init__(self, psi: Mat, epsilon: int = 1):
-        if not psi.is_square():
+    def __post_init__(self):
+        if not self.psi.is_square():
             raise ShapeError("form matrix must be square")
-        if epsilon not in (1, -1):
+        if self.epsilon not in (1, -1):
             raise PrecondError("epsilon must be +1 or -1")
-        object.__setattr__(self, "rank", psi.rows)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "epsilon", epsilon)
 
-    def __setattr__(self, *a):
-        raise AttributeError("QuadraticForm is immutable")
+    @property
+    def rank(self) -> int:
+        return self.psi.rows
 
     @property
     def ring(self):
@@ -143,13 +143,6 @@ class QuadraticForm:
     def transport(self, u: Mat) -> "QuadraticForm":
         """Base change by u (columns = new basis in old coordinates)."""
         return QuadraticForm(u.conj_t() * self.psi * u, self.epsilon)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuadraticForm)
-            and self.epsilon == other.epsilon
-            and self.psi == other.psi
-        )
 
     def __repr__(self):
         return f"QuadraticForm(eps={self.epsilon:+d}, psi={self.psi})"
@@ -225,13 +218,8 @@ def standard_symplectic(n: int) -> Mat:
     """Block-antidiagonal pairing diag([[0,1],[1,0]], ...) of size n."""
     if n % 2:
         raise ShapeError("symplectic pairings have even rank")
-    one, zero = PolyF2.one(), PolyF2.zero()
     # i ^ 1 is the other index of the pair (i - i % 2, i - i % 2 + 1)
-    return Mat._raw(
-        tuple(tuple(one if j == i ^ 1 else zero for j in range(n)) for i in range(n)),
-        PolyF2,
-        n,
-    )
+    return Mat.from_bits([[int(j == i ^ 1) for j in range(n)] for i in range(n)], n)
 
 
 # u is held by columns, each packed into one int as the F2[x] products of

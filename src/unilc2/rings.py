@@ -30,7 +30,6 @@ import functools
 import itertools
 import operator
 import re
-from dataclasses import dataclass
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
@@ -163,7 +162,7 @@ class PolyInt:
         return isinstance(other, PolyInt) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(("PolyInt", self.coeffs))
+        return hash(self.coeffs)
 
     def __add__(self, other):
         other = _as_polyint(other)
@@ -363,7 +362,7 @@ class PolyF2:
         return isinstance(other, PolyF2) and self.bits == other.bits
 
     def __hash__(self):
-        return hash(("PolyF2", self.bits))
+        return hash(self.bits)
 
     def __add__(self, other):
         other = _as_polyf2(other)
@@ -433,14 +432,6 @@ def f2_divmod(a: PolyF2, b: PolyF2):
 # Z[C2] and Z[C2][x]
 
 
-@dataclass(frozen=True)
-class C2Elt:
-    """Group-ring coefficient m + n*T (T^2 = 1), as C2Poly.coeffs lists them."""
-
-    m: int = 0
-    n: int = 0
-
-
 class C2Poly:
     """Polynomial over Z[C2], stored by its two pullback legs: u, the value
     at T -> -1, and v, the value at T -> +1, integer polynomials with
@@ -450,17 +441,19 @@ class C2Poly:
     ring operation is the same operation on both legs, and a product is two
     Z[x] products.  The a + b*T form is derived: a = (u + v)/2 and
     b = (v - u)/2.  An element of Z[x] holds one PolyInt as both legs.
+    C2Poly(u, v) checks that the legs agree mod 2; from_parts builds the
+    element a + b*T.
     """
 
     __slots__ = ("u", "v")
     TAG = "Z[C2][x]"
 
-    def __init__(self, coeffs=()):
-        """From Z[C2] coefficients, each an int or a C2Elt, lowest first."""
-        cs = [c if isinstance(c, C2Elt) else C2Elt(c) for c in coeffs]
-        a, b = PolyInt([c.m for c in cs]), PolyInt([c.n for c in cs])
-        _SET_U(self, a - b)
-        _SET_V(self, a + b)
+    def __init__(self, u: PolyInt, v: PolyInt):
+        """The element with legs u and v; NotInImageError unless u = v mod 2."""
+        if any(c % 2 for c in (v - u).coeffs):
+            raise NotInImageError(f"({u}, {v}) do not agree mod 2")
+        _SET_U(self, u)
+        _SET_V(self, v)
 
     def __setattr__(self, *a):
         raise AttributeError("C2Poly is immutable")
@@ -501,12 +494,6 @@ class C2Poly:
         """The coefficient (v - u)/2 of T."""
         return PolyInt._raw(tuple(c // 2 for c in (self.v - self.u).coeffs))
 
-    @property
-    def coeffs(self):
-        return tuple(
-            C2Elt(m, n) for m, n in itertools.zip_longest(self.a.coeffs, self.b.coeffs, fillvalue=0)
-        )
-
     def degree(self):
         return max(self.u.degree(), self.v.degree())
 
@@ -517,7 +504,7 @@ class C2Poly:
         return isinstance(other, C2Poly) and self.u == other.u and self.v == other.v
 
     def __hash__(self):
-        return hash(("C2Poly", self.u.coeffs, self.v.coeffs))
+        return hash((self.u.coeffs, self.v.coeffs))
 
     def __add__(self, other):
         other = _as_c2poly(other)
@@ -595,7 +582,8 @@ _SET_U, _SET_V = C2Poly.u.__set__, C2Poly.v.__set__
 
 
 def _c2(u: PolyInt, v: PolyInt) -> C2Poly:
-    """Internal fast path: the element with legs u and v (u = v mod 2)."""
+    """Internal fast path: C2Poly(u, v) for legs the caller knows agree
+    mod 2, unchecked."""
     p = object.__new__(C2Poly)
     _SET_U(p, u)
     _SET_V(p, v)
@@ -607,8 +595,6 @@ def _as_c2poly(v) -> C2Poly:
         return v
     if isinstance(v, int):
         return C2Poly.from_int(v)
-    if isinstance(v, C2Elt):
-        return C2Poly((v,))
     if isinstance(v, PolyInt):
         return C2Poly.from_polyint(v)
     raise RingTagError(f"cannot coerce {v!r} into Z[C2][x]")
@@ -663,9 +649,7 @@ def pullback_pair(p: C2Poly):
 
 def pullback_inverse(u: PolyInt, v: PolyInt) -> C2Poly:
     """Inverse of pullback_pair on pairs with u = v mod 2."""
-    if any(c % 2 for c in (v - u).coeffs):
-        raise NotInImageError(f"({u}, {v}) do not agree mod 2")
-    return _c2(u, v)
+    return C2Poly(u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -722,23 +706,23 @@ class Mat:
                 raise ShapeError("empty matrix needs an explicit ring")
             ring = type(rows[0][0])
         coerce = _coercion(ring)
-        rows = tuple(tuple(coerce(e) for e in r) for r in rows)
-        for r in rows:
-            for e in r:
-                if type(e) is not ring:
-                    raise RingTagError("mixed-ring entries")
-        _fill(self, rows, ring, w)
+        rows = tuple(tuple(coerce(e) for e in r) for r in rows)  # RingTagError on a foreign entry
+        n = len(rows)
+        if ring is PolyF2:
+            _new(ring, n, w, tuple(tuple([p.bits for p in r]) for r in rows), m=self)
+        elif ring is PolyInt:
+            _new(ring, n, w, *_packed([[p.coeffs for p in r] for r in rows]), self)
+        else:
+            crows = [[e.u.coeffs for e in r] for r in rows]
+            if any(e.u is not e.v for r in rows for e in r):
+                crows += [[e.v.coeffs for e in r] for r in rows]
+            data, k, bound, length = _packed(crows)
+            _new(ring, n, w, _split(data, n), k, bound, length, self)
 
     def __setattr__(self, *a):
         raise AttributeError("Mat is immutable")
 
     # -- constructors
-
-    @classmethod
-    def _raw(cls, rows, ring, cols: int) -> "Mat":
-        """Internal fast path: entries already canonical for the ring, and
-        the column count (which a matrix with no rows cannot show)."""
-        return _fill(cls.__new__(cls), rows, ring, cols)
 
     @classmethod
     def from_bits(cls, rows, cols: int) -> "Mat":
@@ -1005,20 +989,6 @@ def _new(ring, rows, cols, data, k=0, bound=0, length=0, m=None) -> Mat:
     _SET_LENGTH(m, length)
     _SET_SCALAR(m, None)
     return m
-
-
-def _fill(m, rows, ring, cols) -> Mat:
-    """Set m to the matrix with the canonical entries rows."""
-    n = len(rows)
-    if ring is PolyF2:
-        return _new(ring, n, cols, tuple(tuple([p.bits for p in r]) for r in rows), m=m)
-    if ring is PolyInt:
-        return _new(ring, n, cols, *_packed([[p.coeffs for p in r] for r in rows]), m)
-    crows = [[e.u.coeffs for e in r] for r in rows]
-    if any(e.u is not e.v for r in rows for e in r):
-        crows += [[e.v.coeffs for e in r] for r in rows]
-    data, k, bound, length = _packed(crows)
-    return _new(ring, n, cols, _split(data, n), k, bound, length, m)
 
 
 def _packed(crows, k: int = 0):
@@ -1388,9 +1358,8 @@ def _solve(a: Mat, b: Mat) -> Mat:
     if res is None:
         raise PrecondError("singular matrix")
     d = PolyInt._raw(_unpack(res[1], k))
-    return Mat._raw(
-        tuple(tuple(PolyInt._raw(_unpack(z, k)).exact_div(d) for z in r[n:]) for r in m), PolyInt, b.cols
-    )
+    quotients = [[PolyInt._raw(_unpack(z, k)).exact_div(d).coeffs for z in r[n:]] for r in m]
+    return Mat.from_coeffs(quotients, b.cols)
 
 
 def solve_right(a: Mat, b: Mat) -> Mat:
@@ -1497,11 +1466,11 @@ def format_poly(p) -> str:
     T-free part precedes the T part."""
     terms = []
     if isinstance(p, C2Poly):
-        for k, c in enumerate(p.coeffs):
-            if c.m:
-                terms.append(_fmt_term(c.m, k, False))
-            if c.n:
-                terms.append(_fmt_term(c.n, k, True))
+        for k, (m, n) in enumerate(itertools.zip_longest(p.a.coeffs, p.b.coeffs, fillvalue=0)):
+            if m:
+                terms.append(_fmt_term(m, k, False))
+            if n:
+                terms.append(_fmt_term(n, k, True))
     elif isinstance(p, PolyInt):
         for k, c in enumerate(p.coeffs):
             if c:

@@ -416,17 +416,46 @@ def test_usage_error_exit_code():
     assert err.value.code == 2
 
 
-@pytest.mark.parametrize("flag", ["--max-deg", "--machine-deg-triples", "--machine-deg-pairs"])
-@pytest.mark.parametrize("value", ["-1", "-3", "two"])
-def test_verify_rejects_a_bad_sweep_degree_as_a_usage_error(flag, value):
-    """A negative or non-integer sweep degree exits 2 before any output,
-    never 1 (a failed verification) or 0 on a shrunken sweep."""
+@pytest.mark.parametrize(
+    "value, flag",
+    [
+        (value, flag)
+        for value in ("-1", "-3", "two", "100000000")
+        for flag in ("--max-deg", "--machine-deg-triples", "--machine-deg-pairs")
+    ]
+    + [("512", "--max-deg"), ("10000000", "--max-deg"), ("1025", "--machine-deg-pairs"),
+       ("1025", "--machine-deg-triples")],
+)
+def test_verify_rejects_a_bad_sweep_degree_as_a_usage_error(monkeypatch, value, flag):
+    """A negative, non-integer or too high sweep degree exits 2 before any
+    output and before any sweep size is computed, never 1 (a failed
+    verification) or 0 on a shrunken sweep.  --max-deg stops at 511, where
+    witt.nilpotence's x -> x^2 of x*g reaches rings.MAX_EXPONENT = 1024;
+    the machine degrees stop at MAX_EXPONENT."""
+    from unilc2.registry import SweepConfig
+
+    def no_sizes(self):
+        raise AssertionError("a sweep size was computed")
+
+    monkeypatch.setattr(SweepConfig, "sweep_sizes", no_sizes)
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
         main(["verify", flag, value])
     assert exc.value.code == 2
     assert out.getvalue() == ""
     assert flag in err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [["--max-deg", "511"], ["--machine-deg-pairs", "1024"]])
+def test_verify_passes_at_the_highest_sweep_degrees(tmp_path, argv):
+    """At the highest accepted degrees over --coeff-set 1 every check
+    passes: no substitution leaves the exponent cap."""
+    summary = tmp_path / "sum.txt"
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["verify", *argv, "--coeff-set", "1", "--summary", str(summary)])
+    assert code == 0, out.getvalue()
+    assert "overall=pass" in summary.read_text()
 
 
 def test_verify_filter_matching_no_check_is_a_usage_error(tmp_path):

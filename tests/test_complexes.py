@@ -144,6 +144,16 @@ def test_machine_run_builds_only_what_it_reads(monkeypatch):
 # -- dictionary
 
 
+def test_quad_complex_is_a_frozen_record_with_identity_equality():
+    c = formation_to_complex(make_M(zx("x"), zx("1")))
+    for name in ("psi0t", "psi1"):
+        with pytest.raises(AttributeError):
+            setattr(c, name, getattr(c, name))
+    assert c.rank == 2
+    twin = complexes.QuadComplex1(c.psi0t, c.psi1)
+    assert c == c and c != twin and len({c, twin}) == 2
+
+
 def test_formation_to_complex_shape():
     c = formation_to_complex(make_M(zx("x"), zx("1")))
     assert c.rank == 2

@@ -46,6 +46,21 @@ def test_make_M_matrices():
     assert m.hessian_holds()
 
 
+def test_split_formation_is_a_frozen_record_equal_by_its_fields():
+    m = make_M(zx("x"), zx("1"))
+    for name in ("gamma", "mu", "theta", "epsilon"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, getattr(m, name))
+    assert m == make_M(zx("x"), zx("1")) == SplitFormation(m.gamma, m.mu, m.theta, -1)
+    for other in (
+        SplitFormation(-m.gamma, m.mu, m.theta, -1),
+        SplitFormation(m.gamma, -m.mu, m.theta, -1),
+        SplitFormation(m.gamma, m.mu, -m.theta, -1),
+        SplitFormation(m.gamma, m.mu, m.theta, 1),
+    ):
+        assert m != other
+
+
 def test_make_M_precondition():
     with pytest.raises(PrecondError):
         make_M(zx("1"), zx("1"))

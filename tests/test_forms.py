@@ -130,6 +130,18 @@ def test_arf_class_group():
 # -- the rank-2 family and hyperbolic forms
 
 
+def test_quadratic_form_is_a_frozen_record_equal_by_its_fields():
+    q = QuadraticForm(parse_matrix("[x,1;0,1]", PolyF2), 1)
+    for name in ("psi", "epsilon"):
+        with pytest.raises(AttributeError):
+            setattr(q, name, getattr(q, name))
+    assert q.rank == 2
+    twin = QuadraticForm(parse_matrix("[x,1;0,1]", PolyF2), 1)
+    assert q == twin and hash(q) == hash(twin)
+    assert q != QuadraticForm(q.psi, -1)
+    assert q != QuadraticForm(parse_matrix("[x,1;0,x]", PolyF2), 1)
+
+
 def test_make_P_shape():
     p = make_P(f2("x"), f2("1"))
     assert p.psi == parse_matrix("[x,1;0,1]", PolyF2)

@@ -445,7 +445,7 @@ def test_packed_lift_with_coefficients_past_the_first_slot_width():
 
 def object_lift(m):
     """The coefficient-wise lift built from ring objects."""
-    return Mat._raw(tuple(tuple(PolyInt._raw(e.coeffs) for e in r) for r in m.entries), PolyInt, m.cols)
+    return Mat.from_coeffs([[e.coeffs for e in r] for r in m.entries], m.cols)
 
 
 f2_bits = st.one_of(st.sampled_from([0, 1]), st.integers(0, 2**8), st.integers(2**64, 2**130))

@@ -118,6 +118,9 @@ def test_mixed_ring_operands_rejected():
         f2("1") * ONE_MINUS_T
     with pytest.raises(RingTagError):
         ONE_MINUS_T - f2("x")
+    for entries, ring in (([[zx("x"), f2("x")]], None), ([[ONE_MINUS_T]], PolyInt), ([[zx("1")]], PolyF2)):
+        with pytest.raises(RingTagError):
+            Mat(entries, ring)
 
 
 def test_ring_axioms_randomized():
@@ -188,6 +191,16 @@ def test_pullback_parity_obstruction():
         pullback_inverse(zx("0"), zx("1"))
 
 
+def test_c2poly_is_built_from_legs_that_agree_mod_2():
+    """C2Poly(u, v) is pullback_inverse: the element with legs u and v, and
+    NotInImageError when they differ mod 2."""
+    assert C2Poly(zx("1"), zx("5")) == pullback_inverse(zx("1"), zx("5")) == parse_poly("3+2*T", C2Poly)
+    assert C2Poly(zx("x"), zx("x")) == C2Poly.from_polyint(zx("x"))
+    for u, v in [("0", "1"), ("x", "0"), ("1+x^3", "1+2*x^3+x^5")]:
+        with pytest.raises(NotInImageError):
+            C2Poly(zx(u), zx(v))
+
+
 # lengths up to 12, so ua * ub also takes the Kronecker path
 wide_polyints = st.lists(st.integers(-(2**100), 2**100), max_size=12).map(PolyInt)
 wide_c2polys = st.tuples(wide_polyints, wide_polyints).map(lambda ab: C2Poly.from_parts(*ab))
@@ -200,10 +213,12 @@ def test_pullback_is_ring_iso(a, b, k):
     ub, vb = pullback_pair(b)
     assert pullback_pair(a + b) == (ua + ub, va + vb)
     assert pullback_pair(a * b) == (ua * ub, va * vb)
-    assert pullback_inverse(ua, va) == a
+    assert pullback_inverse(ua, va) == C2Poly(ua, va) == a
     assert pullback_inverse(ua * ub, va * vb) == a * b
     with pytest.raises(NotInImageError):
         pullback_inverse(ua, va + PolyInt.x_power(k))
+    with pytest.raises(NotInImageError):
+        C2Poly(ua + PolyInt.x_power(k), va)
 
 
 # -- the mod-2 agreement of pullback_matrix, read off packed values
@@ -971,7 +986,7 @@ def packed_elimination_cases(draw):
     if kind == "identity":
         return a, Mat.identity(n, PolyInt)
     m = 0 if kind == "empty" else draw(st.integers(1, 3))
-    b = Mat._raw(tuple(tuple(draw(entry) for _ in range(m)) for _ in range(n)), PolyInt, m)
+    b = Mat.from_coeffs([[draw(entry).coeffs for _ in range(m)] for _ in range(n)], m)
     return a, (a * b if kind == "product" else b)
 
 
@@ -1082,11 +1097,16 @@ def test_f2_divmod_and_xgcd():
 
 @pytest.mark.parametrize(
     "text",
-    ["0", "1", "1-T", "2*x^3", "x+x^3", "-x", "2-2*T", "x-T*x", "1+2*T*x^4"],
+    [
+        "0", "1", "1-T", "2*x^3", "x+x^3", "-x", "2-2*T", "x-T*x", "1+2*T*x^4",
+        # a negative T part, and a T part longer than the T-free part
+        "-T", "-3*T*x^2", "1-T*x^3", "x^2-5*T*x^2-T*x^7", "T+x-2*T*x^4",
+    ],
 )
 def test_poly_text_roundtrip(text):
     p = parse_poly(text, C2Poly)
     assert parse_poly(format_poly(p), C2Poly) == p
+    assert format_poly(p) == text
 
 
 @settings(max_examples=300, deadline=None)
