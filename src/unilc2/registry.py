@@ -50,9 +50,10 @@ SWEEP_CAPS = {
     "--machine-deg-pairs": MAX_MACHINE_SWEEP,
     "--machine-deg-triples": MAX_MACHINE_SWEEP,
 }
-# Highest degree each sweep flag accepts, checked as the flag is parsed, so
-# before any sweep size is computed: witt.nilpotence substitutes x -> x^2
-# in x*g, of degree --max-deg + 1, and no polynomial exceeds MAX_EXPONENT.
+# Highest degree each sweep flag accepts, checked before any sweep size is
+# computed (the size grows exponentially in it): witt.nilpotence
+# substitutes x -> x^2 in x*g, of degree --max-deg + 1, and no polynomial
+# exceeds MAX_EXPONENT.
 DEGREE_CAPS = {
     "--max-deg": MAX_EXPONENT // 2 - 1,
     "--machine-deg-pairs": MAX_EXPONENT,
