@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import complexes, formations, forms, rim, witt
-from .registry import DEGREE_CAPS, SWEEP_CAPS, SweepConfig, run_registry, select
+from .registry import SWEEP_CAPS, SweepConfig, run_registry, select
 from .rings import (
     AlgebraError,
     C2Poly,
@@ -21,6 +21,7 @@ from .rings import (
     ParseError,
     PolyF2,
     PolyInt,
+    PrecondError,
     format_matrix,
     parse_matrix,
     parse_poly,
@@ -90,10 +91,11 @@ def _verify_usage_error(args) -> str | None:
         return f"--filter {args.filter!r} matches no check id"
     if not any(args.coeff_set):
         return "--coeff-set needs a nonzero coefficient"
-    for flag, cap in DEGREE_CAPS.items():
-        if (deg := getattr(args, flag[2:].replace("-", "_"))) > cap:
-            return f"{flag} {deg} is above the degree cap {cap}"
-    for flag, count in _sweep_config(args).sweep_sizes().items():
+    try:
+        cfg = _sweep_config(args)
+    except PrecondError as exc:  # a degree above its cap in DEGREE_CAPS
+        return str(exc)
+    for flag, count in cfg.sweep_sizes().items():
         if count > SWEEP_CAPS[flag]:
             return f"{flag} over --coeff-set sweeps {count} candidates, above the cap {SWEEP_CAPS[flag]}"
     return None

@@ -54,7 +54,7 @@ class StageError(AlgebraError):
         super().__init__(f"[{stage}] {message}{detail}")
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, eq=False)
 class QuadComplex1:
     """1-dimensional (-1)-quadratic complex with C_1 = C_0, d = 2*Id.
 
@@ -64,6 +64,8 @@ class QuadComplex1:
     which is the same 2*Id for every complex.  The ring is Z[C2][x] for the
     machine's input and Z[x] for the corrected cycle.
     """
+
+    __slots__ = ("psi0t", "psi1")  # as in formations.SplitFormation
 
     psi0t: Mat
     psi1: Mat
@@ -258,7 +260,14 @@ def instant_obstruction(u: UnionComplex) -> Obstruction:
         [[dpsi0, 0, -f1], [0, 0, -Id], [0, 0, 0]]   (mod 2)
 
     and is stably equivalent to the rank-n form (D^1, dpsi0); the
-    equivalence is asserted by comparing Arf classes.
+    equivalence is asserted by comparing Arf classes.  arf splits off
+    isolated unit pairs first (forms._split_unit_pairs): a row e of the
+    pairing whose only nonzero entry is lambda[e][f] = 1 gives the
+    congruence v -> v + lambda(v, f) e on the other basis vectors, which
+    keeps lambda among them and adds lambda(v, f)^2 mu(e) to mu(v), so the
+    class is mu(e) mu(f) plus that of the rest.  The middle block's rows
+    split off with mu(e) = 0 and leave exactly the reduced form's pairing
+    and values, so the comparison checks the union's block layout.
     """
     n, dpsi0, d_f2 = u.rank, u.dpsi0, u.d_f2.bits
     zero = (0,) * n
@@ -267,9 +276,9 @@ def instant_obstruction(u: UnionComplex) -> Obstruction:
     rows += [zero + zero + e for e in d_f2[2 * n:]] + [zero * 3] * n
     big = QuadraticForm(Mat.from_bits(rows, 3 * n), 1)
     reduced = QuadraticForm(dpsi0, 1)
-    # the reduction standardises the pairing by a polynomial change of
-    # basis u (u^T lambda u = J), which forces det lambda to be a unit; so
-    # it fails exactly when the form is singular
+    # the split into unit pairs and the reduction of what is left are
+    # congruences to a sum of hyperbolic planes, which force det lambda to
+    # be a unit; so arf fails exactly when the form is singular
     try:
         reduced_arf = arf(reduced)
     except SingularFormError as exc:

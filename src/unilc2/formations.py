@@ -36,9 +36,14 @@ class UnsupportedShapeError(AlgebraError):
     """The operation only supports the exponent-two shape mu = 2*Id."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SplitFormation:
     """Nonsingular split epsilon-quadratic formation (gamma, mu, theta)."""
+
+    # declared here, not by slots=True: the class that slots=True rebuilds
+    # makes assigning a name that is not a field raise TypeError, not
+    # FrozenInstanceError, on CPython 3.11
+    __slots__ = ("gamma", "mu", "theta", "epsilon")
 
     gamma: Mat
     mu: Mat

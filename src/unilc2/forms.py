@@ -15,7 +15,7 @@ import operator
 from array import array
 from dataclasses import dataclass
 from itertools import compress
-from operator import xor
+from operator import itemgetter, ne, xor
 
 from .rings import (
     AlgebraError,
@@ -108,9 +108,14 @@ def arf_normalize(q: PolyF2) -> ArfClass:
 # Forms
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class QuadraticForm:
     """epsilon-quadratic form (rank, psi, epsilon) on a free module."""
+
+    # not slotted: the class that slots=True rebuilds makes assigning a name
+    # that is not a field raise TypeError, not FrozenInstanceError, on
+    # CPython 3.11, and a declared __slots__ would clash with epsilon's
+    # default
 
     psi: Mat
     epsilon: int = 1
@@ -426,13 +431,83 @@ def _checked_rows(ucols, n: int, w: int, lam) -> list:
     return urows
 
 
-def arf(form: QuadraticForm) -> ArfClass:
-    """Arf invariant of an even nonsingular (+1)-form over F2[x]."""
-    mu = [v.bits for v in symplectic_reduce(form).mu]
+def _split_unit_pairs(form: QuadraticForm):
+    """Split off the form's isolated unit pairs: (the sum of mu(e) mu(f)
+    over the pairs split off, the residual form, or None if nothing is
+    left).  When nothing splits, the residual is the form itself.
+
+    An isolated unit pair is a row e of the pairing lambda whose only
+    nonzero entry is lambda[e][f] = 1.  Replacing every other basis vector
+    v by v' = v + lambda(v, f) e is a congruence: lambda among the v' is
+    that among the v, each v' is orthogonal to e and f, and
+    mu(v') = mu(v) + lambda(v, f)^2 mu(e), as lambda(v, e) = 0.  So the
+    form is the hyperbolic pair (e, f), contributing mu(e) mu(f) to the Arf
+    sum, plus the residual on the v', with the rest of lambda and the
+    updated mu.  Removing f can leave another row with a single entry, so
+    the rows that pair with f are tested again."""
+    if form.ring is not PolyF2:
+        raise RingTagError("symplectic reduction works over F2[x]")
+    if form.epsilon != 1:
+        raise PrecondError("symplectic reduction expects a (+1)-form")
+    n = form.rank
+    psi = form.psi.bits
+    # row e of lambda = psi + psi^T is zero where psi's row e equals its
+    # column e, and always on the diagonal; so a row with a single nonzero
+    # entry has a zero at e - 1 or at e - 2 (mod n), and that test of two
+    # entries rejects most rows of a dense form before the row is compared,
+    # and the form before lambda is built
+    for e, r in enumerate(psi):
+        if r[e - 1] == psi[e - 1][e] or r[e - 2] == psi[e - 2][e]:
+            if sum(map(ne, r, map(itemgetter(e), psi))) == 1:
+                break
+    else:
+        return 0, form
+    lam = [list(map(xor, r, c)) for r, c in zip(psi, zip(*psi))]
+    last = n - 1  # the zeros of a row with a single nonzero entry
+    work = list(range(n))
+    q = [psi[j][j] for j in range(n)]
+    alive = [True] * n
     total = 0
-    for a, b in zip(mu[::2], mu[1::2]):
-        if a and b:
-            total ^= clmul(a, b)
+    while work:
+        e = work.pop()
+        row = lam[e]
+        # the rows of split pairs are dropped, and their columns zeroed in
+        # the rows left, so a live row's single entry pairs it with a live f
+        if not alive[e] or row.count(0) != last or 1 not in row:
+            continue
+        f, qe = row.index(1), q[e]
+        alive[e] = alive[f] = False
+        if qe and q[f]:
+            total ^= clmul(qe, q[f])
+        lf = lam[f]
+        for v in compress(range(n), lf):
+            if v != e:
+                lam[v][f] = 0
+                if qe:
+                    c = lf[v]
+                    q[v] ^= qe if c == 1 else clmul(clmul(c, c), qe)
+                work.append(v)
+    rest = list(compress(range(n), alive))
+    if len(rest) == n:
+        return 0, form
+    if not rest:
+        return total, None
+    pairing = Mat.from_bits([[lam[a][b] for b in rest] for a in rest], len(rest))
+    return total, from_pairing_and_vector(pairing, [PolyF2(q[a]) for a in rest])
+
+
+def arf(form: QuadraticForm) -> ArfClass:
+    """Arf invariant of an even nonsingular (+1)-form over F2[x].
+
+    The isolated unit pairs are split off first (_split_unit_pairs), and
+    what is left goes to symplectic_reduce: on the gluing machine's
+    obstruction forms nothing is left."""
+    total, residual = _split_unit_pairs(form)
+    if residual is not None:
+        mu = [v.bits for v in symplectic_reduce(residual).mu]
+        for a, b in zip(mu[::2], mu[1::2]):
+            if a and b:
+                total ^= clmul(a, b)
     return arf_normalize(PolyF2(total))
 
 

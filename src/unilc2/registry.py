@@ -68,6 +68,13 @@ class SweepConfig:
     machine_deg_triples: int = 2
     machine_deg_pairs: int = 2
 
+    def __post_init__(self):
+        # the sweep sizes grow exponentially in the degrees, so a degree
+        # above its cap is refused before any size can be computed
+        for flag, cap in DEGREE_CAPS.items():
+            if (deg := getattr(self, flag[2:].replace("-", "_"))) > cap:
+                raise PrecondError(f"{flag} {deg} is above the degree cap {cap}")
+
     def polys(self, max_deg=None, coeffs=None):
         md = self.max_deg if max_deg is None else max_deg
         cs = self.coeffs if coeffs is None else coeffs

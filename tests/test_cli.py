@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from unilc2.cli import main
-from unilc2.rings import MAX_DIM, MAX_EXPONENT
+from unilc2.rings import MAX_DIM, MAX_EXPONENT, PrecondError
 
 
 def run(capsys, *argv):
@@ -444,6 +444,25 @@ def test_verify_rejects_a_bad_sweep_degree_as_a_usage_error(monkeypatch, value, 
     assert exc.value.code == 2
     assert out.getvalue() == ""
     assert flag in err.getvalue()
+
+
+@pytest.mark.parametrize("field, flag", [("max_deg", "--max-deg"), ("machine_deg_pairs", "--machine-deg-pairs"),
+                                         ("machine_deg_triples", "--machine-deg-triples")])
+def test_sweep_config_refuses_a_degree_above_its_cap(monkeypatch, field, flag):
+    """Through the API too, a degree above DEGREE_CAPS is refused when the
+    config is built, before any sweep size is computed or check run; the
+    degree at the cap is accepted."""
+    from unilc2.registry import DEGREE_CAPS, SweepConfig, run_registry
+
+    def no_sizes(self):
+        raise AssertionError("a sweep size was computed")
+
+    monkeypatch.setattr(SweepConfig, "sweep_sizes", no_sizes)
+    cap = DEGREE_CAPS[flag]
+    for deg in (cap + 1, 10**6):
+        with pytest.raises(PrecondError, match=f"{flag} {deg} is above the degree cap {cap}"):
+            run_registry(SweepConfig(**{field: deg, "coeffs": (1,)}), "witt.nilpotence")
+    assert getattr(SweepConfig(**{field: cap}), field) == cap
 
 
 @pytest.mark.parametrize("argv", [["--max-deg", "511"], ["--machine-deg-pairs", "1024"]])

@@ -154,6 +154,25 @@ def test_quad_complex_is_a_frozen_record_with_identity_equality():
     assert c == c and c != twin and len({c, twin}) == 2
 
 
+@pytest.mark.parametrize("record", ["QuadraticForm", "SplitFormation", "QuadComplex1"])
+def test_assigning_any_name_on_a_frozen_record_raises_frozen_instance_error(record):
+    """A field, a property and a new name alike raise FrozenInstanceError,
+    an AttributeError."""
+    from unilc2.forms import make_P
+    from unilc2.rings import PolyF2
+
+    m = make_M(zx("x"), zx("1"))
+    value = {
+        "QuadraticForm": make_P(PolyF2(2), PolyF2(1)),
+        "SplitFormation": m,
+        "QuadComplex1": formation_to_complex(m),
+    }[record]
+    for name in [f.name for f in dataclasses.fields(value)] + ["rank", "unrelated"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, 2)
+    assert not hasattr(value, "unrelated")
+
+
 def test_formation_to_complex_shape():
     c = formation_to_complex(make_M(zx("x"), zx("1")))
     assert c.rank == 2

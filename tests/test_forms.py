@@ -817,10 +817,126 @@ def test_reduce_is_bit_identical_to_the_reference(form):
 
 def test_arf_reaches_the_reduction_through_the_module_attribute(monkeypatch):
     """arf looks symplectic_reduce up on the module at each call, so a
-    wrapper set there (as the benchmark's tracer sets one) sees it."""
+    wrapper set there (as the benchmark's tracer sets one) sees it.  A form
+    whose isolated unit pairs split off completely makes no call."""
     calls = []
     real = forms.symplectic_reduce
     monkeypatch.setattr(forms, "symplectic_reduce", lambda form: calls.append(form) or real(form))
-    form = make_P(f2("x"), f2("1"))
+    form = QuadraticForm(parse_matrix(NO_UNIT_ROW, PolyF2), 1)
     assert forms.arf(form).to_poly() == f2("x")
-    assert calls == [form]
+    assert len(calls) == 1 and calls[0] is form
+    calls.clear()
+    assert forms.arf(make_P(f2("x"), f2("1"))).to_poly() == f2("x")
+    assert calls == []
+
+
+# -- isolated unit pairs split off before the reduction
+# (forms._split_unit_pairs), against the Arf class read off the whole form
+
+# a rank-4 form whose pairing has three nonzero entries in every row, so
+# nothing splits; its Arf class is x
+NO_UNIT_ROW = "[x,1,1,1;0,1,1,1;0,0,0,1;0,0,0,1]"
+
+
+def reference_arf(form):
+    """The Arf class of the conftest reduction of the whole form."""
+    basis = reference_symplectic_reduce(form)
+    total = PolyF2.zero()
+    for i, j in basis.pairs:
+        total = total + basis.mu[i] * basis.mu[j]
+    return arf_normalize(total)
+
+
+@st.composite
+def partly_split_forms(draw):
+    """(the Arf class, the rank left after the split, form): a sum of
+    make_P(q, 1) blocks with q != 0 and hyperbolic planes, and perhaps the
+    NO_UNIT_ROW block, moved by elementary column operations that add
+    multiples of a block's first vector e to columns other than the e's,
+    then permuted.  Each e row keeps its single unit entry, and each
+    addition changes mu of its column by c^2 mu(e), which the split must
+    undo."""
+    qs = draw(st.lists(st.integers(0, 31), min_size=1, max_size=5))  # 0: a hyperbolic plane
+    core = draw(st.booleans())
+    blocks = [make_P(PolyF2(q), PolyF2(1 if q else 0)) for q in qs]
+    if core:
+        blocks.append(QuadraticForm(parse_matrix(NO_UNIT_ROW, PolyF2), 1))
+    form = functools.reduce(direct_sum, blocks)
+    n = form.rank
+    cols = [list(c) for c in zip(*Mat.identity(n, PolyF2).entries)]
+    es = range(0, 2 * len(qs), 2)
+    others = [j for j in range(n) if j not in es]
+    ops = st.tuples(st.sampled_from(es), st.sampled_from(others), st.integers(1, 7))
+    for e, j, c in draw(st.lists(ops, max_size=2 * n)):
+        cols[j] = [a + PolyF2(c) * b for a, b in zip(cols[j], cols[e])]
+    cols = [cols[k] for k in draw(st.permutations(range(n)))]
+    want = block_class_bits([(q, 1) for q in qs]) ^ (0b10 if core else 0)
+    return arf_normalize(PolyF2(want)), 4 if core else 0, form.transport(Mat(list(zip(*cols)), PolyF2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(partly_split_forms())
+def test_split_against_the_reference_on_partly_split_forms(case):
+    want, left, form = case
+    total, residual = forms._split_unit_pairs(form)
+    assert (residual.rank if residual else 0) == left
+    assert arf(form) == reference_arf(form) == want
+
+
+def _admitted_obstruction_forms(k, rng, count):
+    """The big and reduced obstruction forms of `count` machine runs of
+    relation k with random degree-2 parameters (coefficients 0-2) that
+    relation_fixture admits (it refuses the others with PrecondError)."""
+    from unilc2.complexes import run_relation
+
+    def poly():
+        return PolyInt([rng.randrange(3) for _ in range(3)])
+
+    out = []
+    for _ in range(50 * count):
+        try:
+            obs = run_relation(k, poly(), poly(), poly() if k == 1 else None)[0].obstruction
+        except PrecondError:
+            continue
+        out += [obs.big, obs.reduced]
+        if len(out) == 2 * count:
+            return out
+    raise AssertionError(f"relation {k} admitted too few parameter draws")
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_obstruction_forms_split_completely_and_agree_with_the_reference(k, monkeypatch):
+    """The machine's obstruction forms need no reduction: big splits its
+    middle block onto reduced's pairing and values, and those split too."""
+    calls = []
+    real = forms.symplectic_reduce
+    monkeypatch.setattr(forms, "symplectic_reduce", lambda form: calls.append(form) or real(form))
+    for form in _admitted_obstruction_forms(k, random.Random(k), 8):
+        assert forms._split_unit_pairs(form)[1] is None
+        assert arf(form) == reference_arf(form)
+    assert calls == []
+
+
+def test_a_singular_residual_behind_a_unit_pair_raises():
+    """A unit pair splits off, and the reduction of what is left finds the
+    singular pairing, also when the pair is mixed into it, or the rest has
+    odd rank."""
+    form = direct_sum(make_P(f2("x"), f2("1")), QuadraticForm(parse_matrix("[0,x;0,0]", PolyF2), 1))
+    u = parse_matrix("[1,0,x,1;0,1,0,0;0,0,1,0;0,0,0,1]", PolyF2)  # e added to columns 2 and 3
+    odd = direct_sum(make_P(f2("1"), f2("x")), QuadraticForm(parse_matrix("[x]", PolyF2), 1))
+    for case, left in ((form, 2), (form.transport(u), 2), (odd, 1)):
+        assert forms._split_unit_pairs(case)[1].rank == left
+        with pytest.raises(SingularFormError):
+            arf(case)
+
+
+def test_arf_checks_ring_and_epsilon_before_any_split(monkeypatch):
+    """The reduction's ring and epsilon checks run before any split, with
+    its errors.  (A pairing psi + psi^T over F2[x] is always alternating,
+    so the reduction's zero-diagonal check has no form to refuse.)"""
+    monkeypatch.setattr(forms, "symplectic_reduce", lambda form: pytest.fail("reduction reached"))
+    p = make_P(f2("x"), f2("1"))
+    with pytest.raises(PrecondError, match="expects a \\(\\+1\\)-form"):
+        arf(QuadraticForm(p.psi, -1))
+    with pytest.raises(RingTagError, match="works over F2"):
+        arf(QuadraticForm(parse_matrix("[x,1;0,1]", PolyInt), 1))
