@@ -1,7 +1,7 @@
 """1-dimensional (-1)-quadratic complexes and the gluing machine.
 
 The pipeline turns a sum of generator formations plus a null-cobordism
-witness (pi, chi) into a nonsingular (+1)-quadratic form over F2[x] and
+witness (pi, chi) into a nonsingular quadratic form over F2[x] and
 returns its Arf class:
 
     formation -> complex -> de-symmetrization check -> corrected cycle
@@ -274,8 +274,8 @@ def instant_obstruction(u: UnionComplex) -> Obstruction:
     # row blocks [dpsi0, 0, f1], [0, 0, Id] and 0; f1, Id: d_F^2's top and bottom
     rows = [r + zero + f for r, f in zip(dpsi0.bits, d_f2)]
     rows += [zero + zero + e for e in d_f2[2 * n:]] + [zero * 3] * n
-    big = QuadraticForm(Mat.from_bits(rows, 3 * n), 1)
-    reduced = QuadraticForm(dpsi0, 1)
+    big = QuadraticForm(Mat.from_bits(rows, 3 * n))
+    reduced = QuadraticForm(dpsi0)
     # the split into unit pairs and the reduction of what is left are
     # congruences to a sum of hyperbolic planes, which force det lambda to
     # be a unit; so arf fails exactly when the form is singular

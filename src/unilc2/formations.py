@@ -105,8 +105,8 @@ def make_M_sum(terms) -> SplitFormation:
     """The signed sum of generators s_1 M(p_1, g_1) + ... over Z[C2][x], for
     terms (s_i, p_i, g_i) with s_i = +-1, in the representative with
     mu = 2*Id: block i of gamma = theta is s_i times make_M's block.  It is
-    the direct_sum/negate chain (mu = diag(+-2)) after the base change
-    beta = diag(s_i) of G."""
+    the block sum of the generators, each negative one with mu and theta
+    negated (mu = diag(+-2)), after the base change beta = diag(s_i) of G."""
     n, minus, plus = 2 * len(terms), [], []
     for i, (s, p, g) in enumerate(terms):
         if s not in (1, -1):
@@ -262,20 +262,3 @@ def verify_formation_iso(
     )
     return _is_even_difference(diff, -e)
 
-
-def direct_sum(a: SplitFormation, b: SplitFormation) -> SplitFormation:
-    if a.ring is not b.ring:
-        raise RingTagError("direct sum over different rings")
-    if a.epsilon != b.epsilon:
-        raise PrecondError("direct sum with different epsilon")
-    return SplitFormation(
-        Mat.block_diag([a.gamma, b.gamma]),
-        Mat.block_diag([a.mu, b.mu]),
-        Mat.block_diag([a.theta, b.theta]),
-        a.epsilon,
-    )
-
-
-def negate(a: SplitFormation) -> SplitFormation:
-    """Additive inverse representative: theta -> -theta, mu -> -mu."""
-    return SplitFormation(a.gamma, -a.mu, -a.theta, a.epsilon)

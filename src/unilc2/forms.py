@@ -1,11 +1,11 @@
 """Quadratic forms on free modules and the Arf invariant over F2[x].
 
-A form is carried by its matrix psi; the quadratic function is
-mu(v) = v^T psi v and the underlying pairing is the symmetrization
-lambda = psi + epsilon * psi^T.  Over F2[x] the Arf invariant of an even
-nonsingular (+1)-form is computed on a symplectic basis as
-sum mu(e_i) mu(f_i), read in the quotient of F2[x] by the relations
-x^(2k) = x^k for k >= 1 (class ArfClass).
+A form is carried by its matrix psi over F2[x]; the quadratic function
+is mu(v) = v^T psi v and the underlying pairing is the symmetrization
+lambda = psi + psi^T.  The Arf invariant of a nonsingular form is
+computed on a symplectic basis as sum mu(e_i) mu(f_i), read in the
+quotient of F2[x] by the relations x^(2k) = x^k for k >= 1 (class
+ArfClass).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .rings import (
     AlgebraError,
     Mat,
     PolyF2,
-    PrecondError,
     RingTagError,
     ShapeError,
     cl_divmod,
@@ -110,73 +109,55 @@ def arf_normalize(q: PolyF2) -> ArfClass:
 
 @dataclass(frozen=True)
 class QuadraticForm:
-    """epsilon-quadratic form (rank, psi, epsilon) on a free module."""
+    """Quadratic form (rank, psi) on a free module over F2[x].
 
-    # not slotted: the class that slots=True rebuilds makes assigning a name
-    # that is not a field raise TypeError, not FrozenInstanceError, on
-    # CPython 3.11, and a declared __slots__ would clash with epsilon's
-    # default
+    Over F2[x], -1 = +1, so one form serves both signs, and its pairing
+    psi + psi^T is alternating: its diagonal is psi_ii + psi_ii = 0.  So
+    every form is even and is its own negative, and neither needs a check.
+    """
+
+    # declared here, not by slots=True: see SplitFormation
+    __slots__ = ("psi",)
 
     psi: Mat
-    epsilon: int = 1
 
     def __post_init__(self):
+        if self.psi.ring is not PolyF2:
+            raise RingTagError("quadratic forms are over F2[x]")
         if not self.psi.is_square():
             raise ShapeError("form matrix must be square")
-        if self.epsilon not in (1, -1):
-            raise PrecondError("epsilon must be +1 or -1")
 
     @property
     def rank(self) -> int:
         return self.psi.rows
 
-    @property
-    def ring(self):
-        return self.psi.ring
-
     def symmetrization(self) -> Mat:
-        s = self.psi.conj_t()
-        return self.psi + (s if self.epsilon == 1 else -s)
-
-    def is_even(self) -> bool:
-        lam = self.symmetrization()
-        return all(not lam[i, i] for i in range(self.rank))
+        return self.psi + self.psi.conj_t()
 
     def is_nonsingular(self) -> bool:
         return self.symmetrization().det().is_unit()
 
     def transport(self, u: Mat) -> "QuadraticForm":
         """Base change by u (columns = new basis in old coordinates)."""
-        return QuadraticForm(u.conj_t() * self.psi * u, self.epsilon)
-
-    def __repr__(self):
-        return f"QuadraticForm(eps={self.epsilon:+d}, psi={self.psi})"
+        return QuadraticForm(u.conj_t() * self.psi * u)
 
 
 def make_P(q: PolyF2, g: PolyF2) -> QuadraticForm:
-    """Rank-2 (+1)-quadratic form over F2[x] with pairing [[0,1],[1,0]] and
-    quadratic vector (q, g): psi = [[q,1],[0,g]]."""
+    """Rank-2 form over F2[x] with pairing [[0,1],[1,0]] and quadratic
+    vector (q, g): psi = [[q,1],[0,g]]."""
     one, zero = PolyF2.one(), PolyF2.zero()
-    return QuadraticForm(Mat([[q, one], [zero, g]], PolyF2), 1)
+    return QuadraticForm(Mat([[q, one], [zero, g]], PolyF2))
 
 
 def hyperbolic(r: int) -> QuadraticForm:
     """Standard hyperbolic form on F + F* over F2[x]: psi = [[0, Id],[0, 0]]."""
     ident = Mat.identity(r, PolyF2)
     zero = Mat.zeros(r, r, PolyF2)
-    return QuadraticForm(Mat.from_blocks([[zero, ident], [zero, zero]]), 1)
+    return QuadraticForm(Mat.from_blocks([[zero, ident], [zero, zero]]))
 
 
 def direct_sum(a: QuadraticForm, b: QuadraticForm) -> QuadraticForm:
-    if a.ring is not b.ring:
-        raise RingTagError("direct sum of forms over different rings")
-    if a.epsilon != b.epsilon:
-        raise PrecondError("direct sum of forms with different epsilon")
-    return QuadraticForm(Mat.block_diag([a.psi, b.psi]), a.epsilon)
-
-
-def negate(a: QuadraticForm) -> QuadraticForm:
-    return QuadraticForm(-a.psi, a.epsilon)
+    return QuadraticForm(Mat.block_diag([a.psi, b.psi]))
 
 
 def from_pairing_and_vector(lam: Mat, vec) -> QuadraticForm:
@@ -191,7 +172,7 @@ def from_pairing_and_vector(lam: Mat, vec) -> QuadraticForm:
                 out[i][j] = lam[i, j]
             elif i == j:
                 out[i][j] = vec[i]
-    return QuadraticForm(Mat(out, PolyF2), 1)
+    return QuadraticForm(Mat(out, PolyF2))
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +252,11 @@ def _transpose(a: array, n: int, L: int, K: int) -> array:
 def symplectic_reduce(form: QuadraticForm) -> SymplecticBasis:
     """Symplectic Gram-Schmidt over the principal ideal domain F2[x].
 
-    Requires an even nonsingular (+1)-form over F2[x].  Every step is a
-    congruence, applied to the pairing and recorded in the basis change.
-    For each pair the pivot row runs Euclid's algorithm: the lowest-degree,
-    lowest-index entry divides the others until one entry is left, which
-    must be a unit.  The output is deterministic.
+    Requires a nonsingular form.  Every step is a congruence, applied to
+    the pairing and recorded in the basis change.  For each pair the pivot
+    row runs Euclid's algorithm: the lowest-degree, lowest-index entry
+    divides the others until one entry is left, which must be a unit.  The
+    output is deterministic.
 
     The quadratic values q[j] = mu(u_j) ride along with the congruences:
     in characteristic 2, mu(a + f*b) = mu(a) + f^2 mu(b) + f lambda(a, b).
@@ -287,15 +268,9 @@ def symplectic_reduce(form: QuadraticForm) -> SymplecticBasis:
     ops, and the result is checked, u^T lambda u = J, by one packed pass
     (_checked_rows).
     """
-    if form.ring is not PolyF2:
-        raise RingTagError("symplectic reduction works over F2[x]")
-    if form.epsilon != 1:
-        raise PrecondError("symplectic reduction expects a (+1)-form")
     n = form.rank
     psi = form.psi.bits
     lam = [list(map(xor, r, c)) for r, c in zip(psi, zip(*psi))]
-    if any(lam[i][i] for i in range(n)):
-        raise PrecondError("pairing must be alternating (zero diagonal)")
     # the pairing in the current basis (symmetric); while pair t is built
     # only its live block, indices >= t, is kept up to date
     g = [r[:] for r in lam]
@@ -445,10 +420,6 @@ def _split_unit_pairs(form: QuadraticForm):
     sum, plus the residual on the v', with the rest of lambda and the
     updated mu.  Removing f can leave another row with a single entry, so
     the rows that pair with f are tested again."""
-    if form.ring is not PolyF2:
-        raise RingTagError("symplectic reduction works over F2[x]")
-    if form.epsilon != 1:
-        raise PrecondError("symplectic reduction expects a (+1)-form")
     n = form.rank
     psi = form.psi.bits
     # row e of lambda = psi + psi^T is zero where psi's row e equals its
@@ -497,7 +468,7 @@ def _split_unit_pairs(form: QuadraticForm):
 
 
 def arf(form: QuadraticForm) -> ArfClass:
-    """Arf invariant of an even nonsingular (+1)-form over F2[x].
+    """Arf invariant of a nonsingular form over F2[x].
 
     The isolated unit pairs are split off first (_split_unit_pairs), and
     what is left goes to symplectic_reduce: on the gluing machine's
@@ -510,8 +481,3 @@ def arf(form: QuadraticForm) -> ArfClass:
                 total ^= clmul(a, b)
     return arf_normalize(PolyF2(total))
 
-
-def witt_equal(a: QuadraticForm, b: QuadraticForm) -> bool:
-    """Stable equivalence of even nonsingular (+1)-forms over F2[x]: the
-    Arf classes (including the constant, augmentation-at-0 part) agree."""
-    return arf(a) == arf(b)

@@ -69,11 +69,17 @@ class SweepConfig:
     machine_deg_pairs: int = 2
 
     def __post_init__(self):
-        # the sweep sizes grow exponentially in the degrees, so a degree
-        # above its cap is refused before any size can be computed
+        # with no nonzero coefficient every sweep would see only the zero
+        # polynomial; the sweep sizes grow exponentially in the degrees, so
+        # a degree above its cap is refused before any size is computed
+        if not any(self.coeffs):
+            raise PrecondError("--coeff-set needs a nonzero coefficient")
         for flag, cap in DEGREE_CAPS.items():
             if (deg := getattr(self, flag[2:].replace("-", "_"))) > cap:
                 raise PrecondError(f"{flag} {deg} is above the degree cap {cap}")
+        for flag, count in self.sweep_sizes().items():
+            if count > (cap := SWEEP_CAPS[flag]):
+                raise PrecondError(f"{flag} over --coeff-set sweeps {count} candidates, above the cap {cap}")
 
     def polys(self, max_deg=None, coeffs=None):
         md = self.max_deg if max_deg is None else max_deg
@@ -569,8 +575,6 @@ def check_idempotence(cfg):
         ):
             return False, f"idempotence replay fails at p={p}"
         n += 1
-    if not n:
-        return False, "the coefficient set admits no nonzero polynomial"
     return True, f"2*(V2-1)*M(p,1) reduces to zero for {n} polynomials of degree <= 4"
 
 

@@ -1,7 +1,7 @@
 """Boundary map from rank-r forms over F2[x] to split formations over
 Z[C2][x], computed by lift-and-pullback along the cartesian square.
 
-Input: a nonsingular (+1)-form (F2[x]^r, psi') together with integer lifts
+Input: a nonsingular form (F2[x]^r, psi') together with integer lifts
 psi of psi' and chi of chi' = phi'^{-1} psi' phi'^{-1} (phi' the
 symmetrization).  The construction runs in three recorded steps:
 
@@ -29,14 +29,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .forms import QuadraticForm, SingularFormError, SymplecticBasis, _slot_or, symplectic_reduce
+from . import forms
+from .forms import QuadraticForm, SingularFormError, SymplecticBasis, _slot_or
 from .formations import SplitFormation
 from .rings import (
     MIN_SLOT_BITS,
     AlgebraError,
     Mat,
     NotInImageError,
-    PolyF2,
     PolyInt,
     PrecondError,
     RingTagError,
@@ -59,11 +59,10 @@ def _chi_prime(form: QuadraticForm):
     """(chi', phi'^{-1}, basis) with chi' = phi'^{-1} psi' phi'^{-1} over
     F2[x], read off the form's symplectic reduction (basis: u with u^T phi'
     u = J, so phi'^{-1} = u J u^T); PrecondError unless phi' is
-    unimodular."""
-    if form.ring is not PolyF2 or form.epsilon != 1:
-        raise PrecondError("the boundary takes (+1)-forms over F2[x]")
+    unimodular.  The reduction is looked up on the forms module at each
+    call, as arf does, so a wrapper set there sees it."""
     try:
-        basis = symplectic_reduce(form)
+        basis = forms.symplectic_reduce(form)
     except SingularFormError as exc:
         raise PrecondError("the symmetrization is not unimodular") from exc
     n = form.rank

@@ -396,15 +396,6 @@ class PolyF2:
             i += 1
         return PolyF2(out)
 
-    def exact_div(self, d: "PolyF2") -> "PolyF2":
-        """Exact quotient self / d in F2[x]; NonDivisibleError if not exact."""
-        if not d:
-            raise NonDivisibleError("division by zero polynomial")
-        q, r = f2_divmod(self, d)
-        if r:
-            raise NonDivisibleError("composite not defined over the ring")
-        return q
-
     def __str__(self):
         return format_poly(self)
 
@@ -418,14 +409,6 @@ def _as_polyf2(v) -> PolyF2:
     if isinstance(v, int):
         return PolyF2(v & 1)
     raise RingTagError(f"cannot coerce {v!r} into F2[x]")
-
-
-def f2_divmod(a: PolyF2, b: PolyF2):
-    """Quotient and remainder in the Euclidean domain F2[x]."""
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    q, r = cl_divmod(a.bits, b.bits)
-    return PolyF2(q), PolyF2(r)
 
 
 # ---------------------------------------------------------------------------

@@ -75,13 +75,25 @@ def _pivot_row(a, k, n):
     return next((i for i in range(k + 1, n) if a[i][k]), None)
 
 
+def _exact_quotient(v, d):
+    """v / d, which must be exact, over Z[x] or F2[x]."""
+    if isinstance(v, PolyInt):
+        return v.exact_div(d)
+    from unilc2.rings import NonDivisibleError, cl_divmod
+
+    q, r = cl_divmod(v.bits, d.bits)
+    if r:
+        raise NonDivisibleError("composite not defined over the ring")
+    return PolyF2(q)
+
+
 def _bareiss_row(ri, rk, k, prev):
     piv, f = rk[k], ri[k]
     for j in range(k + 1, len(rk)):
         v = ri[j] * piv
         if f and rk[j]:
             v = v - f * rk[j]
-        ri[j] = v.exact_div(prev) if prev is not None else v
+        ri[j] = _exact_quotient(v, prev) if prev is not None else v
 
 
 def bareiss_det(m):
@@ -163,19 +175,11 @@ def obj_mul(a, b, cols, zero):
 
 def reference_symplectic_reduce(form):
     from unilc2.forms import SingularFormError, SymplecticBasis
-    from unilc2.rings import (
-        Mat, PrecondError, RingTagError, cl_divmod, clmul, f2_bit_length, f2_dot, f2_pack,
-    )
+    from unilc2.rings import Mat, cl_divmod, clmul, f2_bit_length, f2_dot, f2_pack
 
-    if form.ring is not PolyF2:
-        raise RingTagError("symplectic reduction works over F2[x]")
-    if form.epsilon != 1:
-        raise PrecondError("symplectic reduction expects a (+1)-form")
     n = form.rank
     psi = form.psi.bits
     lam = [[psi[i][j] ^ psi[j][i] for j in range(n)] for i in range(n)]
-    if any(lam[i][i] for i in range(n)):
-        raise PrecondError("pairing must be alternating (zero diagonal)")
     g = [list(r) for r in lam]
     q = [psi[j][j] for j in range(n)]
     ops = []
@@ -243,3 +247,31 @@ def reference_symplectic_reduce(form):
     if [f2_dot(c, lu) for c in zip(*urows)] != [1 << ((i ^ 1) * ws) for i in range(n)]:
         raise SingularFormError("internal error: reduction did not standardise")
     return SymplecticBasis(Mat.from_bits(urows, n), tuple(map(PolyF2, q)), tuple(ops))
+
+
+# -- the generator sums as a chain of direct sums and negations: make_M_sum
+# builds the same sum in one pass, in the representative with mu = 2*Id
+
+
+def direct_sum(a, b):
+    """The direct sum of two split formations."""
+    from unilc2.formations import SplitFormation
+    from unilc2.rings import Mat, PrecondError, RingTagError
+
+    if a.ring is not b.ring:
+        raise RingTagError("direct sum over different rings")
+    if a.epsilon != b.epsilon:
+        raise PrecondError("direct sum with different epsilon")
+    return SplitFormation(
+        Mat.block_diag([a.gamma, b.gamma]),
+        Mat.block_diag([a.mu, b.mu]),
+        Mat.block_diag([a.theta, b.theta]),
+        a.epsilon,
+    )
+
+
+def negate(a):
+    """Additive inverse representative: theta -> -theta, mu -> -mu."""
+    from unilc2.formations import SplitFormation
+
+    return SplitFormation(a.gamma, -a.mu, -a.theta, a.epsilon)

@@ -462,7 +462,8 @@ def test_sweep_config_refuses_a_degree_above_its_cap(monkeypatch, field, flag):
     for deg in (cap + 1, 10**6):
         with pytest.raises(PrecondError, match=f"{flag} {deg} is above the degree cap {cap}"):
             run_registry(SweepConfig(**{field: deg, "coeffs": (1,)}), "witt.nilpotence")
-    assert getattr(SweepConfig(**{field: cap}), field) == cap
+    monkeypatch.undo()  # the config at the cap checks its sweep sizes too
+    assert getattr(SweepConfig(**{field: cap, "coeffs": (1,)}), field) == cap
 
 
 @pytest.mark.parametrize("argv", [["--max-deg", "511"], ["--machine-deg-pairs", "1024"]])
@@ -504,16 +505,37 @@ def test_verify_coefficient_set_of_zeros_is_a_usage_error(tmp_path, coeffs):
     assert not summary.exists()
 
 
-def test_idempotence_check_fails_when_it_admits_no_polynomial():
-    """Through the API a sweep of zero coefficients still reaches the
-    idempotence check, which reports the empty sweep as a failure."""
+def test_sweep_config_refuses_a_coefficient_set_of_zeros():
+    """Through the API too, a sweep of zero coefficients is refused when
+    the config is built, so no check can run on zero polynomials alone;
+    one nonzero coefficient is enough for the idempotence check."""
     from unilc2.registry import SweepConfig, check_idempotence
 
-    ok, detail = check_idempotence(SweepConfig(coeffs=(0,)))
-    assert not ok
-    assert "no nonzero polynomial" in detail
+    for coeffs in ((0,), (0, 0)):
+        with pytest.raises(PrecondError, match="--coeff-set needs a nonzero coefficient"):
+            SweepConfig(coeffs=coeffs)
     ok, detail = check_idempotence(SweepConfig(coeffs=(0, 1)))
     assert ok and "for 15 polynomials" in detail
+
+
+@pytest.mark.parametrize(
+    "kwargs, flag",
+    [({"max_deg": 30}, "--max-deg"), ({"machine_deg_triples": 3}, "--machine-deg-triples"),
+     ({"machine_deg_pairs": 4}, "--machine-deg-pairs")],
+)
+def test_sweep_config_refuses_an_oversized_sweep(monkeypatch, kwargs, flag):
+    """Through the API too, a sweep of more candidates than its cap in
+    SWEEP_CAPS is refused when the config is built, before any sweep is
+    listed: SweepConfig(max_deg=30) would sweep 3.8 * 10^29 pairs."""
+    from unilc2.registry import SWEEP_CAPS, SweepConfig
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the oversized sweep was built")
+
+    monkeypatch.setattr(SweepConfig, "polys", no_sweep)
+    with pytest.raises(PrecondError, match=f"{flag} over --coeff-set sweeps \\d+ candidates, "
+                                           f"above the cap {SWEEP_CAPS[flag]}"):
+        SweepConfig(**kwargs)
 
 
 @pytest.mark.parametrize(

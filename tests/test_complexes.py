@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import int_polys, pg_sweep, zx
+from conftest import direct_sum, int_polys, negate, pg_sweep, zx
 from test_formations import RELATION_TERMS
 
 from unilc2.complexes import (
@@ -29,11 +29,9 @@ from unilc2.complexes import (
 )
 from unilc2.formations import (
     SplitFormation,
-    direct_sum,
     is_graph,
     make_M,
     make_M_sum,
-    negate,
     verify_poincare,
 )
 from unilc2.forms import ArfClass, SingularFormError, arf, arf_normalize

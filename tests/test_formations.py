@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cofactor_adjugate, int_polys, pg_sweep, unit_inverse, zx
+from conftest import cofactor_adjugate, direct_sum, int_polys, negate, pg_sweep, unit_inverse, zx
 from test_rim import dense_boundary_form
 
 from unilc2 import complexes, rim, rings, witt
@@ -13,7 +13,6 @@ from unilc2.formations import (
     SplitFormation,
     UnsupportedShapeError,
     _is_even_difference,
-    direct_sum,
     i_minus,
     i_plus,
     is_contractible,
@@ -22,7 +21,6 @@ from unilc2.formations import (
     make_M_sum,
     make_N_resolution,
     make_Q,
-    negate,
     two_id,
     verify_formation_iso,
     verify_poincare,

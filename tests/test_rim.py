@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import cofactor_adjugate, f2, obj_mul, zx
 
-from unilc2 import rim
+from unilc2 import forms, rim
 from unilc2.formations import is_contractible, is_graph, make_Q
 from unilc2.forms import (
     QuadraticForm,
@@ -156,7 +156,7 @@ def test_unimodular_lift_of_elementary_product():
     # phi'^{-1} of the rank-4 form below: its coefficient-wise lift has det
     # 1 - 4x^2 - 4x^3, not a unit over Z[x]; U J U^T, with U the product of
     # the lifted column operations of the symplectic reduction, is unimodular
-    form = QuadraticForm(parse_matrix(GENERIC_PSI, PolyF2), 1)
+    form = QuadraticForm(parse_matrix(GENERIC_PSI, PolyF2))
     phi_inv = BoundaryInput.with_default_lifts(form).phi_inv
     assert form.symmetrization() * phi_inv == Mat.identity(4, PolyF2)
     assert all(not phi_inv[i, i] for i in range(4)) and phi_inv == phi_inv.conj_t()
@@ -167,12 +167,23 @@ def test_unimodular_lift_of_elementary_product():
     assert lift.det().is_unit()
 
 
+def test_boundary_reaches_the_reduction_through_the_module_attribute(monkeypatch):
+    """The boundary looks symplectic_reduce up on the forms module, as arf
+    does, so a wrapper set there sees the one reduction of its input."""
+    calls = []
+    real = forms.symplectic_reduce
+    monkeypatch.setattr(forms, "symplectic_reduce", lambda form: calls.append(form) or real(form))
+    form = QuadraticForm(parse_matrix(GENERIC_PSI, PolyF2))
+    boundary(BoundaryInput.with_default_lifts(form))
+    assert len(calls) == 1 and calls[0] is form
+
+
 def test_generic_boundary_input():
     """A rank-4 even nonsingular form outside the rank-2 family whose
     symmetrization and its inverse have no unimodular coefficient-wise
     lift, so assembly needs the lift read off the symplectic reduction."""
-    form = QuadraticForm(parse_matrix(GENERIC_PSI, PolyF2), 1)
-    assert form.is_nonsingular() and form.is_even()
+    form = QuadraticForm(parse_matrix(GENERIC_PSI, PolyF2))
+    assert form.is_nonsingular()
     assert not default_lift(form.symmetrization()).det().is_unit()
     out = boundary(BoundaryInput.with_default_lifts(form))
     assert out.hessian_holds()
@@ -207,7 +218,7 @@ def dense_boundary_form(rng, rank):
         form = direct_sum(form, b)
     psi = form.transport(dense_unimodular(rng, rank)).psi
     a = Mat([[PolyF2(rng.getrandbits(2)) for _ in range(rank)] for _ in range(rank)], PolyF2)
-    return QuadraticForm(psi + a + a.conj_t(), 1)
+    return QuadraticForm(psi + a + a.conj_t())
 
 
 def test_chi_prime_against_adjugate_on_dense_forms():
@@ -267,7 +278,7 @@ def test_phi_inv_from_the_reduction_against_gauss_jordan(form):
     ],
 )
 def test_singular_or_odd_rank_symmetrization_is_a_precondition_error(text):
-    form = QuadraticForm(parse_matrix(text, PolyF2), 1)
+    form = QuadraticForm(parse_matrix(text, PolyF2))
     with pytest.raises(PrecondError):
         compute_chi_prime(form)
     with pytest.raises(PrecondError):
@@ -277,7 +288,7 @@ def test_singular_or_odd_rank_symmetrization_is_a_precondition_error(text):
 def test_dropped_operation_fails_the_lift_check():
     """The replay is checked against phi'^{-1}: a basis missing one of its
     recorded operations, an add or a swap, no longer lifts it."""
-    inp = BoundaryInput.with_default_lifts(QuadraticForm(parse_matrix(GENERIC_PSI, PolyF2), 1))
+    inp = BoundaryInput.with_default_lifts(QuadraticForm(parse_matrix(GENERIC_PSI, PolyF2)))
     ops = inp.basis.ops
     kinds = {op[0] for op in ops}
     assert kinds == {"add", "swap"}
@@ -307,7 +318,7 @@ def test_lift_determinant_is_det_J_times_det_U_squared(seed_rank):
     so the lift is unimodular exactly when its factor U is, which is
     where _unimodular_lift checks it."""
     if seed_rank is None:
-        form = QuadraticForm(parse_matrix(GENERIC_PSI, PolyF2), 1)
+        form = QuadraticForm(parse_matrix(GENERIC_PSI, PolyF2))
     else:
         form = dense_boundary_form(random.Random(seed_rank[0]), seed_rank[1])
     inp = BoundaryInput.with_default_lifts(form)
@@ -322,7 +333,7 @@ def test_non_unimodular_factor_fails_the_lift_check(monkeypatch):
     check and must fail the determinant check: an appended u_0 += u_0,
     whose multiplier is lifted to 2 instead of 1, scales column 0 of U by
     3 (u_0 + u_0 is 0 over F2[x], but 3 u_0 reduces to u_0)."""
-    inp = BoundaryInput.with_default_lifts(QuadraticForm(parse_matrix(GENERIC_PSI, PolyF2), 1))
+    inp = BoundaryInput.with_default_lifts(QuadraticForm(parse_matrix(GENERIC_PSI, PolyF2)))
     basis = dataclasses.replace(inp.basis, ops=inp.basis.ops + (("add", 0, 0, 1),))
     adds = sum(op[0] == "add" for op in basis.ops)
     calls = []
@@ -338,7 +349,7 @@ def test_non_unimodular_factor_fails_the_lift_check(monkeypatch):
 
 
 def test_lift_failures_have_distinct_messages():
-    inp = BoundaryInput.with_default_lifts(QuadraticForm(parse_matrix(GENERIC_PSI, PolyF2), 1))
+    inp = BoundaryInput.with_default_lifts(QuadraticForm(parse_matrix(GENERIC_PSI, PolyF2)))
     i = next(i for i, op in enumerate(inp.basis.ops) if op[0] == "add")
     broken = dataclasses.replace(inp.basis, ops=inp.basis.ops[:i] + inp.basis.ops[i + 1:])
     with pytest.raises(AssemblyError, match=r"does not reduce to phi'\^-1"):

@@ -45,7 +45,7 @@ from unilc2.rings import (
     apply_i,
     apply_j,
     apply_k,
-    f2_divmod,
+    cl_divmod,
     f2_dot,
     format_matrix,
     format_poly,
@@ -1081,15 +1081,15 @@ def test_exact_division():
 
 
 def test_f2_divmod_and_xgcd():
+    """Division with remainder in F2[x], on bitmasks (cl_divmod): the
+    remainder is shorter than the divisor, and a product divides exactly."""
     rng = random.Random(37)
     for _ in range(100):
         a, b = PolyF2(rng.getrandbits(9)), PolyF2(rng.getrandbits(6) | 1)
-        q, r = f2_divmod(a, b)
-        assert q * b + r == a
-        assert (a * b).exact_div(b) == a
-        if r:
-            with pytest.raises(NonDivisibleError):
-                a.exact_div(b)
+        q, r = cl_divmod(a.bits, b.bits)
+        assert PolyF2(q) * b + PolyF2(r) == a
+        assert r.bit_length() < b.bits.bit_length()
+        assert cl_divmod((a * b).bits, b.bits) == (a.bits, 0)
 
 
 # -- grammar
